@@ -10,7 +10,7 @@ that divides by the factor, and one AdamW step per accumulation window.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,16 +81,7 @@ class StageConfig:
         return max(1, round(self.total_steps * self.warmup_frac))
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "total_steps": self.total_steps,
-            "batch_size": self.batch_size,
-            "peak_lr": self.peak_lr,
-            "warmup_frac": self.warmup_frac,
-            "weight_decay": self.weight_decay,
-            "grad_accum": self.grad_accum,
-            "vit_lr_decay": self.vit_lr_decay,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -146,6 +146,7 @@ def layers_from_bindings(bindings) -> list[dict]:
                     m: (a[0].data, a[1].data, a[2]) for m, a in (b.adapters or {}).items()
                 },
                 "experts": {m: w.data for m, w in (b.experts or {}).items()},
+                "route_adapters": b.route_adapters,
             }
         )
     return out

@@ -1,10 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from genieblue import autograd as ag
+from genieblue.adaptation import build_cogvlm, build_genieblue, freeze_mask, plan_placement
 from genieblue.autograd import GradTape, NonFiniteError, ShapeMismatch, Tensor, backward
+from genieblue.data import TaskSpec, collate, synth_dataset
+from genieblue.model import ModelConfig, build_model
 
-from oracles import central_diff_grad, ref_softmax
+from oracles import central_diff_grad, ref_gelu, ref_softmax
 
 
 def test_softmax_symmetry():
@@ -249,3 +255,127 @@ def test_grad_two_layer_mlp_matches_central_differences(rng):
 def test_softmax_matches_reference(rng):
     x = rng.normal(scale=3.0, size=(5, 11))
     np.testing.assert_allclose(ag.softmax(Tensor(x)).data, ref_softmax(x), rtol=0, atol=1e-15)
+
+
+# ----------------------------------------------------------------------------
+# gelu kernel: values, derivative, no mutation
+# ----------------------------------------------------------------------------
+
+
+def _gelu_grid():
+    # negatives, zero, |x| up to 10, and the tails where tanh rounds to +-1
+    return np.concatenate([np.linspace(-10.0, 10.0, 40001), [0.0, -0.0, 1e-300, -1e-300, 1e-8, -1e-8]])
+
+
+def test_gelu_matches_reference_on_grid():
+    x = _gelu_grid()
+    got, ref = ag.gelu(Tensor(x)).data, ref_gelu(x)
+    # 1e-14 relative, plus one rounding of tanh scaled by 0.5*|x|: where
+    # tanh -> -1, 1 + tanh cancels and that rounding dominates, in the
+    # reference as much as in the kernel
+    tol = 1e-14 * np.abs(ref) + 0.5 * np.abs(x) * np.spacing(1.0)
+    assert (np.abs(got - ref) <= tol).all()
+    well_conditioned = x >= -2.0
+    np.testing.assert_allclose(got[well_conditioned], ref[well_conditioned], rtol=1e-14, atol=0)
+    saturated = np.abs(x) >= 9.0
+    np.testing.assert_array_equal(got[saturated], ref[saturated])
+    assert (got[x == 0.0] == 0.0).all()
+
+
+def _gelu_derivative(x):
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x**3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x**2)
+
+
+def test_gelu_vjp_matches_closed_form(rng):
+    x = rng.normal(scale=3.0, size=(16, 62, 256))
+    g = rng.normal(size=x.shape)
+    with GradTape() as tape:
+        ag.gelu(Tensor(x, requires_grad=True))
+    (gx,) = tape.nodes[-1].vjp(g)
+    # the derivative is bounded by ~1.13, so an absolute tolerance fits
+    np.testing.assert_allclose(gx, g * _gelu_derivative(x), rtol=0, atol=1e-14)
+
+
+def test_gelu_does_not_mutate_inputs(rng):
+    x = Tensor(rng.normal(scale=3.0, size=(4, 5, 6)), requires_grad=True)
+    g = rng.normal(size=x.shape)
+    x_before, g_before = x.data.copy(), g.copy()
+    with GradTape() as tape:
+        ag.gelu(x)
+    np.testing.assert_array_equal(x.data, x_before)
+    tape.nodes[-1].vjp(g)
+    np.testing.assert_array_equal(x.data, x_before)
+    np.testing.assert_array_equal(g, g_before)
+
+
+# ----------------------------------------------------------------------------
+# backward accumulation: shared first contributions, 0-d sums
+# ----------------------------------------------------------------------------
+
+
+def test_backward_shared_gradient_does_not_leak(probe):
+    x = Tensor(probe((3, 4)), requires_grad=True)
+    y = Tensor(probe((3, 4)), requires_grad=True)
+    c, ca, cb, cr = (probe((3, 4)) for _ in range(4))
+    with GradTape() as tape:
+        a = ag.mul(x, 2.0)
+        b = ag.mul(y, 3.0)
+        r = ag.mul(a, cr)  # a third contribution to a, added in place
+        p = ag.mul(a, ca)
+        q = ag.mul(b, cb)
+        s = ag.add(a, b)  # replayed first: a and b both receive the same g
+        loss = ag.sum_all(ag.mul(ag.add(ag.add(ag.add(s, p), q), r), c))
+    grads = backward(tape, loss)
+    np.testing.assert_allclose(grads[x], 2.0 * c * (1.0 + ca + cr), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(grads[y], 3.0 * c * (1.0 + cb), rtol=1e-15, atol=0)
+
+
+def test_backward_reused_scalar_sums_exactly(rng):
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    with GradTape() as tape:
+        s = ag.sum_all(x)
+        loss = ag.add(s, s)
+    np.testing.assert_array_equal(backward(tape, loss)[x], np.full((3, 5), 2.0))
+    with GradTape() as tape:
+        s = ag.sum_all(x)
+        loss = ag.add(ag.add(s, s), s)  # the third use adds into the 0-d sum
+    np.testing.assert_array_equal(backward(tape, loss)[x], np.full((3, 5), 3.0))
+
+
+def _replay_out_of_place(tape, loss):
+    """backward as first written: every sum a fresh ``acc + gi``."""
+    grads = {loss: np.ones(())}
+    for node in reversed(tape.nodes):
+        g = grads.pop(node.out, None)
+        if g is None:
+            continue
+        for inp, gi in zip(node.inputs, node.vjp(g)):
+            if gi is not None:
+                acc = grads.get(inp)
+                grads[inp] = gi if acc is None else acc + gi
+    return {t: g for t, g in grads.items() if t.requires_grad}
+
+
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_backward_matches_out_of_place_replay_on_stage2_tape(build):
+    cfg = ModelConfig(
+        vocab_size=256, d_model=16, n_layers=4, n_heads=2, max_seq=48,
+        grid_side=3, grid_alphabet=4, d_vision=8, n_vision_heads=2,
+    )
+    model = build(build_model(cfg, seed=0), plan_placement(4, Fraction(1, 4), "skip"), rank=4, seed=1)
+    trainable = freeze_mask(model, 2)
+    r = np.random.default_rng(3)
+    for t in trainable.values():  # move off the init point so every path carries gradient
+        t.data += r.normal(scale=0.05, size=t.shape)
+    data = synth_dataset(TaskSpec("grid-caption", n_samples=4, seed=0), max_seq=48, grid_side=3, grid_alphabet=4)
+    batch, targets, predict, grids = collate([data[i] for i in range(4)], data.max_len)
+    for t in trainable.values():
+        t.requires_grad = True
+    with GradTape() as tape:
+        loss = ag.masked_nll(model.forward(batch, grids), targets, predict / predict.sum())
+    got, ref = backward(tape, loss), _replay_out_of_place(tape, loss)
+    assert got.keys() == ref.keys() and len(got) == len(trainable)
+    for t, g in got.items():
+        assert g.tobytes() == ref[t].tobytes(), t.name

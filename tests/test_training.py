@@ -209,3 +209,8 @@ def test_stage_config_defaults():
     assert StageConfig(stage=1, total_steps=3434).warmup_steps == 34
     with pytest.raises(ValueError):
         StageConfig(stage=3)
+
+
+def test_stage_config_dict_round_trip():
+    cfg = StageConfig(stage=2, total_steps=7, floor_lr=3e-6, beta1=0.8, beta2=0.95, eps=1e-9)
+    assert StageConfig(**cfg.to_dict()) == cfg
