@@ -2,12 +2,13 @@
 
 A frozen base language model acquires multimodal capability through fully
 trained copies of scheduled transformer blocks plus low-rank adapters on the
-rest, and deploys with separated base/delta artifacts so the pure-text path
-binds the pristine base weights.
+rest. Adapted models share the base LM's weights but never change them, so a
+text request can run on ``base.lm`` and get exactly the base model's output.
 """
 
 from .autograd import GradTape, NonFiniteError, ShapeMismatch, Tensor, backward
 from .adaptation import (
+    AdaptedModel,
     HybridModel,
     LoraAdapter,
     PlacementSchedule,

@@ -1,12 +1,12 @@
 """Hybrid adaptation: block replication placements, LoRA, and visual experts.
 
-A hybrid model keeps the base LM frozen, substitutes fully trainable copies
-of the blocks at the scheduled layer indices, and attaches rank-r adapters to
-every attention and FFN matrix of the remaining blocks. The multimodal path
-swaps whole blocks for all tokens; per-token expert routing exists only in
-the visual-expert baseline, whose expert-bearing layers send image positions
-through duplicated QKV/output/FFN weights while attention still mixes all
-positions jointly.
+An adapted model keeps the base LM frozen, holds fully trainable copies of
+the blocks at the scheduled layer indices, and attaches rank-r adapters to
+every attention and FFN matrix of the remaining blocks. GenieBlue swaps the
+copies in as whole blocks for all tokens. The visual-expert baseline routes
+per token instead: image positions go through the copied QKV/output/FFN
+weights and the adapters, text positions through the base, while attention
+still mixes all positions jointly. Full-LoRA is GenieBlue with no copies.
 
 Adapters are zero at initialization (up factor all-zero) and replicated
 blocks are bit-exact copies, so a freshly built model computes exactly what
@@ -27,7 +27,10 @@ from .model import (
     BlockBinding,
     ModelConfig,
     MultimodalBase,
+    Projector,
     TokenBatch,
+    VisionEncoder,
+    block_param_shapes,
     decode,
     encode_and_project,
 )
@@ -36,6 +39,7 @@ __all__ = [
     "PlacementSchedule",
     "plan_placement",
     "LoraAdapter",
+    "AdaptedModel",
     "HybridModel",
     "VisualExpertModel",
     "build_genieblue",
@@ -107,16 +111,6 @@ def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -
     return PlacementSchedule(mode=mode, fraction=f, replicated=replicated, complement=complement)
 
 
-def _empty_schedule(n_layers: int) -> PlacementSchedule:
-    """Degenerate schedule used by the full-LoRA baseline: no replication."""
-    return PlacementSchedule(
-        mode="none",
-        fraction=Fraction(0, 1),
-        replicated=(),
-        complement=tuple(range(n_layers)),
-    )
-
-
 @dataclass
 class LoraAdapter:
     """Low-rank delta s * up @ down attached to one weight matrix."""
@@ -133,73 +127,53 @@ class LoraAdapter:
 def _init_adapters(
     rng: np.random.Generator, config: ModelConfig, rank: int, indices: tuple[int, ...]
 ) -> dict[int, dict[str, LoraAdapter]]:
-    d, f = config.d_model, config.d_ffn
-    dims = {
-        "attn.wq": (d, d),
-        "attn.wk": (d, d),
-        "attn.wv": (d, d),
-        "attn.wo": (d, d),
-        "ffn.w1": (f, d),
-        "ffn.w2": (d, f),
-    }
-    adapters: dict[int, dict[str, LoraAdapter]] = {}
-    for i in indices:
-        per_block = {}
-        for mat in BLOCK_MATRICES:
-            d_out, d_in = dims[mat]
-            per_block[mat] = LoraAdapter(
-                down=Tensor(rng.normal(0.0, ADAPTER_INIT_STD, size=(rank, d_in))),
-                up=Tensor(np.zeros((d_out, rank))),
+    shapes = block_param_shapes(config.d_model, config.d_ffn)
+    return {
+        i: {
+            mat: LoraAdapter(
+                down=Tensor(rng.normal(0.0, ADAPTER_INIT_STD, size=(rank, shapes[mat][1]))),
+                up=Tensor(np.zeros((shapes[mat][0], rank))),
             )
-        adapters[i] = per_block
-    return adapters
+            for mat in BLOCK_MATRICES
+        }
+        for i in indices
+    }
 
 
-def _copy_block(src: dict[str, Tensor], include_norms: bool) -> dict[str, Tensor]:
-    out = {}
-    for name, t in src.items():
-        if not include_norms and name not in BLOCK_MATRICES:
-            continue
-        out[name] = Tensor(t.data.copy())
-    return out
+def _copied(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    return {name: Tensor(t.data.copy()) for name, t in params.items()}
 
 
-class HybridModel:
-    """Frozen base + replicated trainable blocks + adapters on the rest."""
+class AdaptedModel:
+    """Frozen base LM + trainable block copies + adapters on the other blocks.
 
-    kind = "genieblue"
+    ``routed`` is the per-layer binding policy. Unrouted (GenieBlue), a layer
+    with a copy binds the copy as a whole block for every token. Routed
+    (CogVLM-style), a copy holds matrices only and serves image positions as
+    experts, and adapters apply at image positions only. The model owns its
+    vision encoder and projector, so training it leaves the base untouched.
+    """
+
+    routed = False
 
     def __init__(
         self,
         base: MultimodalBase,
-        schedule: PlacementSchedule,
-        rank: int,
-        replicated: dict[int, dict[str, Tensor]],
+        copies: dict[int, dict[str, Tensor]],
         adapters: dict[int, dict[str, LoraAdapter]],
     ):
         self.config = base.config
-        self.base = base
-        self.schedule = schedule
-        self.rank = rank
-        self.replicated = replicated
+        self.lm = base.lm
+        self.vision = VisionEncoder(base.config, _copied(base.vision.params))
+        self.projector = Projector(base.config, _copied(base.projector.params), base.projector.pretrained)
+        self.copies = copies
         self.adapters = adapters
-
-    @property
-    def lm(self):
-        return self.base.lm
-
-    @property
-    def vision(self):
-        return self.base.vision
-
-    @property
-    def projector(self):
-        return self.base.projector
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {f"lm.{k}": v for k, v in self.lm.params.items()}
-        for i, block in sorted(self.replicated.items()):
-            out.update({f"replicated.{i}.{k}": v for k, v in block.items()})
+        prefix = "expert" if self.routed else "replicated"
+        for i, block in sorted(self.copies.items()):
+            out.update({f"{prefix}.{i}.{k}": v for k, v in block.items()})
         for i, per_block in sorted(self.adapters.items()):
             for mat, a in per_block.items():
                 out[f"adapter.{i}.{mat}.down"] = a.down
@@ -209,20 +183,20 @@ class HybridModel:
         return out
 
     def bindings(self) -> list[BlockBinding]:
-        """The multimodal-path bindings: swapped blocks plus adapted base."""
+        """The multimodal-path binding of every layer."""
         out = []
         for i in range(self.config.n_layers):
-            if i in self.replicated:
-                out.append(BlockBinding(self.replicated[i]))
-            else:
-                adapters = {
-                    mat: (a.down, a.up, a.scale) for mat, a in self.adapters.get(i, {}).items()
-                }
-                out.append(BlockBinding(self.lm.block_weights(i), adapters=adapters))
+            copy = self.copies.get(i)
+            if copy is not None and not self.routed:
+                out.append(BlockBinding(copy))
+                continue
+            adapters = {mat: (a.down, a.up, a.scale) for mat, a in self.adapters.get(i, {}).items()}
+            # routed: text positions stay on the exact base computation
+            out.append(BlockBinding(self.lm.block_weights(i), adapters, dict(copy or {}), self.routed))
         return out
 
     def forward(self, batch: TokenBatch, grids: np.ndarray | None = None) -> Tensor:
-        """Multimodal-path forward: every token flows through the swapped blocks."""
+        """Multimodal-path forward through the bindings above."""
         injected = None
         if batch.image_span:
             if grids is None:
@@ -231,118 +205,51 @@ class HybridModel:
         return decode(self.config, self.lm.params, self.bindings(), batch, injected)
 
 
-class VisualExpertModel:
-    """Frozen base with per-block expert weights routed by token modality."""
-
-    kind = "cogvlm"
-
-    def __init__(
-        self,
-        base: MultimodalBase,
-        schedule: PlacementSchedule,
-        rank: int,
-        experts: dict[int, dict[str, Tensor]],
-        adapters: dict[int, dict[str, LoraAdapter]],
-    ):
-        self.config = base.config
-        self.base = base
-        self.schedule = schedule
-        self.rank = rank
-        self.experts = experts
-        self.adapters = adapters
-
-    @property
-    def lm(self):
-        return self.base.lm
-
-    @property
-    def vision(self):
-        return self.base.vision
-
-    @property
-    def projector(self):
-        return self.base.projector
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {f"lm.{k}": v for k, v in self.lm.params.items()}
-        for i, block in sorted(self.experts.items()):
-            out.update({f"expert.{i}.{k}": v for k, v in block.items()})
-        for i, per_block in sorted(self.adapters.items()):
-            for mat, a in per_block.items():
-                out[f"adapter.{i}.{mat}.down"] = a.down
-                out[f"adapter.{i}.{mat}.up"] = a.up
-        out.update({f"vision.{k}": v for k, v in self.vision.params.items()})
-        out.update({f"projector.{k}": v for k, v in self.projector.params.items()})
-        return out
-
-    def bindings(self) -> list[BlockBinding]:
-        out = []
-        for i in range(self.config.n_layers):
-            weights = self.lm.block_weights(i)
-            if i in self.experts:
-                out.append(BlockBinding(weights, experts=dict(self.experts[i])))
-            else:
-                adapters = {
-                    mat: (a.down, a.up, a.scale) for mat, a in self.adapters.get(i, {}).items()
-                }
-                # adapters are image-routed here: text positions must stay on
-                # the exact base computation at every training state
-                out.append(BlockBinding(weights, adapters=adapters, route_adapters=True))
-        return out
-
-    def forward(self, batch: TokenBatch, grids: np.ndarray | None = None) -> Tensor:
-        injected = None
-        if batch.image_span:
-            if grids is None:
-                raise ValueError("batch has image positions but no grids were supplied")
-            injected = encode_and_project(self.vision, self.projector, grids)
-        return decode(self.config, self.lm.params, self.bindings(), batch, injected)
+class HybridModel(AdaptedModel):
+    """GenieBlue: copies replace whole blocks for every token."""
 
 
-def _check_rank(rank: int, config: ModelConfig) -> None:
+class VisualExpertModel(AdaptedModel):
+    """CogVLM-style baseline: copies and adapters serve image positions only."""
+
+    routed = True
+
+
+def _build(cls, base: MultimodalBase, schedule: PlacementSchedule, rank: int, seed: int):
+    config = base.config
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     if rank >= config.d_model:
         raise ValueError(f"rank {rank} is degenerate for width {config.d_model}")
+    if any(i < 0 or i >= config.n_layers for i in schedule.replicated):
+        raise ValueError(f"schedule {schedule.replicated} out of range for L={config.n_layers}")
+    copies = {}
+    for i in schedule.replicated:
+        block = base.lm.block_weights(i)
+        copies[i] = _copied({n: t for n, t in block.items() if n in BLOCK_MATRICES or not cls.routed})
+    rng = np.random.default_rng(seed)
+    adapters = _init_adapters(rng, config, rank, schedule.complement) if rank else {}
+    return cls(base, copies, adapters)
 
 
 def build_genieblue(
     base: MultimodalBase, schedule: PlacementSchedule, rank: int = 8, seed: int = 0
 ) -> HybridModel:
     """Replicate the scheduled blocks and attach adapters to the complement."""
-    _check_rank(rank, base.config)
-    if any(i < 0 or i >= base.config.n_layers for i in schedule.replicated):
-        raise ValueError(f"schedule {schedule.replicated} out of range for L={base.config.n_layers}")
-    replicated = {
-        i: _copy_block(base.lm.block_weights(i), include_norms=True) for i in schedule.replicated
-    }
-    rng = np.random.default_rng(seed)
-    adapters = _init_adapters(rng, base.config, rank, schedule.complement) if rank else {}
-    return HybridModel(base, schedule, rank, replicated, adapters)
+    return _build(HybridModel, base, schedule, rank, seed)
 
 
 def build_cogvlm(
     base: MultimodalBase, schedule: PlacementSchedule, rank: int = 8, seed: int = 0
 ) -> VisualExpertModel:
     """Duplicate QKV/output/FFN experts at the scheduled blocks."""
-    _check_rank(rank, base.config)
-    if any(i < 0 or i >= base.config.n_layers for i in schedule.replicated):
-        raise ValueError(f"schedule {schedule.replicated} out of range for L={base.config.n_layers}")
-    experts = {
-        i: _copy_block(base.lm.block_weights(i), include_norms=False) for i in schedule.replicated
-    }
-    rng = np.random.default_rng(seed)
-    adapters = _init_adapters(rng, base.config, rank, schedule.complement) if rank else {}
-    return VisualExpertModel(base, schedule, rank, experts, adapters)
+    return _build(VisualExpertModel, base, schedule, rank, seed)
 
 
 def build_full_lora(base: MultimodalBase, rank: int = 8, seed: int = 0) -> HybridModel:
     """Baseline: adapters on every block, no replication."""
-    _check_rank(rank, base.config)
-    schedule = _empty_schedule(base.config.n_layers)
-    rng = np.random.default_rng(seed)
-    adapters = _init_adapters(rng, base.config, rank, schedule.complement) if rank else {}
-    return HybridModel(base, schedule, rank, {}, adapters)
+    layers = tuple(range(base.config.n_layers))
+    return _build(HybridModel, base, PlacementSchedule("none", Fraction(0), (), layers), rank, seed)
 
 
 def parameter_group(name: str) -> str:
@@ -358,27 +265,16 @@ def parameter_group(name: str) -> str:
 
 
 def count_trainable(model) -> dict[str, int]:
-    """Trainable parameter counts by group, plus the total.
+    """Stage-2 trainable parameter counts by group, plus the total.
 
     For the full-finetune baseline (a plain ``MultimodalBase``), every
     parameter including the LM is trainable and counts under ``blocks``.
     """
     counts = {"blocks": 0, "adapters": 0, "vision": 0, "projector": 0}
-    if isinstance(model, MultimodalBase):
-        for name, p in model.named_parameters().items():
-            if name.startswith("vision."):
-                counts["vision"] += p.size
-            elif name.startswith("projector."):
-                counts["projector"] += p.size
-            else:
-                counts["blocks"] += p.size
-    else:
-        for name, p in model.named_parameters().items():
-            group = parameter_group(name)
-            if group == "base":
-                continue
-            key = {"replicated": "blocks", "adapter": "adapters"}.get(group, group)
-            counts[key] += p.size
+    keys = {"base": "blocks", "replicated": "blocks", "adapter": "adapters"}
+    for name, p in freeze_mask(model, 2).items():
+        group = parameter_group(name)
+        counts[keys.get(group, group)] += p.size
     counts["total"] = sum(counts.values())
     return counts
 
@@ -392,12 +288,18 @@ def merge_lora(weight, adapter: LoraAdapter) -> np.ndarray:
     return w + adapter.scale * delta
 
 
-def merged_bindings(model: HybridModel) -> list[BlockBinding]:
-    """Bindings with every adapter folded into its base weight."""
+def merged_bindings(model: AdaptedModel) -> list[BlockBinding]:
+    """Bindings with every adapter folded into its base weight.
+
+    Only unrouted models fold: a routed delta applies at image positions
+    alone, which no single merged weight computes.
+    """
+    if model.routed:
+        raise ValueError("routed adapters and experts apply per token and cannot be folded")
     out = []
     for i in range(model.config.n_layers):
-        if i in model.replicated:
-            out.append(BlockBinding(model.replicated[i]))
+        if i in model.copies:
+            out.append(BlockBinding(model.copies[i]))
             continue
         weights = dict(model.lm.block_weights(i))
         for mat, a in model.adapters.get(i, {}).items():

@@ -24,7 +24,6 @@ __all__ = [
     "NonFiniteError",
     "backward",
     "add",
-    "sub",
     "mul",
     "matmul",
     "linear",
@@ -37,7 +36,6 @@ __all__ = [
     "attention",
     "masked_nll",
     "sum_all",
-    "mean_all",
 ]
 
 
@@ -88,27 +86,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def _as_tensor(x) -> Tensor:
@@ -226,22 +203,6 @@ def add(a, b) -> Tensor:
         )
 
     return _maybe_record("add", out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = Tensor(a.data - b.data)
-    except ValueError:
-        raise ShapeMismatch(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _maybe_record("sub", out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -632,14 +593,3 @@ def sum_all(x) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _maybe_record("sum_all", out, (x,), vjp)
-
-
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.mean())
-    shape, n = x.shape, x.size
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, shape).copy(),)
-
-    return _maybe_record("mean_all", out, (x,), vjp)

@@ -51,6 +51,7 @@ _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 _CACHE_MAGIC = b"GBDS"
 _CACHE_VERSION = 1
+_CACHE_HEADER = struct.Struct("<HBIIQB")  # version, kind, n_samples, seq_len, seed, grid side
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,6 @@ class TaskSpec:
     @property
     def multimodal(self) -> bool:
         return self.kind in GRID_KINDS
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_samples": self.n_samples, "seq_len": self.seq_len, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(**d)
 
 
 @dataclass
@@ -260,8 +254,7 @@ def write_cache(dataset: Dataset, path) -> None:
     with open(path, "wb") as f:
         f.write(_CACHE_MAGIC)
         f.write(
-            struct.pack(
-                "<HBIIQB",
+            _CACHE_HEADER.pack(
                 _CACHE_VERSION,
                 _KIND_CODES[spec.kind],
                 spec.n_samples,
@@ -280,32 +273,39 @@ def write_cache(dataset: Dataset, path) -> None:
 
 
 def read_cache(path) -> Dataset:
+    """Parse a cache file; a truncated, malformed or overlong file is a ValueError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _CACHE_MAGIC:
         raise ValueError("not a dataset cache file")
-    version, kind_code, n_samples, seq_len, seed, grid_side = struct.unpack_from("<HBIIQB", blob, 4)
+    off = 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError(f"cache truncated: {n} bytes needed at offset {off} of {len(blob)}")
+        off += n
+        return blob[off - n : off]
+
+    version, kind_code, n_samples, seq_len, seed, grid_side = _CACHE_HEADER.unpack(take(_CACHE_HEADER.size))
     if version != _CACHE_VERSION:
         raise ValueError(f"unsupported cache version {version}")
+    if kind_code not in _CODE_KINDS:
+        raise ValueError(f"unknown task kind code {kind_code}")
     spec = TaskSpec(kind=_CODE_KINDS[kind_code], n_samples=n_samples, seq_len=seq_len, seed=seed)
-    off = 4 + struct.calcsize("<HBIIQB")
     samples = []
     for _ in range(n_samples):
-        (n_tok,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        tokens = np.frombuffer(blob, dtype="<u2", count=n_tok, offset=off).astype(np.int64)
-        off += 2 * n_tok
-        mask = np.frombuffer(blob, dtype=np.uint8, count=n_tok, offset=off).astype(bool)
-        off += n_tok
-        (n_grid,) = struct.unpack_from("<H", blob, off)
-        off += 2
+        (n_tok,) = struct.unpack("<H", take(2))
+        tokens = np.frombuffer(take(2 * n_tok), dtype="<u2").astype(np.int64)
+        mask = np.frombuffer(take(n_tok), dtype=np.uint8).astype(bool)
+        (n_grid,) = struct.unpack("<H", take(2))
         grid = None
         if n_grid:
-            grid = (
-                np.frombuffer(blob, dtype=np.uint8, count=n_grid, offset=off)
-                .astype(np.int64)
-                .reshape(grid_side, grid_side)
-            )
-            off += n_grid
+            if n_grid != grid_side * grid_side:
+                raise ValueError(f"grid of {n_grid} cells in a cache of side {grid_side}")
+            cells = np.frombuffer(take(n_grid), dtype=np.uint8)
+            grid = cells.astype(np.int64).reshape(grid_side, grid_side)
         samples.append(Sample(tokens=tokens, image_mask=mask, grid=grid))
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} trailing bytes after the last record")
     return Dataset(samples, spec, grid_side=grid_side)

@@ -8,8 +8,8 @@ per cell (single-patch regime) and the projector maps them into the LM width.
 Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
-copies. The adapted and expert variants are what the adaptation module and
-the deployment router bind; the base model simply binds its own blocks.
+copies. The base model binds its own blocks; the adapted models of the
+adaptation module bind the other variants.
 """
 
 from __future__ import annotations
@@ -86,25 +86,6 @@ class ModelConfig:
     @property
     def grid_cells(self) -> int:
         return self.grid_side * self.grid_side
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ffn": self.d_ffn,
-            "max_seq": self.max_seq,
-            "grid_side": self.grid_side,
-            "grid_alphabet": self.grid_alphabet,
-            "d_vision": self.d_vision,
-            "n_vision_layers": self.n_vision_layers,
-            "n_vision_heads": self.n_vision_heads,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass

@@ -9,11 +9,7 @@ import numpy as np
 
 from .autograd import Tensor
 
-__all__ = ["digest_tensors", "sha256_bytes"]
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+__all__ = ["digest_tensors"]
 
 
 def digest_tensors(params: Mapping[str, Tensor | np.ndarray]) -> str:

@@ -123,7 +123,7 @@ def test_cogvlm_init_equivalence_bit_exact(tiny_base, rng, mode):
 def test_replicated_block_count_for_skip():
     base = build_model(ModelConfig(), seed=0)
     hybrid = build_genieblue(base, plan_placement(8, Fraction(1, 4), "skip"), rank=8)
-    assert len(hybrid.replicated) == 2
+    assert len(hybrid.copies) == 2
 
 
 def test_perturbing_replicated_block_isolates_base_path(tiny_base, rng):
@@ -135,7 +135,7 @@ def test_perturbing_replicated_block_isolates_base_path(tiny_base, rng):
     before_text = tiny_base.lm.forward(text).data
 
     idx = sched.replicated[0]
-    hybrid.replicated[idx]["attn.wq"].data += 0.05
+    hybrid.copies[idx]["attn.wq"].data += 0.05
 
     after_mm = hybrid.forward(batch, grids).data
     after_text = tiny_base.lm.forward(text).data
@@ -168,7 +168,7 @@ def test_adapter_zero_at_init(tiny_base):
 def test_cogvlm_text_batch_never_reaches_experts(tiny_base, rng):
     sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
     expert = build_cogvlm(tiny_base, sched, rank=4)
-    for per_block in expert.experts.values():
+    for per_block in expert.copies.values():
         for t in per_block.values():
             t.data[:] = np.nan  # poison: must be unreachable for text tokens
     batch = _text_batch(rng, tiny_base.config)
@@ -197,7 +197,7 @@ def test_cogvlm_mixed_routing_matches_dense_reference(tiny_base, rng):
     sched = plan_placement(cfg.n_layers, Fraction(1, 4), "skip")
     expert = build_cogvlm(tiny_base, sched, rank=4, seed=2)
     # perturb the experts and adapters so routing actually matters
-    for per_block in expert.experts.values():
+    for per_block in expert.copies.values():
         for t in per_block.values():
             t.data += rng.normal(scale=0.05, size=t.shape)
     for per_block in expert.adapters.values():
@@ -308,6 +308,12 @@ def test_merged_forward_equals_adapter_forward(rng):
     assert (err / denom).max() < 1e-9
 
 
+def test_merged_bindings_rejects_routed_model(tiny_base):
+    sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
+    with pytest.raises(ValueError, match="routed"):
+        merged_bindings(build_cogvlm(tiny_base, sched, rank=4))
+
+
 # ----------------------------------------------------------------------------
 # freeze masks
 # ----------------------------------------------------------------------------
@@ -333,11 +339,21 @@ def test_stage2_excludes_base_everywhere(tiny_base):
     assert any(n.startswith("projector.") for n in mask)
 
 
-def test_stage2_trainable_count_matches_count_trainable(tiny_base):
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda base, sched: build_genieblue(base, sched, rank=4),
+        lambda base, sched: build_cogvlm(base, sched, rank=4),
+        lambda base, sched: build_full_lora(base, rank=4),
+        lambda base, sched: base,
+    ],
+    ids=["genieblue", "cogvlm", "full-lora", "full-finetune"],
+)
+def test_stage2_trainable_count_matches_count_trainable(tiny_base, build):
     sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
-    hybrid = build_genieblue(tiny_base, sched, rank=4)
-    mask = freeze_mask(hybrid, 2)
-    assert sum(p.size for p in mask.values()) == count_trainable(hybrid)["total"]
+    model = build(tiny_base, sched)
+    mask = freeze_mask(model, 2)
+    assert sum(p.size for p in mask.values()) == count_trainable(model)["total"]
 
 
 def test_unknown_stage_rejected(tiny_base):

@@ -135,3 +135,28 @@ def test_cache_rejects_foreign_files(tmp_path):
     p.write_bytes(b"not a dataset")
     with pytest.raises(ValueError):
         read_cache(p)
+
+
+# layout: magic 0..3, version 4..5, kind 6, n_samples 7..10, seq_len 11..14,
+# seed 15..22, grid side 23, then records from byte 24
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda b: b[:6], id="cut-in-header"),
+        pytest.param(lambda b: b[:23], id="cut-before-grid-side"),
+        pytest.param(lambda b: b[:25], id="cut-in-length"),
+        pytest.param(lambda b: b[:60], id="cut-in-tokens"),
+        pytest.param(lambda b: b[:-1], id="cut-in-last-grid"),
+        pytest.param(lambda b: b[:6] + bytes([99]) + b[7:], id="bad-kind-code"),
+        pytest.param(lambda b: b[:23] + bytes([5]) + b[24:], id="grid-side-mismatch"),
+        pytest.param(lambda b: b + b"\x00", id="trailing-byte"),
+    ],
+)
+def test_read_cache_rejects_corrupt_files(tmp_path, corrupt):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    write_cache(synth_dataset(TaskSpec("grid-count", n_samples=3, seed=2)), good)
+    blob = good.read_bytes()
+    read_cache(good)  # the uncorrupted file parses
+    bad.write_bytes(corrupt(blob))
+    with pytest.raises(ValueError):
+        read_cache(bad)

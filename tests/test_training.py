@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from genieblue.adaptation import build_genieblue, count_trainable, plan_placement
+from genieblue.adaptation import build_cogvlm, build_genieblue, count_trainable, plan_placement
 from genieblue.autograd import Tensor
 from genieblue.data import TaskSpec, synth_dataset
 from genieblue.model import ModelConfig, build_model
@@ -131,6 +131,21 @@ def test_stage2_keeps_base_bit_identical():
     assert report.frozen_digest_initial == report.frozen_digest_final
     # trainable groups moved
     assert report.n_trainable == count_trainable(hybrid)["total"]
+
+
+def test_training_one_adapted_model_leaves_base_and_sibling_untouched():
+    _, base, hybrid, data = _small_world()
+    sibling = build_cogvlm(base, plan_placement(4, Fraction(1, 4), "skip"), rank=4, seed=1)
+    base_digest = digest_tensors(base.named_parameters())
+    sibling_before = {n: p.data.tobytes() for n, p in sibling.named_parameters().items()}
+    run_stage(hybrid, _stage(1, 2), data, seed=0)
+    run_stage(hybrid, _stage(2, 3, peak_lr=1e-3), data, seed=0)
+    assert digest_tensors(base.named_parameters()) == base_digest
+    assert {n: p.data.tobytes() for n, p in sibling.named_parameters().items()} == sibling_before
+    assert hybrid.projector.pretrained
+    assert not base.projector.pretrained and not sibling.projector.pretrained
+    base.projector.pretrained = True
+    assert build_genieblue(base, plan_placement(4, Fraction(1, 4), "skip")).projector.pretrained
 
 
 def test_stage2_requires_stage1_or_opt_out():
