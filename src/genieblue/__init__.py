@@ -1,7 +1,7 @@
 """Desk-scale hybrid adaptation laboratory.
 
 A frozen base language model acquires multimodal capability through fully
-trained copies of scheduled transformer blocks plus low-rank adapters on the
+trained copies of some transformer blocks plus low-rank adapters on the
 rest. Adapted models share the base LM's weights but never change them, so a
 text request can run on ``base.lm`` and get exactly the base model's output.
 """
@@ -11,7 +11,6 @@ from .adaptation import (
     AdaptedModel,
     HybridModel,
     LoraAdapter,
-    PlacementSchedule,
     VisualExpertModel,
     build_cogvlm,
     build_full_lora,
@@ -22,15 +21,8 @@ from .adaptation import (
     plan_placement,
 )
 from .data import Dataset, Sample, TaskSpec, collate, read_cache, synth_dataset, write_cache
-from .model import (
-    ModelConfig,
-    MultimodalBase,
-    TokenBatch,
-    build_model,
-    encode_and_project,
-    forward_lm,
-)
+from .model import ModelConfig, MultimodalBase, TokenBatch, build_model
 from .optim import AdamWHyper, AdamWState, LrSchedule, adamw_step, lr_at
-from .training import StageConfig, TrainReport, cross_entropy, layerwise_lr, run_stage
+from .training import StageConfig, TrainReport, layerwise_lr, run_stage
 
 __version__ = "0.1.0"

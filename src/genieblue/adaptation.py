@@ -1,12 +1,13 @@
 """Hybrid adaptation: block replication placements, LoRA, and visual experts.
 
-An adapted model keeps the base LM frozen, holds fully trainable copies of
-the blocks at the scheduled layer indices, and attaches rank-r adapters to
-every attention and FFN matrix of the remaining blocks. GenieBlue swaps the
-copies in as whole blocks for all tokens. The visual-expert baseline routes
-per token instead: image positions go through the copied QKV/output/FFN
-weights and the adapters, text positions through the base, while attention
-still mixes all positions jointly. Full-LoRA is GenieBlue with no copies.
+An adapted model is the base stack with its own layer bindings: the base LM
+stays frozen, the layers of a placement (a tuple of layer indices) get fully
+trainable block copies, and every attention and FFN matrix of the remaining
+layers gets a rank-r adapter. GenieBlue swaps the copies in as whole blocks
+for all tokens. The visual-expert baseline routes per token instead: image
+positions go through the copied QKV/output/FFN weights and the adapters,
+text positions through the base, while attention still mixes all positions
+jointly. Full-LoRA is GenieBlue with no copies.
 
 Adapters are zero at initialization (up factor all-zero) and replicated
 blocks are bit-exact copies, so a freshly built model computes exactly what
@@ -28,15 +29,11 @@ from .model import (
     ModelConfig,
     MultimodalBase,
     Projector,
-    TokenBatch,
     VisionEncoder,
     block_param_shapes,
-    decode,
-    encode_and_project,
 )
 
 __all__ = [
-    "PlacementSchedule",
     "plan_placement",
     "LoraAdapter",
     "AdaptedModel",
@@ -55,39 +52,8 @@ PLACEMENT_MODES = ("post", "pre", "skip")
 ADAPTER_INIT_STD = 0.02
 
 
-@dataclass(frozen=True)
-class PlacementSchedule:
-    """Which layers get full block copies; the complement carries adapters."""
-
-    mode: str
-    fraction: Fraction
-    replicated: tuple[int, ...]
-    complement: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.replicated)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "fraction": [self.fraction.numerator, self.fraction.denominator],
-            "replicated": list(self.replicated),
-            "complement": list(self.complement),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlacementSchedule":
-        return cls(
-            mode=d["mode"],
-            fraction=Fraction(*d["fraction"]),
-            replicated=tuple(d["replicated"]),
-            complement=tuple(d["complement"]),
-        )
-
-
-def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -> PlacementSchedule:
-    """Choose k = max(1, floor(L*f)) replicated indices per the mode.
+def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -> tuple[int, ...]:
+    """The ascending indices of the k = max(1, floor(L*f)) replicated layers.
 
     post -> the last k layers; pre -> the first k; skip -> evenly spaced
     with the final layer always included.
@@ -102,26 +68,18 @@ def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -
         raise ValueError(f"mode must be one of {PLACEMENT_MODES}, got {mode!r}")
     k = max(1, math.floor(n_layers * f))
     if mode == "post":
-        replicated = tuple(range(n_layers - k, n_layers))
-    elif mode == "pre":
-        replicated = tuple(range(k))
-    else:
-        replicated = tuple(-(-(j + 1) * n_layers // k) - 1 for j in range(k))
-    complement = tuple(i for i in range(n_layers) if i not in set(replicated))
-    return PlacementSchedule(mode=mode, fraction=f, replicated=replicated, complement=complement)
+        return tuple(range(n_layers - k, n_layers))
+    if mode == "pre":
+        return tuple(range(k))
+    return tuple(-(-(j + 1) * n_layers // k) - 1 for j in range(k))
 
 
 @dataclass
 class LoraAdapter:
-    """Low-rank delta s * up @ down attached to one weight matrix."""
+    """Low-rank delta up @ down attached to one weight matrix."""
 
     down: Tensor  # (r, d_in), seeded small-variance init
     up: Tensor  # (d_out, r), zero init
-    scale: float = 1.0
-
-    @property
-    def rank(self) -> int:
-        return self.down.shape[0]
 
 
 def _init_adapters(
@@ -144,30 +102,22 @@ def _copied(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {name: Tensor(t.data.copy()) for name, t in params.items()}
 
 
-class AdaptedModel:
-    """Frozen base LM + trainable block copies + adapters on the other blocks.
+@dataclass
+class AdaptedModel(MultimodalBase):
+    """The base stack with trainable block copies and adapters bound in.
 
     ``routed`` is the per-layer binding policy. Unrouted (GenieBlue), a layer
     with a copy binds the copy as a whole block for every token. Routed
     (CogVLM-style), a copy holds matrices only and serves image positions as
-    experts, and adapters apply at image positions only. The model owns its
-    vision encoder and projector, so training it leaves the base untouched.
+    experts, and adapters apply at image positions only. The LM is the base's
+    own; the vision encoder and projector are copies, so training the model
+    leaves the base untouched.
     """
 
-    routed = False
+    copies: dict[int, dict[str, Tensor]]
+    adapters: dict[int, dict[str, LoraAdapter]]
 
-    def __init__(
-        self,
-        base: MultimodalBase,
-        copies: dict[int, dict[str, Tensor]],
-        adapters: dict[int, dict[str, LoraAdapter]],
-    ):
-        self.config = base.config
-        self.lm = base.lm
-        self.vision = VisionEncoder(base.config, _copied(base.vision.params))
-        self.projector = Projector(base.config, _copied(base.projector.params), base.projector.pretrained)
-        self.copies = copies
-        self.adapters = adapters
+    routed = False
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {f"lm.{k}": v for k, v in self.lm.params.items()}
@@ -183,26 +133,16 @@ class AdaptedModel:
         return out
 
     def bindings(self) -> list[BlockBinding]:
-        """The multimodal-path binding of every layer."""
         out = []
         for i in range(self.config.n_layers):
             copy = self.copies.get(i)
             if copy is not None and not self.routed:
                 out.append(BlockBinding(copy))
                 continue
-            adapters = {mat: (a.down, a.up, a.scale) for mat, a in self.adapters.get(i, {}).items()}
+            adapters = {mat: (a.down, a.up) for mat, a in self.adapters.get(i, {}).items()}
             # routed: text positions stay on the exact base computation
             out.append(BlockBinding(self.lm.block_weights(i), adapters, dict(copy or {}), self.routed))
         return out
-
-    def forward(self, batch: TokenBatch, grids: np.ndarray | None = None) -> Tensor:
-        """Multimodal-path forward through the bindings above."""
-        injected = None
-        if batch.image_span:
-            if grids is None:
-                raise ValueError("batch has image positions but no grids were supplied")
-            injected = encode_and_project(self.vision, self.projector, grids)
-        return decode(self.config, self.lm.params, self.bindings(), batch, injected)
 
 
 class HybridModel(AdaptedModel):
@@ -215,41 +155,43 @@ class VisualExpertModel(AdaptedModel):
     routed = True
 
 
-def _build(cls, base: MultimodalBase, schedule: PlacementSchedule, rank: int, seed: int):
+def _build(cls, base: MultimodalBase, replicated: tuple[int, ...], rank: int, seed: int):
     config = base.config
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     if rank >= config.d_model:
         raise ValueError(f"rank {rank} is degenerate for width {config.d_model}")
-    if any(i < 0 or i >= config.n_layers for i in schedule.replicated):
-        raise ValueError(f"schedule {schedule.replicated} out of range for L={config.n_layers}")
+    if any(i < 0 or i >= config.n_layers for i in replicated):
+        raise ValueError(f"placement {replicated} out of range for L={config.n_layers}")
     copies = {}
-    for i in schedule.replicated:
+    for i in replicated:
         block = base.lm.block_weights(i)
         copies[i] = _copied({n: t for n, t in block.items() if n in BLOCK_MATRICES or not cls.routed})
     rng = np.random.default_rng(seed)
-    adapters = _init_adapters(rng, config, rank, schedule.complement) if rank else {}
-    return cls(base, copies, adapters)
+    adapted_layers = tuple(i for i in range(config.n_layers) if i not in copies)
+    adapters = _init_adapters(rng, config, rank, adapted_layers) if rank else {}
+    vision = VisionEncoder(config, _copied(base.vision.params))
+    projector = Projector(config, _copied(base.projector.params), base.projector.pretrained)
+    return cls(config, base.lm, vision, projector, copies, adapters)
 
 
 def build_genieblue(
-    base: MultimodalBase, schedule: PlacementSchedule, rank: int = 8, seed: int = 0
+    base: MultimodalBase, replicated: tuple[int, ...], rank: int = 8, seed: int = 0
 ) -> HybridModel:
-    """Replicate the scheduled blocks and attach adapters to the complement."""
-    return _build(HybridModel, base, schedule, rank, seed)
+    """Replicate the blocks at ``replicated``; adapters go on every other layer."""
+    return _build(HybridModel, base, replicated, rank, seed)
 
 
 def build_cogvlm(
-    base: MultimodalBase, schedule: PlacementSchedule, rank: int = 8, seed: int = 0
+    base: MultimodalBase, replicated: tuple[int, ...], rank: int = 8, seed: int = 0
 ) -> VisualExpertModel:
-    """Duplicate QKV/output/FFN experts at the scheduled blocks."""
-    return _build(VisualExpertModel, base, schedule, rank, seed)
+    """Duplicate QKV/output/FFN experts at the ``replicated`` layers."""
+    return _build(VisualExpertModel, base, replicated, rank, seed)
 
 
 def build_full_lora(base: MultimodalBase, rank: int = 8, seed: int = 0) -> HybridModel:
     """Baseline: adapters on every block, no replication."""
-    layers = tuple(range(base.config.n_layers))
-    return _build(HybridModel, base, PlacementSchedule("none", Fraction(0), (), layers), rank, seed)
+    return _build(HybridModel, base, (), rank, seed)
 
 
 def parameter_group(name: str) -> str:
@@ -280,12 +222,12 @@ def count_trainable(model) -> dict[str, int]:
 
 
 def merge_lora(weight, adapter: LoraAdapter) -> np.ndarray:
-    """Materialize W + s * up @ down."""
+    """Materialize W + up @ down."""
     w = weight.data if isinstance(weight, Tensor) else np.asarray(weight, dtype=np.float64)
     delta = adapter.up.data @ adapter.down.data
     if delta.shape != w.shape:
         raise ShapeMismatch(f"merge_lora: delta {delta.shape} vs weight {w.shape}")
-    return w + adapter.scale * delta
+    return w + delta
 
 
 def merged_bindings(model: AdaptedModel) -> list[BlockBinding]:
@@ -321,6 +263,6 @@ def freeze_mask(model, stage: int) -> dict[str, Tensor]:
     params = model.named_parameters()
     if stage == 1:
         return {n: p for n, p in params.items() if n.startswith("projector.")}
-    if isinstance(model, MultimodalBase):
-        return dict(params)
-    return {n: p for n, p in params.items() if parameter_group(n) != "base"}
+    if isinstance(model, AdaptedModel):
+        return {n: p for n, p in params.items() if parameter_group(n) != "base"}
+    return dict(params)

@@ -25,11 +25,10 @@ __all__ = [
     "backward",
     "add",
     "mul",
-    "matmul",
     "linear",
+    "routed_lora",
     "routed_linear",
     "gelu",
-    "softmax",
     "rms_norm",
     "embed",
     "concat_seq",
@@ -116,8 +115,9 @@ class GradTape:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self, "GradTape exited out of order"
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("GradTape exited out of order")
+        _TAPE_STACK.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -227,27 +227,6 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """General matrix product ``a @ b`` for operands with ndim >= 2."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatch(f"matmul: operands must have ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _maybe_record("matmul", out, (a, b), vjp)
-
-
 def linear(x, w) -> Tensor:
     """``x @ w.T`` for x (..., k) and a weight stored (out, k)."""
     x, w = _as_tensor(x), _as_tensor(w)
@@ -269,8 +248,8 @@ def linear(x, w) -> Tensor:
     return _maybe_record("linear", out, (x, w), vjp)
 
 
-def routed_lora(x, down, up, route_mask: np.ndarray, scale: float = 1.0) -> Tensor:
-    """Low-rank delta scale * (x @ down.T) @ up.T applied at masked rows only.
+def routed_lora(x, down, up, route_mask: np.ndarray) -> Tensor:
+    """Low-rank delta (x @ down.T) @ up.T applied at masked rows only.
 
     Unmasked rows of the output are exactly zero without ever touching the
     adapter factors, so a text position can never observe adapter state.
@@ -285,7 +264,7 @@ def routed_lora(x, down, up, route_mask: np.ndarray, scale: float = 1.0) -> Tens
         raise ShapeMismatch(f"routed_lora: mask {mask.shape} vs x {x.shape}")
     y = np.zeros(x.shape[:2] + (up.shape[0],))
     if mask.any():
-        y[mask] = scale * ((x.data[mask] @ down.data.T) @ up.data.T)
+        y[mask] = (x.data[mask] @ down.data.T) @ up.data.T
     out = Tensor(y)
     xd, dd, ud = x.data, down.data, up.data
 
@@ -296,15 +275,11 @@ def routed_lora(x, down, up, route_mask: np.ndarray, scale: float = 1.0) -> Tens
         if x.requires_grad:
             gx = np.zeros_like(xd)
             if any_sel:
-                gx[sel] = scale * ((g[sel] @ ud) @ dd)
+                gx[sel] = (g[sel] @ ud) @ dd
         if down.requires_grad:
-            gdown = (
-                scale * ((g[sel] @ ud).T @ xd[sel]) if any_sel else np.zeros_like(dd)
-            )
+            gdown = (g[sel] @ ud).T @ xd[sel] if any_sel else np.zeros_like(dd)
         if up.requires_grad:
-            gup = (
-                scale * (g[sel].T @ (xd[sel] @ dd.T)) if any_sel else np.zeros_like(ud)
-            )
+            gup = g[sel].T @ (xd[sel] @ dd.T) if any_sel else np.zeros_like(ud)
         return gx, gdown, gup
 
     return _maybe_record("routed_lora", out, (x, down, up), vjp)
@@ -391,24 +366,10 @@ def gelu(x) -> Tensor:
     return _maybe_record("gelu", out, (x,), vjp)
 
 
-def softmax(x) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    x = _as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
-
-    def vjp(g):
-        return (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
-
-    return _maybe_record("softmax", out, (x,), vjp)
-
-
 _RMS_EPS = 1e-12
 
 
-def rms_norm(x, gain=None) -> Tensor:
+def rms_norm(x, gain) -> Tensor:
     """Scale each last-axis row to unit root-mean-square, then apply gain.
 
     The epsilon only guards all-zero rows; on ordinary data the output RMS
@@ -419,15 +380,6 @@ def rms_norm(x, gain=None) -> Tensor:
     n = xd.shape[-1]
     inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + _RMS_EPS)
     y = xd * inv
-    if gain is None:
-        out = Tensor(y)
-
-        def vjp(g):
-            gx = inv * g - xd * (inv**3 / n) * (xd * g).sum(axis=-1, keepdims=True)
-            return (gx,)
-
-        return _maybe_record("rms_norm", out, (x,), vjp)
-
     gain = _as_tensor(gain)
     if gain.shape != (n,):
         raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs feature width {n}")

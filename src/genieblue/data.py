@@ -248,21 +248,30 @@ def collate(
     return TokenBatch(ids, image_mask, lengths), targets, predict, grids
 
 
+def _check_field(what: str, values: np.ndarray, limit: int) -> None:
+    if values.size and (values.min() < 0 or values.max() > limit):
+        raise ValueError(f"{what} outside [0, {limit}] cannot be cached")
+
+
 def write_cache(dataset: Dataset, path) -> None:
-    """One record per sample: length-prefixed ids, modality mask, grid symbols."""
+    """One record per sample: length-prefixed ids, modality mask, grid symbols.
+
+    A token id, grid symbol or length that does not fit its field is a
+    ValueError, raised before the file is opened.
+    """
     spec = dataset.spec
+    header = _CACHE_HEADER.pack(
+        _CACHE_VERSION, _KIND_CODES[spec.kind], spec.n_samples, spec.seq_len, spec.seed, dataset.grid_side
+    )
+    for s in dataset.samples:
+        if len(s.tokens) > 0xFFFF:
+            raise ValueError(f"sequence of {len(s.tokens)} tokens cannot be cached")
+        _check_field("token id", s.tokens, 0xFFFF)
+        if s.grid is not None:
+            _check_field("grid symbol", s.grid, 0xFF)
     with open(path, "wb") as f:
         f.write(_CACHE_MAGIC)
-        f.write(
-            _CACHE_HEADER.pack(
-                _CACHE_VERSION,
-                _KIND_CODES[spec.kind],
-                spec.n_samples,
-                spec.seq_len,
-                spec.seed,
-                dataset.grid_side,
-            )
-        )
+        f.write(header)
         for s in dataset.samples:
             f.write(struct.pack("<H", len(s.tokens)))
             f.write(s.tokens.astype("<u2").tobytes())

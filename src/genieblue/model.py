@@ -8,8 +8,8 @@ per cell (single-patch regime) and the projector maps them into the LM width.
 Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
-copies. The base model binds its own blocks; the adapted models of the
-adaptation module bind the other variants.
+copies. ``MultimodalBase`` binds the LM's own blocks; each adapted model of
+the adaptation module is the same stack with its own bindings.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "Projector",
     "MultimodalBase",
     "build_model",
-    "forward_lm",
-    "encode_and_project",
     "block_param_shapes",
     "expected_parameter_count",
 ]
@@ -135,7 +133,7 @@ class TokenBatch:
 class BlockBinding:
     """Resolved weights for one transformer layer.
 
-    ``adapters`` maps a matrix name to (down, up, scale); ``experts`` maps a
+    ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
     matrix name to a full replacement weight applied at masked positions.
     ``route_adapters`` confines adapter deltas to masked (image) positions,
     which is how the visual-expert baseline keeps text tokens on the exact
@@ -143,7 +141,7 @@ class BlockBinding:
     """
 
     weights: dict[str, Tensor]
-    adapters: dict[str, tuple[Tensor, Tensor, float]] = field(default_factory=dict)
+    adapters: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
     experts: dict[str, Tensor] = field(default_factory=dict)
     route_adapters: bool = False
 
@@ -158,15 +156,13 @@ def _project(x: Tensor, binding: BlockBinding, mat: str, route_mask: np.ndarray 
     y = ag.linear(x, w)
     adapter = binding.adapters.get(mat)
     if adapter is not None:
-        down, up, scale = adapter
+        down, up = adapter
         if binding.route_adapters:
             if route_mask is None:
                 raise ValueError("routed adapters require a modality mask")
-            delta = ag.routed_lora(x, down, up, route_mask, scale)
+            delta = ag.routed_lora(x, down, up, route_mask)
         else:
             delta = ag.linear(ag.linear(x, down), up)
-            if scale != 1.0:
-                delta = ag.mul(delta, scale)
         y = ag.add(y, delta)
     return y
 
@@ -356,7 +352,11 @@ class Projector:
 
 @dataclass
 class MultimodalBase:
-    """The frozen-candidate base stack: LM + vision encoder + projector."""
+    """The base stack: LM + vision encoder + projector.
+
+    ``forward`` is the one multimodal forward; an adapted model overrides
+    only which weights ``bindings`` hands it.
+    """
 
     config: ModelConfig
     lm: LanguageModel
@@ -369,13 +369,18 @@ class MultimodalBase:
         out.update({f"projector.{k}": v for k, v in self.projector.params.items()})
         return out
 
+    def bindings(self) -> list[BlockBinding]:
+        """The multimodal-path binding of every LM layer."""
+        return self.lm.base_bindings()
+
     def forward(self, batch: TokenBatch, grids: np.ndarray | None = None) -> Tensor:
+        """Logits with the grids encoded, projected and injected at the image prefix."""
         injected = None
         if batch.image_span:
             if grids is None:
                 raise ValueError("batch has image positions but no grids were supplied")
-            injected = encode_and_project(self.vision, self.projector, grids)
-        return self.lm.forward(batch, injected)
+            injected = self.projector.project(self.vision.encode(grids))
+        return decode(self.config, self.lm.params, self.bindings(), batch, injected)
 
 
 def build_model(config: ModelConfig, seed: int) -> MultimodalBase:
@@ -385,17 +390,6 @@ def build_model(config: ModelConfig, seed: int) -> MultimodalBase:
     vision = VisionEncoder.build(config, rng)
     projector = Projector.build(config, rng)
     return MultimodalBase(config, lm, vision, projector)
-
-
-def forward_lm(model: MultimodalBase | LanguageModel, batch: TokenBatch, injected: Tensor | None = None) -> Tensor:
-    """Logits for a batch, with injected embeddings at image positions."""
-    lm = model.lm if isinstance(model, MultimodalBase) else model
-    return lm.forward(batch, injected)
-
-
-def encode_and_project(vision: VisionEncoder, projector: Projector, grids: np.ndarray) -> Tensor:
-    """Grid(s) -> LM-width embedding sequence, one vector per cell."""
-    return projector.project(vision.encode(grids))
 
 
 def expected_parameter_count(config: ModelConfig) -> int:

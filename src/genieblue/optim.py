@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def adamw_step(
             raise ValueError(f"adamw_step: grad shape {g.shape} != param shape {p.shape} ({name})")
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"adamw_step: non-finite gradient for '{name}'")
-        step_lr = lr if isinstance(lr, float) else lr[name]
+        step_lr = lr[name] if isinstance(lr, Mapping) else lr
         if hyper.weight_decay:
             p.data *= 1.0 - step_lr * hyper.weight_decay
         m = state.m[name]

@@ -28,7 +28,6 @@ __all__ = [
     "StageOrderError",
     "run_stage",
     "layerwise_lr",
-    "cross_entropy",
 ]
 
 STAGE_DEFAULT_STEPS = {1: 300, 2: 2000}
@@ -95,18 +94,6 @@ class TrainReport:
     trainable_digest_final: str = ""
     n_trainable: int = 0
     n_frozen: int = 0
-
-
-def cross_entropy(logits, targets: np.ndarray, ignore_mask: np.ndarray) -> ag.Tensor:
-    """Mean negative log-likelihood over non-ignored positions."""
-    targets = np.asarray(targets)
-    ignore = np.asarray(ignore_mask, dtype=bool)
-    keep = ~ignore
-    n_keep = int(keep.sum())
-    if n_keep == 0:
-        raise ValueError("cross_entropy: every position is ignored")
-    weights = keep.astype(np.float64) / n_keep
-    return ag.masked_nll(logits, targets, weights)
 
 
 def layerwise_lr(vision: VisionEncoder, base_lr: float, decay: float = 0.9) -> list[float]:

@@ -63,12 +63,12 @@ def _ref_project(h: np.ndarray, layer: dict, mat: str, img_row: np.ndarray) -> n
         out[p] = w @ h[p]
     adapters = layer.get("adapters") or {}
     if mat in adapters:
-        down, up, scale = adapters[mat]
+        down, up = adapters[mat]
         routed = layer.get("route_adapters", False)
         for p in range(t):
             if routed and not img_row[p]:
                 continue
-            out[p] = out[p] + scale * (up @ (down @ h[p]))
+            out[p] = out[p] + up @ (down @ h[p])
     return out
 
 
@@ -113,7 +113,7 @@ def ref_decode(
     """Dense per-token reference for the whole decoder, one sample at a time.
 
     ``layers`` entries hold plain arrays: {"weights": {...}, "adapters":
-    {mat: (down, up, scale)}, "experts": {mat: W}}.
+    {mat: (down, up)}, "experts": {mat: W}}.
     """
     bsz, t = ids.shape
     vocab = lm_params["head.w"].shape[0]
@@ -143,7 +143,7 @@ def layers_from_bindings(bindings) -> list[dict]:
             {
                 "weights": {k: v.data for k, v in b.weights.items()},
                 "adapters": {
-                    m: (a[0].data, a[1].data, a[2]) for m, a in (b.adapters or {}).items()
+                    m: (down.data, up.data) for m, (down, up) in (b.adapters or {}).items()
                 },
                 "experts": {m: w.data for m, w in (b.experts or {}).items()},
                 "route_adapters": b.route_adapters,

@@ -15,7 +15,7 @@ from genieblue.adaptation import (
     plan_placement,
 )
 from genieblue.autograd import ShapeMismatch, Tensor
-from genieblue.model import ModelConfig, TokenBatch, build_model, decode, encode_and_project
+from genieblue.model import ModelConfig, TokenBatch, build_model, decode
 
 from oracles import layers_from_bindings, ref_decode
 
@@ -41,34 +41,31 @@ def _text_batch(rng, config, bsz=2, t=8):
 
 
 def test_placement_skip_8_quarter():
-    assert plan_placement(8, Fraction(1, 4), "skip").replicated == (3, 7)
+    assert plan_placement(8, Fraction(1, 4), "skip") == (3, 7)
 
 
 def test_placement_pre_post_8_quarter():
-    assert plan_placement(8, Fraction(1, 4), "pre").replicated == (0, 1)
-    assert plan_placement(8, Fraction(1, 4), "post").replicated == (6, 7)
+    assert plan_placement(8, Fraction(1, 4), "pre") == (0, 1)
+    assert plan_placement(8, Fraction(1, 4), "post") == (6, 7)
 
 
 def test_placement_skip_10_quarter():
-    sched = plan_placement(10, Fraction(1, 4), "skip")
-    assert sched.k == 2
-    assert sched.replicated == (4, 9)
+    assert plan_placement(10, Fraction(1, 4), "skip") == (4, 9)
 
 
 def test_placement_accepts_plain_floats():
-    assert plan_placement(8, 0.25, "skip").replicated == (3, 7)
+    assert plan_placement(8, 0.25, "skip") == (3, 7)
 
 
 @pytest.mark.parametrize("n_layers", range(4, 13))
 @pytest.mark.parametrize("mode", ["post", "pre", "skip"])
 def test_placement_partition_invariants(n_layers, mode):
     sched = plan_placement(n_layers, Fraction(1, 4), mode)
-    assert sched.k == max(1, (n_layers * 1) // 4)
-    assert set(sched.replicated) | set(sched.complement) == set(range(n_layers))
-    assert set(sched.replicated) & set(sched.complement) == set()
-    assert sched.replicated == tuple(sorted(sched.replicated))
+    assert len(set(sched)) == len(sched) == max(1, (n_layers * 1) // 4)
+    assert set(sched) <= set(range(n_layers))
+    assert sched == tuple(sorted(sched))
     if mode == "skip":
-        assert sched.replicated[-1] == n_layers - 1  # final block always included
+        assert sched[-1] == n_layers - 1  # final block always included
 
 
 def test_placement_rejects_bad_fraction():
@@ -78,17 +75,21 @@ def test_placement_rejects_bad_fraction():
         plan_placement(8, 1.5)
 
 
-def test_placement_full_fraction_replicates_everything():
-    sched = plan_placement(6, Fraction(1, 1), "skip")
-    assert sched.replicated == tuple(range(6))
-    assert sched.complement == ()
+def test_placement_full_fraction_replicates_everything(tiny_base):
+    assert plan_placement(6, Fraction(1, 1), "skip") == tuple(range(6))
+    hybrid = build_genieblue(tiny_base, plan_placement(4, Fraction(1, 1), "skip"), rank=4)
+    assert sorted(hybrid.copies) == [0, 1, 2, 3]
+    assert hybrid.adapters == {}
 
 
-def test_placement_roundtrip_dict():
-    sched = plan_placement(8, Fraction(1, 4), "skip")
-    from genieblue.adaptation import PlacementSchedule
-
-    assert PlacementSchedule.from_dict(sched.to_dict()) == sched
+@pytest.mark.parametrize("mode", ["post", "pre", "skip"])
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_build_partitions_layers_into_copies_and_adapters(tiny_base, mode, build):
+    sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), mode)
+    model = build(tiny_base, sched, rank=4)
+    assert tuple(model.copies) == sched
+    assert set(model.adapters) == set(range(tiny_base.config.n_layers)) - set(sched)
+    assert list(model.adapters) == sorted(model.adapters)  # adapters drawn in layer order
 
 
 # ----------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def test_perturbing_replicated_block_isolates_base_path(tiny_base, rng):
     text = _text_batch(rng, tiny_base.config)
     before_text = tiny_base.lm.forward(text).data
 
-    idx = sched.replicated[0]
+    idx = sched[0]
     hybrid.copies[idx]["attn.wq"].data += 0.05
 
     after_mm = hybrid.forward(batch, grids).data
@@ -204,7 +205,7 @@ def test_cogvlm_mixed_routing_matches_dense_reference(tiny_base, rng):
         for a in per_block.values():
             a.up.data += rng.normal(scale=0.05, size=a.up.shape)
     batch, grids = _mixed_batch(rng, cfg)
-    injected = encode_and_project(expert.vision, expert.projector, grids)
+    injected = expert.projector.project(expert.vision.encode(grids))
     got = decode(cfg, expert.lm.params, expert.bindings(), batch, injected).data
     ref = ref_decode(
         {k: v.data for k, v in expert.lm.params.items()},
@@ -280,7 +281,7 @@ def test_merge_zero_up_factor_is_bit_exact():
 
 
 def test_merge_one_by_one_case():
-    adapter = LoraAdapter(down=Tensor([[4.0]]), up=Tensor([[3.0]]), scale=1.0)
+    adapter = LoraAdapter(down=Tensor([[4.0]]), up=Tensor([[3.0]]))
     assert merge_lora(np.array([[2.0]]), adapter)[0, 0] == 14.0
 
 

@@ -160,3 +160,19 @@ def test_read_cache_rejects_corrupt_files(tmp_path, corrupt):
     bad.write_bytes(corrupt(blob))
     with pytest.raises(ValueError):
         read_cache(bad)
+
+
+def test_write_cache_rejects_values_that_do_not_fit(tmp_path):
+    wide_grid = synth_dataset(TaskSpec("grid-count", n_samples=8, seed=1), grid_alphabet=300)
+    assert max(s.grid.max() for s in wide_grid.samples) >= 256  # a uint8 field would wrap it
+    path = tmp_path / "wide-grid.bin"
+    with pytest.raises(ValueError, match="grid symbol"):
+        write_cache(wide_grid, path)
+    assert not path.exists()
+
+    text = synth_dataset(TaskSpec("text-copy", n_samples=2, seed=1))
+    text.samples[1].tokens[1] = 65536  # one past the <u2 field
+    path = tmp_path / "wide-token.bin"
+    with pytest.raises(ValueError, match="token id"):
+        write_cache(text, path)
+    assert not path.exists()

@@ -6,9 +6,7 @@ from genieblue.model import (
     ModelConfig,
     TokenBatch,
     build_model,
-    encode_and_project,
     expected_parameter_count,
-    forward_lm,
 )
 
 from oracles import count_params_by_walk, layers_from_bindings, ref_decode
@@ -82,26 +80,26 @@ def test_causality_suffix_perturbation(tiny_base, rng):
     cfg = tiny_base.config
     batch = _text_batch(rng, cfg, bsz=2)
     cut = cfg.max_seq // 2
-    logits_a = forward_lm(tiny_base, batch).data
+    logits_a = tiny_base.lm.forward(batch).data
     ids2 = batch.ids.copy()
     ids2[:, cut + 1 :] = rng.integers(0, cfg.vocab_size, size=ids2[:, cut + 1 :].shape)
     batch2 = TokenBatch(ids2, batch.image_mask, batch.lengths)
-    logits_b = forward_lm(tiny_base, batch2).data
+    logits_b = tiny_base.lm.forward(batch2).data
     assert logits_a[:, : cut + 1].tobytes() == logits_b[:, : cut + 1].tobytes()
     assert not np.array_equal(logits_a[:, cut + 1 :], logits_b[:, cut + 1 :])
 
 
 def test_all_text_batch_ignores_empty_injection(tiny_base, rng):
     batch = _text_batch(rng, tiny_base.config, bsz=2, t=8)
-    plain = forward_lm(tiny_base, batch).data
-    with_empty = forward_lm(tiny_base, batch, Tensor(np.zeros((2, 0, tiny_base.config.d_model)))).data
+    plain = tiny_base.lm.forward(batch).data
+    with_empty = tiny_base.lm.forward(batch, Tensor(np.zeros((2, 0, tiny_base.config.d_model)))).data
     assert plain.tobytes() == with_empty.tobytes()
 
 
 def test_image_positions_require_injection(tiny_base, rng):
     batch, _ = _mixed_batch(rng, tiny_base.config)
     with pytest.raises(ValueError, match="injected"):
-        forward_lm(tiny_base, batch)
+        tiny_base.lm.forward(batch)
 
 
 def test_rejects_overlong_sequence(tiny_base, rng):
@@ -109,14 +107,14 @@ def test_rejects_overlong_sequence(tiny_base, rng):
     ids = rng.integers(0, cfg.vocab_size, size=(1, cfg.max_seq + 1))
     batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool), np.array([cfg.max_seq + 1]))
     with pytest.raises(ValueError, match="exceeds"):
-        forward_lm(tiny_base, batch)
+        tiny_base.lm.forward(batch)
 
 
 def test_rejects_out_of_vocab_ids(tiny_base):
     ids = np.full((1, 4), tiny_base.config.vocab_size, dtype=np.int64)
     batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool), np.array([4]))
     with pytest.raises(ValueError, match="vocab"):
-        forward_lm(tiny_base, batch)
+        tiny_base.lm.forward(batch)
 
 
 def test_single_block_matches_hand_computation():
@@ -148,7 +146,7 @@ def test_forward_matches_dense_reference_small_model(rng):
     )
     model = build_model(cfg, seed=3)
     batch = TokenBatch(np.array([[0, 3, 5]]), np.zeros((1, 3), dtype=bool), np.array([3]))
-    got = forward_lm(model, batch).data
+    got = model.lm.forward(batch).data
     lm_arrays = {k: v.data for k, v in model.lm.params.items()}
     ref = ref_decode(
         lm_arrays,
@@ -163,8 +161,8 @@ def test_forward_matches_dense_reference_small_model(rng):
 
 def test_mixed_forward_matches_dense_reference(tiny_base, rng):
     batch, grids = _mixed_batch(rng, tiny_base.config)
-    injected = encode_and_project(tiny_base.vision, tiny_base.projector, grids)
-    got = forward_lm(tiny_base, batch, injected).data
+    injected = tiny_base.projector.project(tiny_base.vision.encode(grids))
+    got = tiny_base.forward(batch, grids).data
     lm_arrays = {k: v.data for k, v in tiny_base.lm.params.items()}
     ref = ref_decode(
         lm_arrays,
@@ -188,10 +186,10 @@ def test_text_forward_never_touches_vision_or_projector(tiny_base, rng):
     assert np.isfinite(logits).all()
 
 
-def test_encode_and_project_deterministic(tiny_base, rng):
+def test_encode_then_project_deterministic(tiny_base, rng):
     grids = rng.integers(0, tiny_base.config.grid_alphabet, size=(2, 3, 3))
-    a = encode_and_project(tiny_base.vision, tiny_base.projector, grids).data
-    b = encode_and_project(tiny_base.vision, tiny_base.projector, grids.copy()).data
+    a = tiny_base.projector.project(tiny_base.vision.encode(grids)).data
+    b = tiny_base.projector.project(tiny_base.vision.encode(grids.copy())).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -199,7 +197,7 @@ def test_encode_output_length_is_cell_count():
     cfg = ModelConfig()
     model = build_model(cfg, seed=0)
     grids = np.zeros((1, 6, 6), dtype=np.int64)
-    out = encode_and_project(model.vision, model.projector, grids)
+    out = model.projector.project(model.vision.encode(grids))
     assert out.shape == (1, 36, cfg.d_model)
 
 
@@ -208,7 +206,7 @@ def test_zero_projector_second_layer_gives_bias(tiny_base, rng):
     model.projector.params["p2.w"].data[:] = 0.0
     model.projector.params["p2.b"].data[:] = rng.normal(size=tiny_base.config.d_model)
     grids = rng.integers(0, model.config.grid_alphabet, size=(1, 3, 3))
-    out = encode_and_project(model.vision, model.projector, grids).data
+    out = model.projector.project(model.vision.encode(grids)).data
     expected = np.broadcast_to(model.projector.params["p2.b"].data, out.shape)
     np.testing.assert_array_equal(out, expected)
 

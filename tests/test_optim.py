@@ -132,3 +132,12 @@ def test_schedule_invariants():
         LrSchedule(peak=1.0, warmup_steps=10, total_steps=10)
     with pytest.raises(ValueError):
         LrSchedule(peak=1.0, warmup_steps=1, total_steps=10, floor=2.0)
+
+
+def test_integer_lr_matches_float_lr():
+    ints, floats = _single_param(0.5), _single_param(0.5)
+    hyper = AdamWHyper(weight_decay=0.05)
+    for _ in range(3):
+        adamw_step(ints[0], {"w": np.array([0.3])}, ints[1], lr=1, hyper=hyper)
+        adamw_step(floats[0], {"w": np.array([0.3])}, floats[1], lr=1.0, hyper=hyper)
+    assert ints[0]["w"].data.tobytes() == floats[0]["w"].data.tobytes()

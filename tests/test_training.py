@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from genieblue.adaptation import build_cogvlm, build_genieblue, count_trainable, plan_placement
-from genieblue.autograd import Tensor
+from genieblue.autograd import Tensor, masked_nll
 from genieblue.data import TaskSpec, synth_dataset
 from genieblue.model import ModelConfig, build_model
 from genieblue.training import (
     StageConfig,
     StageOrderError,
     TrainingDiverged,
-    cross_entropy,
+    _per_sample_weights,
     layerwise_lr,
     run_stage,
 )
@@ -37,28 +37,32 @@ def _stage(stage, steps, **kw):
 
 
 # ----------------------------------------------------------------------------
-# cross entropy
+# cross entropy: masked_nll with mean weights, and the loop's weighting
 # ----------------------------------------------------------------------------
+
+
+def _mean_weights(keep: np.ndarray) -> np.ndarray:
+    return keep / keep.sum()
 
 
 def test_uniform_logits_loss_is_log_vocab():
     logits = Tensor(np.zeros((2, 3, 256)))
     targets = np.zeros((2, 3), dtype=int)
-    loss = cross_entropy(logits, targets, np.zeros((2, 3), dtype=bool))
+    loss = masked_nll(logits, targets, _mean_weights(np.ones((2, 3))))
     assert loss.item() == pytest.approx(math.log(256), abs=1e-12)
 
 
 def test_confident_correct_logits_loss_near_zero():
     logits = np.zeros((1, 2, 8))
     logits[0, :, 3] = 50.0
-    loss = cross_entropy(Tensor(logits), np.full((1, 2), 3), np.zeros((1, 2), dtype=bool))
+    loss = masked_nll(Tensor(logits), np.full((1, 2), 3), _mean_weights(np.ones((1, 2))))
     assert loss.item() < 1e-12
 
 
 def test_two_class_hand_example():
     # logits [0, ln 3], target class 1 -> loss = ln(4/3)
     logits = Tensor(np.array([[[0.0, math.log(3.0)]]]))
-    loss = cross_entropy(logits, np.array([[1]]), np.array([[False]]))
+    loss = masked_nll(logits, np.array([[1]]), np.array([[1.0]]))
     assert loss.item() == pytest.approx(0.28768207245178085, abs=1e-15)
 
 
@@ -67,14 +71,14 @@ def test_ignore_mask_drops_positions():
     logits[0, 0, 1] = 100.0  # confident-correct at kept position
     targets = np.array([[1, 2]])
     ignore = np.array([[False, True]])
-    loss = cross_entropy(Tensor(logits), targets, ignore)
+    loss = masked_nll(Tensor(logits), targets, _mean_weights(~ignore))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_all_ignored_rejected():
-    with pytest.raises(ValueError, match="ignored"):
-        cross_entropy(Tensor(np.zeros((1, 2, 4))), np.zeros((1, 2), dtype=int),
-                      np.ones((1, 2), dtype=bool))
+    # run_stage's per-sample weighting refuses a sample with every position ignored
+    with pytest.raises(ValueError, match="no answer positions"):
+        _per_sample_weights(np.array([[True, False], [False, False]]))
 
 
 # ----------------------------------------------------------------------------
