@@ -10,7 +10,6 @@ from .autograd import GradTape, NonFiniteError, ShapeMismatch, Tensor, backward
 from .adaptation import (
     AdaptedModel,
     HybridModel,
-    LoraAdapter,
     VisualExpertModel,
     build_cogvlm,
     build_full_lora,

@@ -3,20 +3,22 @@
 An adapted model is the base stack with its own layer bindings: the base LM
 stays frozen, the layers of a placement (a tuple of layer indices) get fully
 trainable block copies, and every attention and FFN matrix of the remaining
-layers gets a rank-r adapter. GenieBlue swaps the copies in as whole blocks
-for all tokens. The visual-expert baseline routes per token instead: image
-positions go through the copied QKV/output/FFN weights and the adapters,
-text positions through the base, while attention still mixes all positions
-jointly. Full-LoRA is GenieBlue with no copies.
+layers gets a rank-r LoRA adapter: a ``(down, up)`` pair of factors whose
+product ``up @ down`` is added to the matrix. GenieBlue swaps the copies in
+as whole blocks for all tokens. The visual-expert baseline routes per token
+instead: image positions go through the copied QKV/output/FFN weights and
+the adapters, text positions through the base, while attention still mixes
+all positions jointly. Full-LoRA is GenieBlue with no copies.
 
-Adapters are zero at initialization (up factor all-zero) and replicated
-blocks are bit-exact copies, so a freshly built model computes exactly what
-the base computes on any input.
+Adapters are zero at initialization (the up factor is all-zero, the down
+factor seeded noise) and replicated blocks are bit-exact copies, so a
+freshly built model computes exactly what the base computes on any input.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +37,6 @@ from .model import (
 
 __all__ = [
     "plan_placement",
-    "LoraAdapter",
     "AdaptedModel",
     "HybridModel",
     "VisualExpertModel",
@@ -74,23 +75,15 @@ def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -
     return tuple(-(-(j + 1) * n_layers // k) - 1 for j in range(k))
 
 
-@dataclass
-class LoraAdapter:
-    """Low-rank delta up @ down attached to one weight matrix."""
-
-    down: Tensor  # (r, d_in), seeded small-variance init
-    up: Tensor  # (d_out, r), zero init
-
-
 def _init_adapters(
     rng: np.random.Generator, config: ModelConfig, rank: int, indices: tuple[int, ...]
-) -> dict[int, dict[str, LoraAdapter]]:
+) -> dict[int, dict[str, tuple[Tensor, Tensor]]]:
     shapes = block_param_shapes(config.d_model, config.d_ffn)
     return {
         i: {
-            mat: LoraAdapter(
-                down=Tensor(rng.normal(0.0, ADAPTER_INIT_STD, size=(rank, shapes[mat][1]))),
-                up=Tensor(np.zeros((shapes[mat][0], rank))),
+            mat: (
+                Tensor(rng.normal(0.0, ADAPTER_INIT_STD, size=(rank, shapes[mat][1]))),
+                Tensor(np.zeros((shapes[mat][0], rank))),
             )
             for mat in BLOCK_MATRICES
         }
@@ -109,13 +102,15 @@ class AdaptedModel(MultimodalBase):
     ``routed`` is the per-layer binding policy. Unrouted (GenieBlue), a layer
     with a copy binds the copy as a whole block for every token. Routed
     (CogVLM-style), a copy holds matrices only and serves image positions as
-    experts, and adapters apply at image positions only. The LM is the base's
-    own; the vision encoder and projector are copies, so training the model
-    leaves the base untouched.
+    experts, and adapters apply at image positions only. ``adapters`` maps a
+    layer to ``mat -> (down, up)``, down (r, d_in) and up (d_out, r): the form
+    ``BlockBinding.adapters`` takes. The LM is the base's own; the vision
+    encoder and projector are copies, so training the model leaves the base
+    untouched.
     """
 
     copies: dict[int, dict[str, Tensor]]
-    adapters: dict[int, dict[str, LoraAdapter]]
+    adapters: dict[int, dict[str, tuple[Tensor, Tensor]]]
 
     routed = False
 
@@ -125,9 +120,9 @@ class AdaptedModel(MultimodalBase):
         for i, block in sorted(self.copies.items()):
             out.update({f"{prefix}.{i}.{k}": v for k, v in block.items()})
         for i, per_block in sorted(self.adapters.items()):
-            for mat, a in per_block.items():
-                out[f"adapter.{i}.{mat}.down"] = a.down
-                out[f"adapter.{i}.{mat}.up"] = a.up
+            for mat, (down, up) in per_block.items():
+                out[f"adapter.{i}.{mat}.down"] = down
+                out[f"adapter.{i}.{mat}.up"] = up
         out.update({f"vision.{k}": v for k, v in self.vision.params.items()})
         out.update({f"projector.{k}": v for k, v in self.projector.params.items()})
         return out
@@ -139,7 +134,7 @@ class AdaptedModel(MultimodalBase):
             if copy is not None and not self.routed:
                 out.append(BlockBinding(copy))
                 continue
-            adapters = {mat: (a.down, a.up) for mat, a in self.adapters.get(i, {}).items()}
+            adapters = dict(self.adapters.get(i, {}))
             # routed: text positions stay on the exact base computation
             out.append(BlockBinding(self.lm.block_weights(i), adapters, dict(copy or {}), self.routed))
         return out
@@ -157,10 +152,16 @@ class VisualExpertModel(AdaptedModel):
 
 def _build(cls, base: MultimodalBase, replicated: tuple[int, ...], rank: int, seed: int):
     config = base.config
+    if not isinstance(rank, numbers.Integral):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     if rank >= config.d_model:
         raise ValueError(f"rank {rank} is degenerate for width {config.d_model}")
+    if not all(isinstance(i, numbers.Integral) for i in replicated):
+        raise ValueError(f"placement {replicated} must hold integer layer indices")
+    if len(set(replicated)) != len(replicated):
+        raise ValueError(f"placement {replicated} repeats a layer")
     if any(i < 0 or i >= config.n_layers for i in replicated):
         raise ValueError(f"placement {replicated} out of range for L={config.n_layers}")
     copies = {}
@@ -221,10 +222,11 @@ def count_trainable(model) -> dict[str, int]:
     return counts
 
 
-def merge_lora(weight, adapter: LoraAdapter) -> np.ndarray:
-    """Materialize W + up @ down."""
+def merge_lora(weight, adapter: tuple[Tensor, Tensor]) -> np.ndarray:
+    """Materialize W + up @ down for an adapter's ``(down, up)`` factors."""
     w = weight.data if isinstance(weight, Tensor) else np.asarray(weight, dtype=np.float64)
-    delta = adapter.up.data @ adapter.down.data
+    down, up = adapter
+    delta = up.data @ down.data
     if delta.shape != w.shape:
         raise ShapeMismatch(f"merge_lora: delta {delta.shape} vs weight {w.shape}")
     return w + delta

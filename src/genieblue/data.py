@@ -71,10 +71,6 @@ class TaskSpec:
         if self.seq_len < 1:
             raise ValueError("seq_len must be positive")
 
-    @property
-    def multimodal(self) -> bool:
-        return self.kind in GRID_KINDS
-
 
 @dataclass
 class Sample:
@@ -94,14 +90,6 @@ class Dataset:
 
     def __getitem__(self, i: int) -> Sample:
         return self.samples[i]
-
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
-
-    @property
-    def multimodal(self) -> bool:
-        return self.spec.multimodal
 
     @property
     def max_len(self) -> int:
@@ -226,26 +214,26 @@ def collate(
     (everything after the final separator, including the end marker).
     """
     n = len(samples)
+    if n == 0:
+        raise ValueError("cannot collate an empty list of samples")
     width = pad_to or max(len(s.tokens) for s in samples)
     ids = np.full((n, width), PAD, dtype=np.int64)
     image_mask = np.zeros((n, width), dtype=bool)
     targets = np.zeros((n, width), dtype=np.int64)
     predict = np.zeros((n, width), dtype=bool)
-    lengths = np.zeros(n, dtype=np.int64)
     for b, s in enumerate(samples):
         ln = len(s.tokens)
         if ln > width:
             raise ValueError(f"sample length {ln} exceeds pad width {width}")
         ids[b, :ln] = s.tokens
         image_mask[b, :ln] = s.image_mask
-        lengths[b] = ln
         start = answer_start(s.tokens)
         targets[b, : ln - 1] = s.tokens[1:]
         predict[b, start - 1 : ln - 1] = True
     grids = None
     if all(s.grid is not None for s in samples):
         grids = np.stack([s.grid for s in samples])
-    return TokenBatch(ids, image_mask, lengths), targets, predict, grids
+    return TokenBatch(ids, image_mask), targets, predict, grids
 
 
 def _check_field(what: str, values: np.ndarray, limit: int) -> None:

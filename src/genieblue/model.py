@@ -31,7 +31,6 @@ __all__ = [
     "MultimodalBase",
     "build_model",
     "block_param_shapes",
-    "expected_parameter_count",
 ]
 
 INIT_STD = 0.02
@@ -88,36 +87,26 @@ class ModelConfig:
 
 @dataclass
 class TokenBatch:
-    """Token ids with a per-position modality flag.
+    """Token ids (B, T) with a per-position modality flag.
 
     ``image_mask`` is True at image positions, which must form one contiguous
-    prefix per row. ``lengths`` gives the real (unpadded) length per row.
+    prefix per row. Padding sits at the end of a row, where causal attention
+    keeps it from reaching real positions and the loss's predict mask keeps
+    it out of the loss.
     """
 
     ids: np.ndarray
     image_mask: np.ndarray
-    lengths: np.ndarray
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.image_mask = np.asarray(self.image_mask, dtype=bool)
-        self.lengths = np.asarray(self.lengths, dtype=np.int64)
         if self.ids.ndim != 2 or self.ids.shape != self.image_mask.shape:
             raise ValueError(f"ids {self.ids.shape} vs image_mask {self.image_mask.shape}")
-        if self.lengths.shape != (self.ids.shape[0],):
-            raise ValueError("lengths must have one entry per row")
         spans = self.image_mask.sum(axis=1)
         for row, span in enumerate(spans):
             if span and not self.image_mask[row, :span].all():
                 raise ValueError(f"row {row}: image positions are not a contiguous prefix")
-
-    @property
-    def batch_size(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.ids.shape[1]
 
     @property
     def image_span(self) -> int:
@@ -277,10 +266,8 @@ def decode(
             raise ValueError("injected embeddings supplied for an all-text batch")
     # position table is frozen base state, so slicing the raw array is safe
     x = ag.add(x, lm_params["embed.pos"].data[:t])
-    routed = any(b.experts or b.route_adapters for b in bindings)
-    route_mask = batch.image_mask if routed else None
     for binding in bindings:
-        x = block_forward(x, binding, c.n_heads, causal=True, route_mask=route_mask)
+        x = block_forward(x, binding, c.n_heads, causal=True, route_mask=batch.image_mask)
     x = ag.rms_norm(x, lm_params["final_norm.g"])
     return ag.linear(x, lm_params["head.w"])
 
@@ -309,10 +296,14 @@ class VisionEncoder:
         """Grids (B, side, side) of symbol ids -> (B, cells, d_vision)."""
         c = self.config
         grids = np.asarray(grids)
+        if not np.issubdtype(grids.dtype, np.integer):
+            raise ValueError(f"grid symbols must be integers, got dtype {grids.dtype}")
         if grids.ndim == 2:
             grids = grids[None]
         if grids.shape[1:] != (c.grid_side, c.grid_side):
             raise ValueError(f"grid shape {grids.shape[1:]} != {(c.grid_side, c.grid_side)}")
+        if grids.shape[0] == 0:
+            raise ValueError("no grids to encode")
         if grids.min() < 0 or grids.max() >= c.grid_alphabet:
             raise ValueError(f"grid symbol out of alphabet range [0, {c.grid_alphabet})")
         flat = grids.reshape(grids.shape[0], -1)
@@ -390,25 +381,3 @@ def build_model(config: ModelConfig, seed: int) -> MultimodalBase:
     vision = VisionEncoder.build(config, rng)
     projector = Projector.build(config, rng)
     return MultimodalBase(config, lm, vision, projector)
-
-
-def expected_parameter_count(config: ModelConfig) -> int:
-    """Closed-form parameter count for a base stack (see enumeration tests)."""
-    c = config
-    block = 4 * c.d_model**2 + 2 * c.d_model * c.d_ffn + 2 * c.d_model
-    lm = (
-        c.vocab_size * c.d_model  # token embeddings
-        + c.max_seq * c.d_model  # positions
-        + c.n_layers * block
-        + c.d_model  # final norm
-        + c.vocab_size * c.d_model  # head
-    )
-    vblock = 4 * c.d_vision**2 + 2 * c.d_vision * (4 * c.d_vision) + 2 * c.d_vision
-    vision = (
-        c.grid_alphabet * c.d_vision
-        + c.grid_cells * c.d_vision
-        + c.n_vision_layers * vblock
-        + c.d_vision
-    )
-    projector = c.d_model * c.d_vision + c.d_model + c.d_model * c.d_model + c.d_model
-    return lm + vision + projector

@@ -10,7 +10,7 @@ that divides by the factor, and one AdamW step per accumulation window.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class StageConfig:
     weight_decay: float = 0.05
     grad_accum: int = 1
     vit_lr_decay: float = 0.9
-    floor_lr: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.stage not in (1, 2):
@@ -74,13 +70,17 @@ class StageConfig:
             raise ValueError("batch_size must be >= 1")
         if not (0 < self.vit_lr_decay <= 1):
             raise ValueError("vit_lr_decay must be in (0, 1]")
+        if self.peak_lr < 0:
+            raise ValueError(f"peak_lr must be non-negative, got {self.peak_lr}")
+        if self.warmup_steps >= self.total_steps:
+            raise ValueError(
+                f"warmup_steps {self.warmup_steps} (total_steps {self.total_steps} * warmup_frac "
+                f"{self.warmup_frac}) must be below total_steps"
+            )
 
     @property
     def warmup_steps(self) -> int:
         return max(1, round(self.total_steps * self.warmup_frac))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -168,8 +168,8 @@ def run_stage(
         n_trainable=sum(p.size for p in trainable.values()),
         n_frozen=sum(p.size for p in frozen.values()),
     )
-    schedule = LrSchedule(cfg.peak_lr, cfg.warmup_steps, cfg.total_steps, cfg.floor_lr)
-    hyper = AdamWHyper(beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
+    schedule = LrSchedule(cfg.peak_lr, cfg.warmup_steps, cfg.total_steps)
+    hyper = AdamWHyper(weight_decay=cfg.weight_decay)
     state = AdamWState(trainable)
     rng = np.random.default_rng(seed)
     stream = _index_stream(len(dataset), rng)

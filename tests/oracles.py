@@ -161,3 +161,25 @@ def count_params_by_walk(named: dict) -> int:
             n *= extent
         total += n
     return total
+
+
+def expected_parameter_count(config) -> int:
+    """Closed-form parameter count for a base stack built from ``config``."""
+    c = config
+    block = 4 * c.d_model**2 + 2 * c.d_model * c.d_ffn + 2 * c.d_model
+    lm = (
+        c.vocab_size * c.d_model  # token embeddings
+        + c.max_seq * c.d_model  # positions
+        + c.n_layers * block
+        + c.d_model  # final norm
+        + c.vocab_size * c.d_model  # head
+    )
+    vblock = 4 * c.d_vision**2 + 2 * c.d_vision * (4 * c.d_vision) + 2 * c.d_vision
+    vision = (
+        c.grid_alphabet * c.d_vision
+        + c.grid_cells * c.d_vision
+        + c.n_vision_layers * vblock
+        + c.d_vision
+    )
+    projector = c.d_model * c.d_vision + c.d_model + c.d_model * c.d_model + c.d_model
+    return lm + vision + projector

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from genieblue.adaptation import (
-    LoraAdapter,
     build_cogvlm,
     build_full_lora,
     build_genieblue,
@@ -27,12 +26,12 @@ def _mixed_batch(rng, config, bsz=2, t=None):
     mask = np.zeros((bsz, t), dtype=bool)
     mask[:, :span] = True
     grids = rng.integers(0, config.grid_alphabet, size=(bsz, config.grid_side, config.grid_side))
-    return TokenBatch(ids, mask, np.full(bsz, t)), grids
+    return TokenBatch(ids, mask), grids
 
 
 def _text_batch(rng, config, bsz=2, t=8):
     ids = rng.integers(0, config.vocab_size, size=(bsz, t))
-    return TokenBatch(ids, np.zeros((bsz, t), dtype=bool), np.full(bsz, t))
+    return TokenBatch(ids, np.zeros((bsz, t), dtype=bool))
 
 
 # ----------------------------------------------------------------------------
@@ -150,14 +149,29 @@ def test_degenerate_rank_rejected(tiny_base):
         build_genieblue(tiny_base, sched, rank=tiny_base.config.d_model)
 
 
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+@pytest.mark.parametrize(
+    "placement, rank, message",
+    [
+        ((3.0,), 4, "integer layer indices"),
+        ((3, 3), 4, "repeats a layer"),
+        ((3,), 2.5, "rank must be an integer"),
+    ],
+    ids=["float-index", "repeated-index", "float-rank"],
+)
+def test_build_rejects_malformed_placement_or_rank(tiny_base, build, placement, rank, message):
+    with pytest.raises(ValueError, match=message):
+        build(tiny_base, placement, rank=rank)
+
+
 def test_adapter_zero_at_init(tiny_base):
     sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
     hybrid = build_genieblue(tiny_base, sched, rank=4, seed=5)
     for per_block in hybrid.adapters.values():
-        for adapter in per_block.values():
-            assert not adapter.up.data.any()
-            assert adapter.down.data.any()  # seeded noise, not zero
-            delta = adapter.up.data @ adapter.down.data
+        for down, up in per_block.values():
+            assert not up.data.any()
+            assert down.data.any()  # seeded noise, not zero
+            delta = up.data @ down.data
             assert not delta.any()
 
 
@@ -185,7 +199,7 @@ def test_cogvlm_all_image_at_init_equals_base(tiny_base, rng):
     span = cfg.grid_cells
     ids = np.full((2, span), 0, dtype=np.int64)
     mask = np.ones((2, span), dtype=bool)
-    batch = TokenBatch(ids, mask, np.full(2, span))
+    batch = TokenBatch(ids, mask)
     grids = rng.integers(0, cfg.grid_alphabet, size=(2, cfg.grid_side, cfg.grid_side))
     assert (
         expert.forward(batch, grids).data.tobytes()
@@ -202,8 +216,8 @@ def test_cogvlm_mixed_routing_matches_dense_reference(tiny_base, rng):
         for t in per_block.values():
             t.data += rng.normal(scale=0.05, size=t.shape)
     for per_block in expert.adapters.values():
-        for a in per_block.values():
-            a.up.data += rng.normal(scale=0.05, size=a.up.shape)
+        for _, up in per_block.values():
+            up.data += rng.normal(scale=0.05, size=up.shape)
     batch, grids = _mixed_batch(rng, cfg)
     injected = expert.projector.project(expert.vision.encode(grids))
     got = decode(cfg, expert.lm.params, expert.bindings(), batch, injected).data
@@ -276,17 +290,17 @@ def test_cogvlm_experts_exclude_norm_gains():
 
 def test_merge_zero_up_factor_is_bit_exact():
     w = np.random.default_rng(0).normal(size=(6, 4))
-    adapter = LoraAdapter(down=Tensor(np.ones((2, 4))), up=Tensor(np.zeros((6, 2))))
+    adapter = (Tensor(np.ones((2, 4))), Tensor(np.zeros((6, 2))))
     assert merge_lora(w, adapter).tobytes() == w.tobytes()
 
 
 def test_merge_one_by_one_case():
-    adapter = LoraAdapter(down=Tensor([[4.0]]), up=Tensor([[3.0]]))
+    adapter = (Tensor([[4.0]]), Tensor([[3.0]]))
     assert merge_lora(np.array([[2.0]]), adapter)[0, 0] == 14.0
 
 
 def test_merge_shape_mismatch_rejected():
-    adapter = LoraAdapter(down=Tensor(np.zeros((2, 5))), up=Tensor(np.zeros((6, 2))))
+    adapter = (Tensor(np.zeros((2, 5))), Tensor(np.zeros((6, 2))))
     with pytest.raises(ShapeMismatch):
         merge_lora(np.zeros((6, 4)), adapter)
 
@@ -299,8 +313,8 @@ def test_merged_forward_equals_adapter_forward(rng):
     base = build_model(cfg, seed=0)
     hybrid = build_genieblue(base, plan_placement(4, Fraction(1, 4), "skip"), rank=8, seed=1)
     for per_block in hybrid.adapters.values():
-        for a in per_block.values():
-            a.up.data += rng.normal(scale=0.1, size=a.up.shape)
+        for _, up in per_block.values():
+            up.data += rng.normal(scale=0.1, size=up.shape)
     batch = _text_batch(rng, cfg, bsz=3, t=12)
     via_adapters = decode(cfg, hybrid.lm.params, hybrid.bindings(), batch).data
     via_merged = decode(cfg, hybrid.lm.params, merged_bindings(hybrid), batch).data

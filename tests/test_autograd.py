@@ -396,4 +396,4 @@ def test_backward_matches_out_of_place_replay_on_stage2_tape(build):
     got, ref = backward(tape, loss), _replay_out_of_place(tape, loss)
     assert got.keys() == ref.keys() and len(got) == len(trainable)
     for t, g in got.items():
-        assert g.tobytes() == ref[t].tobytes(), t.name
+        assert g.tobytes() == ref[t].tobytes(), t.shape

@@ -104,6 +104,11 @@ def test_collate_targets_and_predict_mask():
     assert (targets[predict] != 0).all()
 
 
+def test_collate_rejects_empty_sample_list():
+    with pytest.raises(ValueError, match="empty list of samples"):
+        collate([])
+
+
 def test_collate_stacks_grids():
     ds = synth_dataset(TaskSpec("grid-count", n_samples=4, seed=1))
     batch, _, _, grids = collate(ds.samples)

@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from genieblue.autograd import Tensor
-from genieblue.model import (
-    ModelConfig,
-    TokenBatch,
-    build_model,
-    expected_parameter_count,
-)
+from genieblue.model import ModelConfig, TokenBatch, build_model
 
-from oracles import count_params_by_walk, layers_from_bindings, ref_decode
+from oracles import count_params_by_walk, expected_parameter_count, layers_from_bindings, ref_decode
 
 
 def _text_batch(rng, config, bsz=3, t=None):
     t = t or config.max_seq
     ids = rng.integers(0, config.vocab_size, size=(bsz, t))
-    return TokenBatch(ids, np.zeros((bsz, t), dtype=bool), np.full(bsz, t))
+    return TokenBatch(ids, np.zeros((bsz, t), dtype=bool))
 
 
 def _mixed_batch(rng, config, bsz=2, span=None, t=None):
@@ -25,7 +20,7 @@ def _mixed_batch(rng, config, bsz=2, span=None, t=None):
     mask = np.zeros((bsz, t), dtype=bool)
     mask[:, :span] = True
     grids = rng.integers(0, config.grid_alphabet, size=(bsz, config.grid_side, config.grid_side))
-    return TokenBatch(ids, mask, np.full(bsz, t)), grids
+    return TokenBatch(ids, mask), grids
 
 
 def test_build_is_deterministic(tiny_config):
@@ -73,7 +68,7 @@ def test_token_batch_rejects_non_prefix_image_span():
     ids = np.zeros((1, 4), dtype=np.int64)
     mask = np.array([[False, True, True, False]])
     with pytest.raises(ValueError, match="prefix"):
-        TokenBatch(ids, mask, np.array([4]))
+        TokenBatch(ids, mask)
 
 
 def test_causality_suffix_perturbation(tiny_base, rng):
@@ -83,7 +78,7 @@ def test_causality_suffix_perturbation(tiny_base, rng):
     logits_a = tiny_base.lm.forward(batch).data
     ids2 = batch.ids.copy()
     ids2[:, cut + 1 :] = rng.integers(0, cfg.vocab_size, size=ids2[:, cut + 1 :].shape)
-    batch2 = TokenBatch(ids2, batch.image_mask, batch.lengths)
+    batch2 = TokenBatch(ids2, batch.image_mask)
     logits_b = tiny_base.lm.forward(batch2).data
     assert logits_a[:, : cut + 1].tobytes() == logits_b[:, : cut + 1].tobytes()
     assert not np.array_equal(logits_a[:, cut + 1 :], logits_b[:, cut + 1 :])
@@ -105,14 +100,14 @@ def test_image_positions_require_injection(tiny_base, rng):
 def test_rejects_overlong_sequence(tiny_base, rng):
     cfg = tiny_base.config
     ids = rng.integers(0, cfg.vocab_size, size=(1, cfg.max_seq + 1))
-    batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool), np.array([cfg.max_seq + 1]))
+    batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool))
     with pytest.raises(ValueError, match="exceeds"):
         tiny_base.lm.forward(batch)
 
 
 def test_rejects_out_of_vocab_ids(tiny_base):
     ids = np.full((1, 4), tiny_base.config.vocab_size, dtype=np.int64)
-    batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool), np.array([4]))
+    batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool))
     with pytest.raises(ValueError, match="vocab"):
         tiny_base.lm.forward(batch)
 
@@ -145,7 +140,7 @@ def test_forward_matches_dense_reference_small_model(rng):
         grid_side=2, grid_alphabet=2, d_vision=4, n_vision_heads=2,
     )
     model = build_model(cfg, seed=3)
-    batch = TokenBatch(np.array([[0, 3, 5]]), np.zeros((1, 3), dtype=bool), np.array([3]))
+    batch = TokenBatch(np.array([[0, 3, 5]]), np.zeros((1, 3), dtype=bool))
     got = model.lm.forward(batch).data
     lm_arrays = {k: v.data for k, v in model.lm.params.items()}
     ref = ref_decode(
@@ -214,4 +209,17 @@ def test_zero_projector_second_layer_gives_bias(tiny_base, rng):
 def test_encode_rejects_out_of_alphabet(tiny_base):
     grids = np.full((1, 3, 3), tiny_base.config.grid_alphabet)
     with pytest.raises(ValueError, match="alphabet"):
+        tiny_base.vision.encode(grids)
+
+
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (np.zeros((1, 3, 3)), "must be integers"),
+        (np.zeros((0, 3, 3), dtype=np.int64), "no grids"),
+    ],
+    ids=["float-symbols", "empty-batch"],
+)
+def test_encode_rejects_malformed_grids(tiny_base, grids, message):
+    with pytest.raises(ValueError, match=message):
         tiny_base.vision.encode(grids)

@@ -230,6 +230,16 @@ def test_stage_config_defaults():
         StageConfig(stage=3)
 
 
-def test_stage_config_dict_round_trip():
-    cfg = StageConfig(stage=2, total_steps=7, floor_lr=3e-6, beta1=0.8, beta2=0.95, eps=1e-9)
-    assert StageConfig(**cfg.to_dict()) == cfg
+@pytest.mark.parametrize(
+    "kw, field",
+    [
+        ({"total_steps": 1}, "warmup_steps"),
+        ({"total_steps": -3}, "total_steps"),
+        ({"warmup_frac": 2.0}, "warmup_frac"),
+        ({"peak_lr": -1e-3}, "peak_lr"),
+    ],
+    ids=["one-step", "negative-steps", "warmup-past-total", "negative-lr"],
+)
+def test_stage_config_rejects_runs_that_cannot_start(kw, field):
+    with pytest.raises(ValueError, match=field):
+        StageConfig(stage=2, **kw)
