@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .autograd import ShapeMismatch, Tensor
+from .autograd import Tensor, lora_weight
 from .model import (
     BLOCK_MATRICES,
     BlockBinding,
@@ -223,13 +223,14 @@ def count_trainable(model) -> dict[str, int]:
 
 
 def merge_lora(weight, adapter: tuple[Tensor, Tensor]) -> np.ndarray:
-    """Materialize W + up @ down for an adapter's ``(down, up)`` factors."""
+    """Materialize W + up @ down for an adapter's ``(down, up)`` factors.
+
+    The expression is the one ``linear`` applies to an unrouted adapter, so
+    folded bindings compute the bits of the adapted forward.
+    """
     w = weight.data if isinstance(weight, Tensor) else np.asarray(weight, dtype=np.float64)
     down, up = adapter
-    delta = up.data @ down.data
-    if delta.shape != w.shape:
-        raise ShapeMismatch(f"merge_lora: delta {delta.shape} vs weight {w.shape}")
-    return w + delta
+    return lora_weight(w, down.data, up.data)
 
 
 def merged_bindings(model: AdaptedModel) -> list[BlockBinding]:

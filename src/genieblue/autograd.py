@@ -26,6 +26,7 @@ __all__ = [
     "add",
     "mul",
     "linear",
+    "lora_weight",
     "routed_lora",
     "routed_linear",
     "gelu",
@@ -222,25 +223,51 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(x, w) -> Tensor:
-    """``x @ w.T`` for x (..., k) and a weight stored (out, k)."""
+def lora_weight(w: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The dense weight ``w + up @ down`` of a matrix with LoRA factors.
+
+    ``w`` is (out, k), ``down`` (r, k) and ``up`` (out, r). Every merged
+    weight in the package comes from this one expression, so a forward over
+    folded weights computes the bits that training computed.
+    """
+    if down.ndim != 2 or up.ndim != 2 or down.shape[1] != w.shape[1] or up.shape != (w.shape[0], down.shape[0]):
+        raise ShapeMismatch(f"lora_weight: weight {w.shape}, down {down.shape}, up {up.shape}")
+    return w + up @ down
+
+
+def linear(x, w, adapter=None) -> Tensor:
+    """``x @ w.T`` for x (..., k) and a weight stored (out, k).
+
+    ``adapter`` is an optional LoRA ``(down, up)`` pair. The product then
+    uses the merged weight ``lora_weight(w, down, up)``, and the backward
+    stays factored: the factors get ``(g @ up).T @ x`` and ``g.T @ (x @
+    down.T)``, and a full gradient for ``w`` is formed only when ``w`` is
+    trainable itself.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"linear: x {x.shape} incompatible with weight {w.shape}")
-    out = Tensor(x.data @ w.data.T)
     xd, wd = x.data, w.data
+    inputs = (x, w)
+    if adapter is not None:
+        down, up = _as_tensor(adapter[0]), _as_tensor(adapter[1])
+        dd, ud = down.data, up.data
+        wd = lora_weight(wd, dd, ud)
+        inputs = (x, w, down, up)
+    out = Tensor(xd @ wd.T)
 
     def vjp(g):
-        gx = gw = None
-        if x.requires_grad:
-            gx = g @ wd
-        if w.requires_grad:
-            k = xd.shape[-1]
-            n = wd.shape[0]
-            gw = g.reshape(-1, n).T @ xd.reshape(-1, k)
-        return gx, gw
+        n, k = wd.shape
+        g2, x2 = g.reshape(-1, n), xd.reshape(-1, k)
+        gx = g @ wd if x.requires_grad else None
+        gw = g2.T @ x2 if w.requires_grad else None
+        if adapter is None:
+            return gx, gw
+        gdown = (g2 @ ud).T @ x2 if down.requires_grad else None
+        gup = g2.T @ (x2 @ dd.T) if up.requires_grad else None
+        return gx, gw, gdown, gup
 
-    return _maybe_record("linear", out, (x, w), vjp)
+    return _maybe_record("linear", out, inputs, vjp)
 
 
 def routed_lora(x, down, up, route_mask: np.ndarray) -> Tensor:
@@ -370,16 +397,15 @@ def rms_norm(x, gain) -> Tensor:
     The epsilon only guards all-zero rows; on ordinary data the output RMS
     is 1 to within float64 rounding.
     """
-    x = _as_tensor(x)
-    xd = x.data
+    x, gain = _as_tensor(x), _as_tensor(gain)
+    xd, gd = x.data, gain.data
     n = xd.shape[-1]
-    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + _RMS_EPS)
-    y = xd * inv
-    gain = _as_tensor(gain)
     if gain.shape != (n,):
         raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs feature width {n}")
-    out = Tensor(y * gain.data)
-    gd = gain.data
+    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + _RMS_EPS)
+    y = xd * inv
+    y *= gd
+    out = Tensor(y)
 
     def vjp(g):
         gx = ggain = None
@@ -387,7 +413,10 @@ def rms_norm(x, gain) -> Tensor:
             h = g * gd
             gx = inv * h - xd * (inv**3 / n) * (xd * h).sum(axis=-1, keepdims=True)
         if gain.requires_grad:
-            ggain = (y * g).reshape(-1, n).sum(axis=0)
+            # the pre-gain rows are recomputed rather than kept on the tape
+            yg = xd * inv
+            yg *= g
+            ggain = yg.reshape(-1, n).sum(axis=0)
         return gx, ggain
 
     return _maybe_record("rms_norm", out, (x, gain), vjp)
@@ -478,8 +507,10 @@ def attention(q, k, v, n_heads: int, causal: bool = True) -> Tensor:
         if v.requires_grad:
             gv = np.matmul(p.swapaxes(-1, -2), gh).transpose(0, 2, 1, 3).reshape(bsz, t, d)
         if q.requires_grad or k.requires_grad:
-            gp = np.matmul(gh, vh.swapaxes(-1, -2))
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
+            gs = np.matmul(gh, vh.swapaxes(-1, -2))
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
             gs *= scale
             if q.requires_grad:
                 gq = np.matmul(gs, kh).transpose(0, 2, 1, 3).reshape(bsz, t, d)

@@ -8,8 +8,10 @@ per cell (single-patch regime) and the projector maps them into the LM width.
 Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
-copies. ``MultimodalBase`` binds the LM's own blocks; each adapted model of
-the adaptation module is the same stack with its own bindings.
+copies. Unrouted adapter factors apply as a merged weight inside ``linear``,
+one product per matrix; routed ones add a low-rank delta at image positions.
+``MultimodalBase`` binds the LM's own blocks; each adapted model of the
+adaptation module is the same stack with its own bindings.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ class TokenBatch:
     image_mask: np.ndarray
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        ids = np.asarray(self.ids)
+        if not np.issubdtype(ids.dtype, np.integer):  # bool is not an integer dtype here
+            raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
+        self.ids = ids.astype(np.int64, copy=False)
         self.image_mask = np.asarray(self.image_mask, dtype=bool)
         if self.ids.ndim != 2 or self.ids.shape != self.image_mask.shape:
             raise ValueError(f"ids {self.ids.shape} vs image_mask {self.image_mask.shape}")
@@ -124,9 +129,10 @@ class BlockBinding:
 
     ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
     matrix name to a full replacement weight applied at masked positions.
-    ``route_adapters`` confines adapter deltas to masked (image) positions,
-    which is how the visual-expert baseline keeps text tokens on the exact
-    base computation.
+    Unrouted adapters apply as the merged weight ``w + up @ down`` inside
+    ``linear``. ``route_adapters`` confines adapter deltas to masked (image)
+    positions, which is how the visual-expert baseline keeps text tokens on
+    the exact base computation.
     """
 
     weights: dict[str, Tensor]
@@ -142,18 +148,12 @@ def _project(x: Tensor, binding: BlockBinding, mat: str, route_mask: np.ndarray 
         if route_mask is None:
             raise ValueError("expert binding requires a modality mask")
         return ag.routed_linear(x, w, expert, route_mask)
-    y = ag.linear(x, w)
     adapter = binding.adapters.get(mat)
-    if adapter is not None:
-        down, up = adapter
-        if binding.route_adapters:
-            if route_mask is None:
-                raise ValueError("routed adapters require a modality mask")
-            delta = ag.routed_lora(x, down, up, route_mask)
-        else:
-            delta = ag.linear(ag.linear(x, down), up)
-        y = ag.add(y, delta)
-    return y
+    if adapter is None or not binding.route_adapters:
+        return ag.linear(x, w, adapter)
+    if route_mask is None:
+        raise ValueError("routed adapters require a modality mask")
+    return ag.add(ag.linear(x, w), ag.routed_lora(x, *adapter, route_mask))
 
 
 def block_forward(

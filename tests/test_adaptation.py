@@ -13,8 +13,8 @@ from genieblue.adaptation import (
     merged_bindings,
     plan_placement,
 )
-from genieblue.autograd import ShapeMismatch, Tensor
-from genieblue.model import ModelConfig, TokenBatch, build_model, decode
+from genieblue.autograd import GradTape, ShapeMismatch, Tensor
+from genieblue.model import ModelConfig, TokenBatch, block_forward, build_model, decode
 
 from oracles import layers_from_bindings, ref_decode
 
@@ -323,10 +323,75 @@ def test_merged_forward_equals_adapter_forward(rng):
     assert (err / denom).max() < 1e-9
 
 
+def test_merged_decode_is_byte_identical_to_adapted_decode(tiny_base, rng):
+    cfg = tiny_base.config
+    hybrid = build_genieblue(tiny_base, plan_placement(cfg.n_layers, Fraction(1, 4), "skip"), rank=4, seed=1)
+    for per_block in hybrid.adapters.values():
+        for _, up in per_block.values():
+            up.data += rng.normal(scale=0.1, size=up.shape)
+    batch, grids = _mixed_batch(rng, cfg)
+    injected = hybrid.projector.project(hybrid.vision.encode(grids))
+    text = _text_batch(rng, cfg)
+    for b, inj in ((batch, injected), (text, None)):
+        via_adapters = decode(cfg, hybrid.lm.params, hybrid.bindings(), b, inj).data
+        via_merged = decode(cfg, hybrid.lm.params, merged_bindings(hybrid), b, inj).data
+        assert via_adapters.tobytes() == via_merged.tobytes()
+    # the perturbed adapters are live: this is not two base forwards agreeing
+    assert not np.array_equal(via_adapters, tiny_base.lm.forward(text).data)
+
+
 def test_merged_bindings_rejects_routed_model(tiny_base):
     sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
     with pytest.raises(ValueError, match="routed"):
         merged_bindings(build_cogvlm(tiny_base, sched, rank=4))
+
+
+# ----------------------------------------------------------------------------
+# stage-2 tapes: what each layer binding records
+# ----------------------------------------------------------------------------
+
+BLOCK_OPS = [
+    "rms_norm", "linear", "linear", "linear", "attention", "linear", "add",
+    "rms_norm", "linear", "gelu", "linear", "add",
+]
+
+
+def _stage2_block_tapes(model, rng):
+    """The tape of one block_forward per layer binding, stage-2 leaves tracked."""
+    cfg = model.config
+    for t in freeze_mask(model, 2).values():
+        t.requires_grad = True
+    x = Tensor(rng.normal(size=(2, cfg.max_seq, cfg.d_model)), requires_grad=True)
+    mask = np.zeros((2, cfg.max_seq), dtype=bool)
+    mask[:, : cfg.grid_cells] = True
+    tapes = []
+    for binding in model.bindings():
+        with GradTape() as tape:
+            block_forward(x, binding, cfg.n_heads, route_mask=mask)
+        tapes.append(tape)
+    return tapes
+
+
+def test_adapted_block_tape_matches_replicated_block(tiny_base, rng):
+    sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
+    hybrid = build_genieblue(tiny_base, sched, rank=4, seed=1)
+    tapes = _stage2_block_tapes(hybrid, rng)
+    for i, tape in enumerate(tapes):
+        assert [n.op for n in tape.nodes] == BLOCK_OPS, i
+        n_inputs = [len(n.inputs) for n in tape.nodes if n.op == "linear"]
+        # an adapted matrix is one linear node over (x, w, down, up)
+        assert n_inputs == [2 if i in sched else 4] * 6, i
+
+
+def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
+    sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
+    expert = build_cogvlm(tiny_base, sched, rank=4, seed=1)
+    for i, tape in enumerate(_stage2_block_tapes(expert, rng)):
+        ops = [n.op for n in tape.nodes]
+        if i in sched:
+            assert ops.count("routed_linear") == 6 and "linear" not in ops, i
+        else:
+            assert ops.count("routed_lora") == 6 and ops.count("linear") == 6, i
 
 
 # ----------------------------------------------------------------------------

@@ -193,6 +193,14 @@ def test_grad_linear(probe):
     )
 
 
+def test_grad_linear_with_adapter(probe):
+    c = probe((2, 3, 6))
+    _check_grads(
+        lambda t: ag.sum_all(ag.mul(ag.linear(t["x"], t["w"], (t["down"], t["up"])), c)),
+        {"x": probe((2, 3, 5)), "w": probe((6, 5)), "down": probe((2, 5)), "up": probe((6, 2))},
+    )
+
+
 def test_grad_gelu(probe):
     c = probe((3, 7))
     _check_grads(lambda t: ag.sum_all(ag.mul(ag.gelu(t["x"]), c)), {"x": probe((3, 7))})
@@ -273,6 +281,146 @@ def test_grad_two_layer_mlp_matches_central_differences(rng):
 def test_softmax_matches_reference(rng):
     x = rng.normal(scale=3.0, size=(5, 11))
     np.testing.assert_allclose(_softmax_via_nll(x), ref_softmax(x), rtol=0, atol=1e-15)
+
+
+# ----------------------------------------------------------------------------
+# linear with a LoRA adapter: one merged product, factored backward
+# ----------------------------------------------------------------------------
+
+
+def _linear_and_grads(build, arrays, g):
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    with GradTape() as tape:
+        out = build(tensors)
+        loss = ag.sum_all(ag.mul(out, g))
+    grads = backward(tape, loss)
+    return out.data, {k: grads.get(t) for k, t in tensors.items()}
+
+
+def _adapter_arrays(rng, up_scale=1.0):
+    return {
+        "x": rng.normal(size=(3, 7, 12)),
+        "w": rng.normal(size=(10, 12)),
+        "down": rng.normal(size=(4, 12)),
+        "up": rng.normal(scale=up_scale, size=(10, 4)),
+    }
+
+
+def test_linear_adapter_matches_unfused_graph(rng):
+    arrays, g = _adapter_arrays(rng), rng.normal(size=(3, 7, 10))
+    fused, fused_grads = _linear_and_grads(lambda t: ag.linear(t["x"], t["w"], (t["down"], t["up"])), arrays, g)
+    unfused, unfused_grads = _linear_and_grads(
+        lambda t: ag.add(ag.linear(t["x"], t["w"]), ag.linear(ag.linear(t["x"], t["down"]), t["up"])), arrays, g
+    )
+    np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-12)
+    for name in arrays:
+        np.testing.assert_allclose(fused_grads[name], unfused_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_linear_zero_up_factor_is_bit_exact(rng):
+    arrays, g = _adapter_arrays(rng, up_scale=0.0), rng.normal(size=(3, 7, 10))
+    fused, fused_grads = _linear_and_grads(lambda t: ag.linear(t["x"], t["w"], (t["down"], t["up"])), arrays, g)
+    plain, plain_grads = _linear_and_grads(lambda t: ag.linear(t["x"], t["w"]), arrays, g)
+    assert fused.tobytes() == plain.tobytes()
+    for name in ("x", "w"):
+        assert fused_grads[name].tobytes() == plain_grads[name].tobytes(), name
+
+
+def test_linear_adapter_records_one_linear_node(rng):
+    arrays = {k: Tensor(v, requires_grad=k in ("down", "up")) for k, v in _adapter_arrays(rng).items()}
+    with GradTape() as tape:
+        ag.linear(arrays["x"], arrays["w"], (arrays["down"], arrays["up"]))
+    assert [n.op for n in tape.nodes] == ["linear"]
+    gx, gw, gdown, gup = tape.nodes[0].vjp(rng.normal(size=(3, 7, 10)))
+    assert gx is None and gw is None and gdown.shape == (4, 12) and gup.shape == (10, 4)
+
+
+@pytest.mark.parametrize(
+    "down_shape, up_shape",
+    [((4, 11), (10, 4)), ((4, 12), (9, 4)), ((4, 12), (10, 3)), ((12,), (10, 4)), ((4, 12), (10, 4, 1))],
+    ids=["down-width", "up-height", "rank", "down-1d", "up-3d"],
+)
+def test_linear_adapter_rejects_mismatched_factors(rng, down_shape, up_shape):
+    x, w = Tensor(rng.normal(size=(3, 7, 12))), Tensor(rng.normal(size=(10, 12)))
+    adapter = (Tensor(np.zeros(down_shape)), Tensor(np.zeros(up_shape)))
+    with pytest.raises(ShapeMismatch, match="down"):
+        ag.linear(x, w, adapter)
+
+
+# ----------------------------------------------------------------------------
+# rms_norm and the attention vjp compute the bits of their earlier forms
+# ----------------------------------------------------------------------------
+
+
+def _rms_norm_reference(xd, gd, g, x_grad, gain_grad):
+    """rms_norm and its vjp as first written, keeping the pre-gain rows."""
+    n = xd.shape[-1]
+    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + 1e-12)
+    y = xd * inv
+    out = y * gd
+    gx = ggain = None
+    if x_grad:
+        h = g * gd
+        gx = inv * h - xd * (inv**3 / n) * (xd * h).sum(axis=-1, keepdims=True)
+    if gain_grad:
+        ggain = (y * g).reshape(-1, n).sum(axis=0)
+    return out, gx, ggain
+
+
+@pytest.mark.parametrize(
+    "x_grad, gain_grad", [(True, True), (True, False), (False, True)], ids=["gain-trainable", "gain-frozen", "x-frozen"]
+)
+def test_rms_norm_bits_equal_earlier_form(rng, x_grad, gain_grad):
+    xd, gd, g = rng.normal(size=(4, 9, 16)), rng.normal(size=16), rng.normal(size=(4, 9, 16))
+    ref_out, ref_gx, ref_ggain = _rms_norm_reference(xd, gd, g, x_grad, gain_grad)
+    with GradTape() as tape:
+        out = ag.rms_norm(Tensor(xd, requires_grad=x_grad), Tensor(gd, requires_grad=gain_grad))
+    gx, ggain = tape.nodes[-1].vjp(g)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert (gx is None) == (not x_grad) and (ggain is None) == (not gain_grad)
+    if x_grad:
+        assert gx.tobytes() == ref_gx.tobytes()
+    if gain_grad:
+        assert ggain.tobytes() == ref_ggain.tobytes()
+
+
+def _attention_vjp_reference(q, k, v, g, n_heads, causal):
+    """attention's gradients as first written, with gs built outside gp."""
+    bsz, t, d = q.shape
+    hd = d // n_heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def split(a):
+        return a.reshape(bsz, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(bsz, t, d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
+    s *= scale
+    if causal:
+        s += np.triu(np.full((t, t), -np.inf), k=1)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    p = s
+    gh = split(g)
+    gv = merge(np.matmul(p.swapaxes(-1, -2), gh))
+    gp = np.matmul(gh, vh.swapaxes(-1, -2))
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    gs *= scale
+    return merge(np.matmul(gs, kh)), merge(np.matmul(gs.swapaxes(-1, -2), qh)), gv
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_attention_vjp_bits_equal_earlier_form(rng, causal):
+    q, k, v, g = (rng.normal(size=(3, 10, 16)) for _ in range(4))
+    with GradTape() as tape:
+        ag.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), 4, causal=causal)
+    got = tape.nodes[-1].vjp(g)
+    for name, a, b in zip("qkv", got, _attention_vjp_reference(q, k, v, g, 4, causal)):
+        assert a.tobytes() == b.tobytes(), name
 
 
 # ----------------------------------------------------------------------------

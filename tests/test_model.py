@@ -71,6 +71,21 @@ def test_token_batch_rejects_non_prefix_image_span():
         TokenBatch(ids, mask)
 
 
+@pytest.mark.parametrize(
+    "ids, dtype",
+    [([[1.7, 2.2]], "float64"), ([[1.0, 2.0]], "float64"), ([[True, False]], "bool"), ([["1", "2"]], "<U1")],
+    ids=["fractional", "whole-float", "bool", "str"],
+)
+def test_token_batch_rejects_non_integer_ids(ids, dtype):
+    with pytest.raises(ValueError, match=dtype):
+        TokenBatch(ids, [[False, False]])
+
+
+def test_token_batch_keeps_integer_ids_of_any_width():
+    batch = TokenBatch(np.array([[1, 2]], dtype=np.int16), [[False, False]])
+    assert batch.ids.dtype == np.int64 and batch.ids.tolist() == [[1, 2]]
+
+
 def test_causality_suffix_perturbation(tiny_base, rng):
     cfg = tiny_base.config
     batch = _text_batch(rng, cfg, bsz=2)
