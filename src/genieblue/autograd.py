@@ -119,15 +119,15 @@ class GradTape:
         return len(self.nodes)
 
 
-def _active_tape() -> GradTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def _will_record(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether ``_maybe_record`` would put a node over these inputs on the tape."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
 
 
 def _maybe_record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _will_record(inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(op, out, inputs, vjp))
+        _TAPE_STACK[-1].nodes.append(_Node(op, out, inputs, vjp))
     return out
 
 
@@ -235,14 +235,23 @@ def lora_weight(w: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     return w + up @ down
 
 
-def linear(x, w, adapter=None) -> Tensor:
-    """``x @ w.T`` for x (..., k) and a weight stored (out, k).
+def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
+    """``gelu?(x @ w.T) + residual`` for x (..., k) and a weight stored (out, k).
 
     ``adapter`` is an optional LoRA ``(down, up)`` pair. The product then
     uses the merged weight ``lora_weight(w, down, up)``, and the backward
     stays factored: the factors get ``(g @ up).T @ x`` and ``g.T @ (x @
     down.T)``, and a full gradient for ``w`` is formed only when ``w`` is
     trainable itself.
+
+    ``gelu`` applies GELU to the product, and ``residual``, a tensor shaped
+    like the output, is added after it. Both run in the product's buffer
+    with the arithmetic of ``gelu`` and ``add``, so the result has the bits
+    of ``add(residual, gelu(linear(x, w, adapter)))``, yet the tape keeps
+    neither the product nor the pre-activation rows: a recorded GELU saves
+    its derivative (none is computed with the tape off), and the residual's
+    gradient is the incoming one. The node is recorded as ``linear`` over
+    ``(x, w[, down, up][, residual])``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[-1]:
@@ -254,18 +263,34 @@ def linear(x, w, adapter=None) -> Tensor:
         dd, ud = down.data, up.data
         wd = lora_weight(wd, dd, ud)
         inputs = (x, w, down, up)
-    out = Tensor(xd @ wd.T)
+    if residual is not None:
+        residual = _as_tensor(residual)
+        out_shape = x.shape[:-1] + (w.shape[0],)
+        if residual.shape != out_shape:
+            raise ShapeMismatch(f"linear: residual {residual.shape} vs output {out_shape}")
+        inputs += (residual,)
+    y = xd @ wd.T
+    dgelu = _gelu_(y, _will_record(inputs)) if gelu else None
+    if residual is not None:
+        y += residual.data
+    out = Tensor(y)
 
     def vjp(g):
+        gp = g if dgelu is None else dgelu * g
         n, k = wd.shape
-        g2, x2 = g.reshape(-1, n), xd.reshape(-1, k)
-        gx = g @ wd if x.requires_grad else None
-        gw = g2.T @ x2 if w.requires_grad else None
-        if adapter is None:
-            return gx, gw
-        gdown = (g2 @ ud).T @ x2 if down.requires_grad else None
-        gup = g2.T @ (x2 @ dd.T) if up.requires_grad else None
-        return gx, gw, gdown, gup
+        g2, x2 = gp.reshape(-1, n), xd.reshape(-1, k)
+        grads = (
+            gp @ wd if x.requires_grad else None,
+            g2.T @ x2 if w.requires_grad else None,
+        )
+        if adapter is not None:
+            grads += (
+                (g2 @ ud).T @ x2 if down.requires_grad else None,
+                g2.T @ (x2 @ dd.T) if up.requires_grad else None,
+            )
+        if residual is not None:
+            grads += (g if residual.requires_grad else None,)
+        return grads
 
     return _maybe_record("linear", out, inputs, vjp)
 
@@ -353,37 +378,48 @@ def routed_linear(x, w_base, w_expert, route_mask: np.ndarray) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x) -> Tensor:
-    """GELU, tanh form: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    x = _as_tensor(x)
-    xd = x.data
-    # the cube by multiplication: xd**3 takes numpy's generic pow loop, ~40x slower
-    t = xd * xd
-    t *= xd
+def _gelu_(p: np.ndarray, keep_grad: bool) -> np.ndarray | None:
+    """Overwrite ``p`` with its GELU; return the derivative at ``p`` if asked.
+
+    Tanh form: 0.5*p*(1 + t) with t = tanh(c*(p + 0.044715*p^3)). The
+    standalone ``gelu`` and ``linear(..., gelu=True)`` both run this, so
+    they give the same bits.
+    """
+    # the cube by multiplication: p**3 takes numpy's generic pow loop, ~40x slower
+    t = p * p
+    t *= p
     t *= 0.044715
-    t += xd
+    t += p
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = t + 1.0
-    y *= xd
-    y *= 0.5
+    d = None
+    if keep_grad:
+        # d = 0.5*(1 + t) + u*(1 - t^2) with u = 0.5*c*p*(1 + 3*0.044715*p^2),
+        # evaluated as (1 + t) * (0.5 + u*(1 - t))
+        d = p * p
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= p
+        d *= 0.5 * _GELU_C
+        d *= np.subtract(1.0, t)
+        d += 0.5
+    t += 1.0
+    if d is not None:
+        d *= t
+    p *= t
+    p *= 0.5
+    return d
+
+
+def gelu(x) -> Tensor:
+    """GELU, tanh form; a recorded node keeps the derivative, not the input."""
+    x = _as_tensor(x)
+    y = x.data.copy()
+    d = _gelu_(y, _will_record((x,)))
     out = Tensor(y)
 
     def vjp(g):
-        # d = 0.5*(1 + t) + u*(1 - t^2) with u = 0.5*c*x*(1 + 3*0.044715*x^2),
-        # evaluated as (1 + t) * (0.5 + u*(1 - t))
-        d = xd * xd
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= xd
-        d *= 0.5 * _GELU_C
-        s = np.subtract(1.0, t)
-        d *= s
-        d += 0.5
-        np.add(t, 1.0, out=s)
-        d *= s
-        d *= g
-        return (d,)
+        return (d * g,)
 
     return _maybe_record("gelu", out, (x,), vjp)
 
@@ -542,11 +578,12 @@ def masked_nll(logits, targets: np.ndarray, weights: np.ndarray) -> Tensor:
         )
     ld = logits.data
     z = ld - ld.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    denom = e.sum(axis=-1, keepdims=True)
-    p = e / denom
-    logp = z - np.log(denom)
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    zt = np.take_along_axis(z, targets[..., None], axis=-1)
+    # one full-size buffer: z becomes exp(z), then the probabilities
+    p = np.exp(z, out=z)
+    denom = p.sum(axis=-1, keepdims=True)
+    p /= denom
+    picked = (zt - np.log(denom))[..., 0]  # log-probs at the targets only
     out = Tensor(-(weights * picked).sum())
 
     def vjp(g):

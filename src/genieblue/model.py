@@ -9,7 +9,10 @@ Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
 copies. Unrouted adapter factors apply as a merged weight inside ``linear``,
-one product per matrix; routed ones add a low-rank delta at image positions.
+one product per matrix, which also folds in the FFN GELU and the residual
+adds, so the tape keeps no product that only an add or a GELU reads. Routed
+ones add a low-rank delta at image positions, and their GELU and residual
+adds stay separate ops.
 ``MultimodalBase`` binds the LM's own blocks; each adapted model of the
 adaptation module is the same stack with its own bindings.
 """
@@ -104,6 +107,9 @@ class TokenBatch:
         ids = np.asarray(self.ids)
         if not np.issubdtype(ids.dtype, np.integer):  # bool is not an integer dtype here
             raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
+        # compared before the cast, which would wrap uint64 ids >= 2**63 to negatives
+        if ids.size and (ids.min() < 0 or ids.max() > np.iinfo(np.int64).max):
+            raise ValueError(f"token ids must lie in [0, 2**63), got range [{ids.min()}, {ids.max()}]")
         self.ids = ids.astype(np.int64, copy=False)
         self.image_mask = np.asarray(self.image_mask, dtype=bool)
         if self.ids.ndim != 2 or self.ids.shape != self.image_mask.shape:
@@ -130,9 +136,11 @@ class BlockBinding:
     ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
     matrix name to a full replacement weight applied at masked positions.
     Unrouted adapters apply as the merged weight ``w + up @ down`` inside
-    ``linear``. ``route_adapters`` confines adapter deltas to masked (image)
-    positions, which is how the visual-expert baseline keeps text tokens on
-    the exact base computation.
+    ``linear``, which for ``attn.wo``/``ffn.w2`` also adds the residual and
+    for ``ffn.w1`` applies the GELU. ``route_adapters`` confines adapter
+    deltas to masked (image) positions, which is how the visual-expert
+    baseline keeps text tokens on the exact base computation; routed and
+    expert matrices run their GELU and residual add as separate ops.
     """
 
     weights: dict[str, Tensor]
@@ -141,19 +149,35 @@ class BlockBinding:
     route_adapters: bool = False
 
 
-def _project(x: Tensor, binding: BlockBinding, mat: str, route_mask: np.ndarray | None) -> Tensor:
+def _project(
+    x: Tensor,
+    binding: BlockBinding,
+    mat: str,
+    route_mask: np.ndarray | None,
+    residual: Tensor | None = None,
+    gelu: bool = False,
+) -> Tensor:
+    """``gelu?(x @ W.T) + residual`` for the binding's view of one matrix.
+
+    Unrouted matrices fold GELU and the residual into ``linear``; routed
+    ones apply the standalone ``gelu`` and ``add`` after the routed kernels.
+    """
     w = binding.weights[mat]
     expert = binding.experts.get(mat)
+    adapter = binding.adapters.get(mat)
     if expert is not None:
         if route_mask is None:
             raise ValueError("expert binding requires a modality mask")
-        return ag.routed_linear(x, w, expert, route_mask)
-    adapter = binding.adapters.get(mat)
-    if adapter is None or not binding.route_adapters:
-        return ag.linear(x, w, adapter)
-    if route_mask is None:
+        y = ag.routed_linear(x, w, expert, route_mask)
+    elif adapter is None or not binding.route_adapters:
+        return ag.linear(x, w, adapter, residual=residual, gelu=gelu)
+    elif route_mask is None:
         raise ValueError("routed adapters require a modality mask")
-    return ag.add(ag.linear(x, w), ag.routed_lora(x, *adapter, route_mask))
+    else:
+        y = ag.add(ag.linear(x, w), ag.routed_lora(x, *adapter, route_mask))
+    if gelu:
+        y = ag.gelu(y)
+    return y if residual is None else ag.add(residual, y)
 
 
 def block_forward(
@@ -169,12 +193,10 @@ def block_forward(
     k = _project(h, binding, "attn.wk", route_mask)
     v = _project(h, binding, "attn.wv", route_mask)
     a = ag.attention(q, k, v, n_heads, causal=causal)
-    x = ag.add(x, _project(a, binding, "attn.wo", route_mask))
+    x = _project(a, binding, "attn.wo", route_mask, residual=x)
     h = ag.rms_norm(x, binding.weights["norm2.g"])
-    f = _project(h, binding, "ffn.w1", route_mask)
-    f = ag.gelu(f)
-    f = _project(f, binding, "ffn.w2", route_mask)
-    return ag.add(x, f)
+    f = _project(h, binding, "ffn.w1", route_mask, gelu=True)
+    return _project(f, binding, "ffn.w2", route_mask, residual=x)
 
 
 def block_param_shapes(d: int, d_ffn: int) -> dict[str, tuple[int, ...]]:

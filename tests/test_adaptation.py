@@ -350,9 +350,10 @@ def test_merged_bindings_rejects_routed_model(tiny_base):
 # stage-2 tapes: what each layer binding records
 # ----------------------------------------------------------------------------
 
+# the wo and w2 products carry the residual add, and w1 carries the GELU
 BLOCK_OPS = [
-    "rms_norm", "linear", "linear", "linear", "attention", "linear", "add",
-    "rms_norm", "linear", "gelu", "linear", "add",
+    "rms_norm", "linear", "linear", "linear", "attention", "linear",
+    "rms_norm", "linear", "linear",
 ]
 
 
@@ -379,8 +380,10 @@ def test_adapted_block_tape_matches_replicated_block(tiny_base, rng):
     for i, tape in enumerate(tapes):
         assert [n.op for n in tape.nodes] == BLOCK_OPS, i
         n_inputs = [len(n.inputs) for n in tape.nodes if n.op == "linear"]
-        # an adapted matrix is one linear node over (x, w, down, up)
-        assert n_inputs == [2 if i in sched else 4] * 6, i
+        # an adapted matrix is one linear node over (x, w, down, up); the wo
+        # and w2 nodes also take the residual stream as their last input
+        k = 2 if i in sched else 4
+        assert n_inputs == [k, k, k, k + 1, k, k + 1], i
 
 
 def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):

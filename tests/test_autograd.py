@@ -348,6 +348,121 @@ def test_linear_adapter_rejects_mismatched_factors(rng, down_shape, up_shape):
 
 
 # ----------------------------------------------------------------------------
+# linear with a folded residual or GELU: the bits of the unfused graph
+# ----------------------------------------------------------------------------
+
+
+def _fold_arrays(rng, adapter, residual=True):
+    arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(10, 12))}
+    if residual:
+        arrays["r"] = rng.normal(size=(3, 7, 10))
+    if adapter:
+        arrays["down"] = rng.normal(size=(4, 12))
+        arrays["up"] = rng.normal(size=(10, 4))
+    return arrays
+
+
+def _adapter_of(t):
+    return (t["down"], t["up"]) if "down" in t else None
+
+
+FOLDS = {
+    "residual": (
+        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), residual=t["r"]),
+        lambda t: ag.add(t["r"], ag.linear(t["x"], t["w"], _adapter_of(t))),
+    ),
+    "gelu": (
+        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), gelu=True),
+        lambda t: ag.gelu(ag.linear(t["x"], t["w"], _adapter_of(t))),
+    ),
+}
+
+
+def _fold_and_grads(build, arrays, frozen, g):
+    tensors = {k: Tensor(v, requires_grad=k != frozen) for k, v in arrays.items()}
+    with GradTape() as tape:
+        out = build(tensors)
+        loss = ag.sum_all(ag.mul(out, g))
+    grads = backward(tape, loss)
+    return out.data, {k: grads.get(t) for k, t in tensors.items()}, [n.op for n in tape.nodes]
+
+
+@pytest.mark.parametrize("frozen", [None, "w", "x"], ids=["all-trainable", "w-frozen", "x-frozen"])
+@pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+def test_linear_fold_bits_equal_unfused_graph(rng, fold, adapter, frozen):
+    arrays, g = _fold_arrays(rng, adapter, residual=fold == "residual"), rng.normal(size=(3, 7, 10))
+    fused_build, unfused_build = FOLDS[fold]
+    fused, fused_grads, fused_ops = _fold_and_grads(fused_build, arrays, frozen, g)
+    unfused, unfused_grads, _ = _fold_and_grads(unfused_build, arrays, frozen, g)
+    assert fused_ops == ["linear", "mul", "sum_all"]
+    assert fused.tobytes() == unfused.tobytes()
+    for name in arrays:
+        assert (fused_grads[name] is None) == (name == frozen), name
+        if name != frozen:
+            assert fused_grads[name].tobytes() == unfused_grads[name].tobytes(), name
+    # with the tape off nothing is recorded and the output keeps its bytes
+    plain = {k: Tensor(v) for k, v in arrays.items()}
+    assert fused_build(plain).data.tobytes() == unfused_build(plain).data.tobytes() == fused.tobytes()
+
+
+def test_linear_fold_records_residual_last(rng):
+    t = {k: Tensor(v, requires_grad=True) for k, v in _fold_arrays(rng, adapter=True).items()}
+    with GradTape() as tape:
+        ag.linear(t["x"], t["w"], (t["down"], t["up"]), residual=t["r"], gelu=True)
+    (node,) = tape.nodes
+    assert node.op == "linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["r"])
+    g = rng.normal(size=(3, 7, 10))
+    assert node.vjp(g)[-1] is g  # the residual takes the incoming gradient unchanged
+
+
+@pytest.mark.parametrize("residual, gelu", [(True, False), (False, True), (True, True)], ids=["res", "gelu", "both"])
+@pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
+def test_grad_linear_fold(probe, adapter, residual, gelu):
+    c = probe((2, 3, 6))
+    arrays = {"x": probe((2, 3, 5)), "w": probe((6, 5))}
+    if adapter:
+        arrays.update(down=probe((2, 5)), up=probe((6, 2)))
+    if residual:
+        arrays["r"] = probe((2, 3, 6))
+    _check_grads(
+        lambda t: ag.sum_all(ag.mul(ag.linear(t["x"], t["w"], _adapter_of(t), residual=t.get("r"), gelu=gelu), c)),
+        arrays,
+    )
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 9), (10,), (1, 7, 10), (3, 7, 10, 1)], ids=["width", "1d", "broadcast", "4d"])
+def test_linear_rejects_residual_of_wrong_shape(rng, shape):
+    x, w = Tensor(rng.normal(size=(3, 7, 12))), Tensor(rng.normal(size=(10, 12)))
+    with pytest.raises(ShapeMismatch, match="residual"):
+        ag.linear(x, w, residual=Tensor(np.zeros(shape)))
+
+
+def _masked_nll_reference(ld, targets, weights):
+    """masked_nll and its gradient as first written, with a full logp array."""
+    z = ld - ld.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    denom = e.sum(axis=-1, keepdims=True)
+    p = e / denom
+    logp = z - np.log(denom)
+    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    gl = p * weights[..., None]
+    np.subtract.at(gl.reshape(-1, gl.shape[-1]), (np.arange(targets.size), targets.reshape(-1)), weights.reshape(-1))
+    return -(weights * picked).sum(), gl
+
+
+def test_masked_nll_bits_equal_earlier_form(rng):
+    ld = rng.normal(scale=4.0, size=(6, 11, 37))
+    targets, weights = rng.integers(0, 37, size=(6, 11)), rng.uniform(size=(6, 11))
+    ref_loss, ref_grad = _masked_nll_reference(ld, targets, weights)
+    with GradTape() as tape:
+        loss = ag.masked_nll(Tensor(ld, requires_grad=True), targets, weights)
+    (grad,) = tape.nodes[-1].vjp(np.ones(()))
+    assert loss.data.tobytes() == np.float64(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+# ----------------------------------------------------------------------------
 # rms_norm and the attention vjp compute the bits of their earlier forms
 # ----------------------------------------------------------------------------
 
@@ -462,6 +577,43 @@ def test_gelu_vjp_matches_closed_form(rng):
     (gx,) = tape.nodes[-1].vjp(g)
     # the derivative is bounded by ~1.13, so an absolute tolerance fits
     np.testing.assert_allclose(gx, g * _gelu_derivative(x), rtol=0, atol=1e-14)
+
+
+def _gelu_reference(xd, g):
+    """gelu and its vjp as first written, keeping t and the input rows."""
+    c = math.sqrt(2.0 / math.pi)
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= c
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= xd
+    y *= 0.5
+    d = xd * xd
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= xd
+    d *= 0.5 * c
+    s = np.subtract(1.0, t)
+    d *= s
+    d += 0.5
+    np.add(t, 1.0, out=s)
+    d *= s
+    d *= g
+    return y, d
+
+
+def test_gelu_bits_equal_earlier_form(rng):
+    x = np.concatenate([_gelu_grid(), rng.normal(scale=3.0, size=5000)])
+    g = rng.normal(size=x.shape)
+    ref_y, ref_gx = _gelu_reference(x, g)
+    with GradTape() as tape:
+        y = ag.gelu(Tensor(x, requires_grad=True))
+    (gx,) = tape.nodes[-1].vjp(g)
+    assert y.data.tobytes() == ref_y.tobytes() == ag.gelu(Tensor(x)).data.tobytes()
+    assert gx.tobytes() == ref_gx.tobytes()
 
 
 def test_gelu_does_not_mutate_inputs(rng):

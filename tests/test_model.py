@@ -81,6 +81,22 @@ def test_token_batch_rejects_non_integer_ids(ids, dtype):
         TokenBatch(ids, [[False, False]])
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [[[3, -1]], np.array([[3, -1]], dtype=np.int8), np.array([[3, 2**63]], dtype=np.uint64)],
+    ids=["negative", "negative-int8", "uint64-above-int64"],
+)
+def test_token_batch_rejects_ids_outside_int64_range(ids):
+    # these used to reach autograd.embed as negative int64 and fail there with IndexError
+    with pytest.raises(ValueError, match="token ids must lie in"):
+        TokenBatch(ids, [[False, False]])
+
+
+def test_token_batch_keeps_largest_uint64_id_that_fits():
+    batch = TokenBatch(np.array([[0, 2**63 - 1]], dtype=np.uint64), [[False, False]])
+    assert batch.ids.dtype == np.int64 and batch.ids.tolist() == [[0, 2**63 - 1]]
+
+
 def test_token_batch_keeps_integer_ids_of_any_width():
     batch = TokenBatch(np.array([[1, 2]], dtype=np.int16), [[False, False]])
     assert batch.ids.dtype == np.int64 and batch.ids.tolist() == [[1, 2]]

@@ -1,9 +1,20 @@
 import importlib
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import genieblue
 from genieblue import autograd, model
+from genieblue.adaptation import build_cogvlm, build_full_lora, build_genieblue, freeze_mask, plan_placement
+from genieblue.data import TaskSpec, collate, synth_dataset
+
+
+def _tracing(monkeypatch):
+    """The benchmark's tracer module, imported without installing it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    return importlib.import_module("tracing")
 
 
 def test_every_exported_name_resolves():
@@ -17,8 +28,7 @@ def test_every_exported_name_resolves():
 
 def test_benchmark_wrap_targets_exist(monkeypatch):
     """Every name the benchmark's tracer wraps exists; the tracer is read, not installed."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
-    tracing = importlib.import_module("tracing")
+    tracing = _tracing(monkeypatch)
     targets = list(tracing.FUNCTIONS) + [(autograd, op) for op in tracing.OPS]
     targets += [(model, "block_forward"), (autograd, "backward")]
     missing = [f"{mod.__name__}.{attr}" for mod, attr in targets if not callable(getattr(mod, attr, None))]
@@ -28,3 +38,30 @@ def test_benchmark_wrap_targets_exist(monkeypatch):
         if not callable(getattr(getattr(mod, cls, None), attr, None))
     ]
     assert missing == []
+
+
+PLACEMENT = plan_placement(4, Fraction(1, 4), "skip")
+MODELS = {
+    "genieblue": lambda base: build_genieblue(base, PLACEMENT, rank=4, seed=1),
+    "cogvlm": lambda base: build_cogvlm(base, PLACEMENT, rank=4, seed=1),
+    "full-lora": lambda base: build_full_lora(base, rank=4, seed=1),
+    "full-finetune": lambda base: base,
+}
+
+
+@pytest.mark.parametrize("name, stage", [(name, 2) for name in MODELS] + [("genieblue", 1)], ids=str)
+def test_every_recorded_op_has_a_benchmark_bucket(monkeypatch, name, stage):
+    """A kernel fusion that records a new op name fails here, not only in the benchmark suite."""
+    ops = _tracing(monkeypatch).OPS
+    cfg = model.ModelConfig(
+        vocab_size=256, d_model=16, n_layers=4, n_heads=2, max_seq=48, grid_side=3, grid_alphabet=4, d_vision=8
+    )
+    m = MODELS[name](model.build_model(cfg, seed=0))
+    data = synth_dataset(TaskSpec("grid-caption", n_samples=2, seed=0), max_seq=48, grid_side=3, grid_alphabet=4)
+    batch, targets, predict, grids = collate([data[0], data[1]], data.max_len)
+    for t in freeze_mask(m, stage).values():
+        t.requires_grad = True
+    with autograd.GradTape() as tape:
+        autograd.masked_nll(m.forward(batch, grids), targets, predict / predict.sum())
+    recorded = {n.op for n in tape.nodes}
+    assert "linear" in recorded and recorded - set(ops) == set()
