@@ -16,12 +16,11 @@ from .adaptation import (
     build_genieblue,
     count_trainable,
     freeze_mask,
-    merge_lora,
     plan_placement,
 )
-from .data import Dataset, Sample, TaskSpec, collate, read_cache, synth_dataset, write_cache
+from .data import Dataset, Sample, TaskSpec, collate, synth_dataset
 from .model import ModelConfig, MultimodalBase, TokenBatch, build_model
-from .optim import AdamWHyper, AdamWState, LrSchedule, adamw_step, lr_at
+from .optim import AdamWState, LrSchedule, adamw_step, lr_at
 from .training import StageConfig, TrainReport, layerwise_lr, run_stage
 
 __version__ = "0.1.0"

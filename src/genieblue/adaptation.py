@@ -44,7 +44,6 @@ __all__ = [
     "build_cogvlm",
     "build_full_lora",
     "count_trainable",
-    "merge_lora",
     "freeze_mask",
     "parameter_group",
 ]
@@ -222,19 +221,8 @@ def count_trainable(model) -> dict[str, int]:
     return counts
 
 
-def merge_lora(weight, adapter: tuple[Tensor, Tensor]) -> np.ndarray:
-    """Materialize W + up @ down for an adapter's ``(down, up)`` factors.
-
-    The expression is the one ``linear`` applies to an unrouted adapter, so
-    folded bindings compute the bits of the adapted forward.
-    """
-    w = weight.data if isinstance(weight, Tensor) else np.asarray(weight, dtype=np.float64)
-    down, up = adapter
-    return lora_weight(w, down.data, up.data)
-
-
 def merged_bindings(model: AdaptedModel) -> list[BlockBinding]:
-    """Bindings with every adapter folded into its base weight.
+    """The model's bindings with every adapter folded into its base weight.
 
     Only unrouted models fold: a routed delta applies at image positions
     alone, which no single merged weight computes.
@@ -242,13 +230,10 @@ def merged_bindings(model: AdaptedModel) -> list[BlockBinding]:
     if model.routed:
         raise ValueError("routed adapters and experts apply per token and cannot be folded")
     out = []
-    for i in range(model.config.n_layers):
-        if i in model.copies:
-            out.append(BlockBinding(model.copies[i]))
-            continue
-        weights = dict(model.lm.block_weights(i))
-        for mat, a in model.adapters.get(i, {}).items():
-            weights[mat] = Tensor(merge_lora(weights[mat], a))
+    for binding in model.bindings():
+        weights = dict(binding.weights)
+        for mat, (down, up) in binding.adapters.items():
+            weights[mat] = Tensor(lora_weight(weights[mat].data, down.data, up.data))
         out.append(BlockBinding(weights))
     return out
 

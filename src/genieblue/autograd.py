@@ -345,9 +345,9 @@ def routed_linear(x, w_base, w_expert, route_mask: np.ndarray) -> Tensor:
         raise ShapeMismatch(f"routed_linear: base {wb.shape} vs expert {we.shape}")
     if x.ndim != 3 or x.shape[-1] != wb.shape[-1]:
         raise ShapeMismatch(f"routed_linear: x {x.shape} incompatible with weight {wb.shape}")
-    if route_mask.shape != x.shape[:2]:
-        raise ShapeMismatch(f"routed_linear: mask {route_mask.shape} vs x {x.shape}")
     mask = np.asarray(route_mask, dtype=bool)
+    if mask.shape != x.shape[:2]:
+        raise ShapeMismatch(f"routed_linear: mask {mask.shape} vs x {x.shape}")
     y = x.data @ wb.data.T
     if mask.any():
         y[mask] = x.data[mask] @ we.data.T
@@ -565,16 +565,23 @@ def attention(q, k, v, n_heads: int, causal: bool = True) -> Tensor:
 def masked_nll(logits, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """Weighted negative log-likelihood: sum_p weights[p] * nll[p].
 
-    ``targets`` and ``weights`` are constants shaped like logits minus the
-    vocabulary axis. The caller encodes its averaging convention in the
-    weights (zero at ignored positions).
+    ``targets`` (integer ids in [0, vocab)) and ``weights`` are constants
+    shaped like logits minus the vocabulary axis. The caller encodes its
+    averaging convention in the weights (zero at ignored positions).
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
     weights = np.asarray(weights, dtype=np.float64)
-    if logits.shape[:-1] != targets.shape or targets.shape != weights.shape:
+    if logits.ndim == 0 or logits.shape[:-1] != targets.shape or targets.shape != weights.shape:
         raise ShapeMismatch(
             f"masked_nll: logits {logits.shape}, targets {targets.shape}, weights {weights.shape}"
+        )
+    vocab = logits.shape[-1]
+    if not np.issubdtype(targets.dtype, np.integer):  # bool is not an integer dtype here
+        raise ValueError(f"masked_nll: targets must be integers, got dtype {targets.dtype}")
+    if targets.size and (targets.min() < 0 or targets.max() >= vocab):
+        raise IndexError(
+            f"masked_nll: targets span [{targets.min()}, {targets.max()}], outside vocabulary of {vocab}"
         )
     ld = logits.data
     z = ld - ld.max(axis=-1, keepdims=True)

@@ -4,13 +4,11 @@ Text tasks (copy, reverse, modular addition) encode their own answer in the
 prompt. Grid tasks pair a symbol grid with its unique description: the
 caption task emits the run-length encoding of the row-major cell sequence,
 the count task asks how often a queried symbol occurs. Every generator is a
-pure function of its TaskSpec, and the cache file format reproduces
-byte-identically for a fixed spec.
+pure function of its TaskSpec.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +28,6 @@ __all__ = [
     "synth_dataset",
     "collate",
     "answer_start",
-    "write_cache",
-    "read_cache",
 ]
 
 PAD, BOS, SEP, EOS, QRY, IMG = 0, 1, 2, 3, 4, 5
@@ -45,13 +41,6 @@ COUNT_BASE = 160  # counts 0..36 -> 160..196
 TEXT_KINDS = ("text-copy", "text-reverse", "text-arith")
 GRID_KINDS = ("grid-caption", "grid-count")
 KINDS = TEXT_KINDS + GRID_KINDS
-
-_KIND_CODES = {k: i + 1 for i, k in enumerate(KINDS)}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-
-_CACHE_MAGIC = b"GBDS"
-_CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<HBIIQB")  # version, kind, n_samples, seq_len, seed, grid side
 
 
 @dataclass(frozen=True)
@@ -80,10 +69,8 @@ class Sample:
 
 
 class Dataset:
-    def __init__(self, samples: list[Sample], spec: TaskSpec, grid_side: int = 0):
+    def __init__(self, samples: list[Sample]):
         self.samples = samples
-        self.spec = spec
-        self.grid_side = grid_side
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -189,7 +176,7 @@ def synth_dataset(
             raise ValueError(f"{spec.kind} with payload {spec.seq_len} needs {worst} > max_seq {max_seq}")
         for _ in range(spec.n_samples):
             samples.append(_text_sample(spec.kind, rng, spec.seq_len))
-        return Dataset(samples, spec)
+        return Dataset(samples)
 
     if spec.kind == "grid-caption":
         max_runs = min(spec.seq_len, (max_seq - cells - 2) // 2, cells)
@@ -202,7 +189,7 @@ def synth_dataset(
             raise ValueError(f"grid-count needs {cells + 5} > max_seq {max_seq}")
         for _ in range(spec.n_samples):
             samples.append(_grid_count_sample(rng, grid_side, grid_alphabet))
-    return Dataset(samples, spec, grid_side=grid_side)
+    return Dataset(samples)
 
 
 def collate(
@@ -216,6 +203,12 @@ def collate(
     n = len(samples)
     if n == 0:
         raise ValueError("cannot collate an empty list of samples")
+    for b, s in enumerate(samples):
+        if np.ndim(s.tokens) != 1 or np.shape(s.image_mask) != np.shape(s.tokens):
+            raise ValueError(
+                f"sample {b}: tokens {np.shape(s.tokens)} and image_mask {np.shape(s.image_mask)} "
+                "must be 1-D and of one length"
+            )
     width = pad_to or max(len(s.tokens) for s in samples)
     ids = np.full((n, width), PAD, dtype=np.int64)
     image_mask = np.zeros((n, width), dtype=bool)
@@ -235,74 +228,3 @@ def collate(
         grids = np.stack([s.grid for s in samples])
     return TokenBatch(ids, image_mask), targets, predict, grids
 
-
-def _check_field(what: str, values: np.ndarray, limit: int) -> None:
-    if values.size and (values.min() < 0 or values.max() > limit):
-        raise ValueError(f"{what} outside [0, {limit}] cannot be cached")
-
-
-def write_cache(dataset: Dataset, path) -> None:
-    """One record per sample: length-prefixed ids, modality mask, grid symbols.
-
-    A token id, grid symbol or length that does not fit its field is a
-    ValueError, raised before the file is opened.
-    """
-    spec = dataset.spec
-    header = _CACHE_HEADER.pack(
-        _CACHE_VERSION, _KIND_CODES[spec.kind], spec.n_samples, spec.seq_len, spec.seed, dataset.grid_side
-    )
-    for s in dataset.samples:
-        if len(s.tokens) > 0xFFFF:
-            raise ValueError(f"sequence of {len(s.tokens)} tokens cannot be cached")
-        _check_field("token id", s.tokens, 0xFFFF)
-        if s.grid is not None:
-            _check_field("grid symbol", s.grid, 0xFF)
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(header)
-        for s in dataset.samples:
-            f.write(struct.pack("<H", len(s.tokens)))
-            f.write(s.tokens.astype("<u2").tobytes())
-            f.write(s.image_mask.astype(np.uint8).tobytes())
-            grid = s.grid.reshape(-1) if s.grid is not None else np.zeros(0, dtype=np.int64)
-            f.write(struct.pack("<H", grid.size))
-            f.write(grid.astype(np.uint8).tobytes())
-
-
-def read_cache(path) -> Dataset:
-    """Parse a cache file; a truncated, malformed or overlong file is a ValueError."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _CACHE_MAGIC:
-        raise ValueError("not a dataset cache file")
-    off = 4
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"cache truncated: {n} bytes needed at offset {off} of {len(blob)}")
-        off += n
-        return blob[off - n : off]
-
-    version, kind_code, n_samples, seq_len, seed, grid_side = _CACHE_HEADER.unpack(take(_CACHE_HEADER.size))
-    if version != _CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {version}")
-    if kind_code not in _CODE_KINDS:
-        raise ValueError(f"unknown task kind code {kind_code}")
-    spec = TaskSpec(kind=_CODE_KINDS[kind_code], n_samples=n_samples, seq_len=seq_len, seed=seed)
-    samples = []
-    for _ in range(n_samples):
-        (n_tok,) = struct.unpack("<H", take(2))
-        tokens = np.frombuffer(take(2 * n_tok), dtype="<u2").astype(np.int64)
-        mask = np.frombuffer(take(n_tok), dtype=np.uint8).astype(bool)
-        (n_grid,) = struct.unpack("<H", take(2))
-        grid = None
-        if n_grid:
-            if n_grid != grid_side * grid_side:
-                raise ValueError(f"grid of {n_grid} cells in a cache of side {grid_side}")
-            cells = np.frombuffer(take(n_grid), dtype=np.uint8)
-            grid = cells.astype(np.int64).reshape(grid_side, grid_side)
-        samples.append(Sample(tokens=tokens, image_mask=mask, grid=grid))
-    if off != len(blob):
-        raise ValueError(f"{len(blob) - off} trailing bytes after the last record")
-    return Dataset(samples, spec, grid_side=grid_side)

@@ -250,8 +250,9 @@ class LanguageModel:
     def base_bindings(self) -> list[BlockBinding]:
         return [BlockBinding(self.block_weights(i)) for i in range(self.config.n_layers)]
 
-    def forward(self, batch: TokenBatch, injected: Tensor | None = None) -> Tensor:
-        return decode(self.config, self.params, self.base_bindings(), batch, injected)
+    def forward(self, batch: TokenBatch) -> Tensor:
+        """Text-path logits from the LM's own blocks."""
+        return decode(self.config, self.params, self.base_bindings(), batch)
 
 
 def decode(
@@ -268,6 +269,8 @@ def decode(
     """
     c = config
     bsz, t = batch.ids.shape
+    if t == 0:
+        raise ValueError("cannot decode an empty sequence (T == 0)")
     if t > c.max_seq:
         raise ValueError(f"sequence length {t} exceeds max {c.max_seq}")
     if batch.ids.size and batch.ids.max() >= c.vocab_size:

@@ -10,15 +10,11 @@ import numpy as np
 
 from .autograd import NonFiniteError, Tensor
 
-__all__ = ["AdamWHyper", "AdamWState", "adamw_step", "LrSchedule", "lr_at"]
+__all__ = ["AdamWState", "adamw_step", "LrSchedule", "lr_at"]
 
-
-@dataclass(frozen=True)
-class AdamWHyper:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-6
-    weight_decay: float = 0.0
+BETA1 = 0.9
+BETA2 = 0.98
+EPS = 1e-6
 
 
 class AdamWState:
@@ -35,7 +31,7 @@ def adamw_step(
     grads: Mapping[str, np.ndarray],
     state: AdamWState,
     lr: float | Mapping[str, float],
-    hyper: AdamWHyper = AdamWHyper(),
+    weight_decay: float = 0.0,
 ) -> None:
     """One bias-corrected AdamW update, in place.
 
@@ -49,8 +45,8 @@ def adamw_step(
     if missing:
         raise ValueError(f"adamw_step: missing gradients for {sorted(missing)[:3]}")
     t = state.t + 1
-    bc1 = 1.0 - hyper.beta1**t
-    bc2 = 1.0 - hyper.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -58,32 +54,29 @@ def adamw_step(
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"adamw_step: non-finite gradient for '{name}'")
         step_lr = lr[name] if isinstance(lr, Mapping) else lr
-        if hyper.weight_decay:
-            p.data *= 1.0 - step_lr * hyper.weight_decay
+        if weight_decay:
+            p.data *= 1.0 - step_lr * weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
-        v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * (g * g)
-        p.data -= step_lr * (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= step_lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     state.t = t
 
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Linear warmup to the peak, then cosine decay to the floor."""
+    """Linear warmup to the peak, then cosine decay to zero."""
 
     peak: float
     warmup_steps: int
     total_steps: int
-    floor: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.warmup_steps < self.total_steps):
             raise ValueError(f"need 0 < warmup ({self.warmup_steps}) < total ({self.total_steps})")
-        if self.floor > self.peak:
-            raise ValueError(f"floor {self.floor} exceeds peak {self.peak}")
 
 
 def lr_at(step: int, schedule: LrSchedule) -> float:
@@ -93,4 +86,4 @@ def lr_at(step: int, schedule: LrSchedule) -> float:
     if step < schedule.warmup_steps:
         return schedule.peak * (step + 1) / schedule.warmup_steps
     progress = (step - schedule.warmup_steps) / (schedule.total_steps - schedule.warmup_steps)
-    return schedule.floor + 0.5 * (schedule.peak - schedule.floor) * (1.0 + math.cos(math.pi * progress))
+    return 0.5 * schedule.peak * (1.0 + math.cos(math.pi * progress))

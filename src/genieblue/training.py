@@ -18,7 +18,7 @@ from . import autograd as ag
 from .adaptation import freeze_mask
 from .data import Dataset, collate
 from .model import VisionEncoder
-from .optim import AdamWHyper, AdamWState, LrSchedule, adamw_step, lr_at
+from .optim import AdamWState, LrSchedule, adamw_step, lr_at
 from .util import digest_tensors
 
 __all__ = [
@@ -169,7 +169,6 @@ def run_stage(
         n_frozen=sum(p.size for p in frozen.values()),
     )
     schedule = LrSchedule(cfg.peak_lr, cfg.warmup_steps, cfg.total_steps)
-    hyper = AdamWHyper(weight_decay=cfg.weight_decay)
     state = AdamWState(trainable)
     rng = np.random.default_rng(seed)
     stream = _index_stream(len(dataset), rng)
@@ -206,7 +205,7 @@ def run_stage(
                 if name not in grad_sum:
                     grad_sum[name] = np.zeros_like(p.data)
             base_lr = lr_at(step, schedule)
-            adamw_step(trainable, grad_sum, state, _lr_map(model, cfg, trainable, base_lr), hyper)
+            adamw_step(trainable, grad_sum, state, _lr_map(model, cfg, trainable, base_lr), cfg.weight_decay)
             report.losses.append(loss_sum / cfg.grad_accum)
             if on_step is not None:
                 on_step(step + 1, model)

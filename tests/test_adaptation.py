@@ -9,11 +9,10 @@ from genieblue.adaptation import (
     build_genieblue,
     count_trainable,
     freeze_mask,
-    merge_lora,
     merged_bindings,
     plan_placement,
 )
-from genieblue.autograd import GradTape, ShapeMismatch, Tensor
+from genieblue.autograd import GradTape, ShapeMismatch, Tensor, lora_weight
 from genieblue.model import ModelConfig, TokenBatch, block_forward, build_model, decode
 
 from oracles import layers_from_bindings, ref_decode
@@ -290,19 +289,16 @@ def test_cogvlm_experts_exclude_norm_gains():
 
 def test_merge_zero_up_factor_is_bit_exact():
     w = np.random.default_rng(0).normal(size=(6, 4))
-    adapter = (Tensor(np.ones((2, 4))), Tensor(np.zeros((6, 2))))
-    assert merge_lora(w, adapter).tobytes() == w.tobytes()
+    assert lora_weight(w, np.ones((2, 4)), np.zeros((6, 2))).tobytes() == w.tobytes()
 
 
 def test_merge_one_by_one_case():
-    adapter = (Tensor([[4.0]]), Tensor([[3.0]]))
-    assert merge_lora(np.array([[2.0]]), adapter)[0, 0] == 14.0
+    assert lora_weight(np.array([[2.0]]), np.array([[4.0]]), np.array([[3.0]]))[0, 0] == 14.0
 
 
 def test_merge_shape_mismatch_rejected():
-    adapter = (Tensor(np.zeros((2, 5))), Tensor(np.zeros((6, 2))))
     with pytest.raises(ShapeMismatch):
-        merge_lora(np.zeros((6, 4)), adapter)
+        lora_weight(np.zeros((6, 4)), np.zeros((2, 5)), np.zeros((6, 2)))
 
 
 def test_merged_forward_equals_adapter_forward(rng):

@@ -462,6 +462,24 @@ def test_masked_nll_bits_equal_earlier_form(rng):
     assert grad.tobytes() == ref_grad.tobytes()
 
 
+def test_masked_nll_rejects_bad_targets():
+    logits, weights = Tensor(np.log([[0.7, 0.2, 0.1]])), np.ones(1)
+    for bad in (-1, 3):
+        with pytest.raises(IndexError, match="masked_nll.*vocabulary of 3"):
+            ag.masked_nll(logits, np.array([bad]), weights)
+    with pytest.raises(ValueError, match="masked_nll.*integers"):
+        ag.masked_nll(logits, np.array([1.0]), weights)
+    with pytest.raises(ShapeMismatch, match="masked_nll"):
+        ag.masked_nll(Tensor(1.0), np.array(0), np.array(1.0))  # no vocabulary axis
+
+
+def test_routed_linear_takes_a_list_mask(rng):
+    x, wb, we = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    mask = [[True, False, False], [True, True, False]]
+    got = ag.routed_linear(x, wb, we, mask).data
+    assert got.tobytes() == ag.routed_linear(x, wb, we, np.array(mask)).data.tobytes()
+
+
 # ----------------------------------------------------------------------------
 # rms_norm and the attention vjp compute the bits of their earlier forms
 # ----------------------------------------------------------------------------

@@ -9,13 +9,12 @@ from genieblue.data import (
     IMG,
     PAYLOAD_BASE,
     SEP,
+    Sample,
     TaskSpec,
     answer_start,
     collate,
-    read_cache,
     rle_caption,
     synth_dataset,
-    write_cache,
 )
 
 
@@ -116,68 +115,10 @@ def test_collate_stacks_grids():
     assert batch.image_span == 36
 
 
-def test_cache_round_trip_and_byte_identity(tmp_path):
-    for kind in ("text-copy", "grid-caption", "grid-count"):
-        spec = TaskSpec(kind, n_samples=7, seq_len=5, seed=9)
-        ds = synth_dataset(spec)
-        p1, p2 = tmp_path / f"{kind}-1.bin", tmp_path / f"{kind}-2.bin"
-        write_cache(ds, p1)
-        write_cache(synth_dataset(spec), p2)
-        assert p1.read_bytes() == p2.read_bytes()  # regeneration is byte-identical
-        back = read_cache(p1)
-        assert back.spec == spec
-        for sa, sb in zip(ds.samples, back.samples):
-            np.testing.assert_array_equal(sa.tokens, sb.tokens)
-            np.testing.assert_array_equal(sa.image_mask, sb.image_mask)
-            if sa.grid is None:
-                assert sb.grid is None
-            else:
-                np.testing.assert_array_equal(sa.grid, sb.grid)
-
-
-def test_cache_rejects_foreign_files(tmp_path):
-    p = tmp_path / "junk.bin"
-    p.write_bytes(b"not a dataset")
-    with pytest.raises(ValueError):
-        read_cache(p)
-
-
-# layout: magic 0..3, version 4..5, kind 6, n_samples 7..10, seq_len 11..14,
-# seed 15..22, grid side 23, then records from byte 24
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        pytest.param(lambda b: b[:6], id="cut-in-header"),
-        pytest.param(lambda b: b[:23], id="cut-before-grid-side"),
-        pytest.param(lambda b: b[:25], id="cut-in-length"),
-        pytest.param(lambda b: b[:60], id="cut-in-tokens"),
-        pytest.param(lambda b: b[:-1], id="cut-in-last-grid"),
-        pytest.param(lambda b: b[:6] + bytes([99]) + b[7:], id="bad-kind-code"),
-        pytest.param(lambda b: b[:23] + bytes([5]) + b[24:], id="grid-side-mismatch"),
-        pytest.param(lambda b: b + b"\x00", id="trailing-byte"),
-    ],
-)
-def test_read_cache_rejects_corrupt_files(tmp_path, corrupt):
-    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-    write_cache(synth_dataset(TaskSpec("grid-count", n_samples=3, seed=2)), good)
-    blob = good.read_bytes()
-    read_cache(good)  # the uncorrupted file parses
-    bad.write_bytes(corrupt(blob))
-    with pytest.raises(ValueError):
-        read_cache(bad)
-
-
-def test_write_cache_rejects_values_that_do_not_fit(tmp_path):
-    wide_grid = synth_dataset(TaskSpec("grid-count", n_samples=8, seed=1), grid_alphabet=300)
-    assert max(s.grid.max() for s in wide_grid.samples) >= 256  # a uint8 field would wrap it
-    path = tmp_path / "wide-grid.bin"
-    with pytest.raises(ValueError, match="grid symbol"):
-        write_cache(wide_grid, path)
-    assert not path.exists()
-
-    text = synth_dataset(TaskSpec("text-copy", n_samples=2, seed=1))
-    text.samples[1].tokens[1] = 65536  # one past the <u2 field
-    path = tmp_path / "wide-token.bin"
-    with pytest.raises(ValueError, match="token id"):
-        write_cache(text, path)
-    assert not path.exists()
+def test_collate_rejects_malformed_sample():
+    good = synth_dataset(TaskSpec("text-copy", n_samples=1, seq_len=3, seed=0))[0]
+    short_mask = Sample(good.tokens, good.image_mask[:-1])
+    two_d = Sample(good.tokens[None], good.image_mask[None])
+    for bad in (short_mask, two_d):
+        with pytest.raises(ValueError, match="sample 1"):
+            collate([good, bad])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from genieblue.autograd import Tensor
-from genieblue.model import ModelConfig, TokenBatch, build_model
+from genieblue.model import ModelConfig, TokenBatch, build_model, decode
 
 from oracles import count_params_by_walk, expected_parameter_count, layers_from_bindings, ref_decode
 
@@ -118,7 +118,8 @@ def test_causality_suffix_perturbation(tiny_base, rng):
 def test_all_text_batch_ignores_empty_injection(tiny_base, rng):
     batch = _text_batch(rng, tiny_base.config, bsz=2, t=8)
     plain = tiny_base.lm.forward(batch).data
-    with_empty = tiny_base.lm.forward(batch, Tensor(np.zeros((2, 0, tiny_base.config.d_model)))).data
+    empty = Tensor(np.zeros((2, 0, tiny_base.config.d_model)))
+    with_empty = decode(tiny_base.config, tiny_base.lm.params, tiny_base.bindings(), batch, empty).data
     assert plain.tobytes() == with_empty.tobytes()
 
 
@@ -133,6 +134,12 @@ def test_rejects_overlong_sequence(tiny_base, rng):
     ids = rng.integers(0, cfg.vocab_size, size=(1, cfg.max_seq + 1))
     batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool))
     with pytest.raises(ValueError, match="exceeds"):
+        tiny_base.lm.forward(batch)
+
+
+def test_rejects_empty_sequence(tiny_base):
+    batch = TokenBatch(np.zeros((1, 0), np.int64), np.zeros((1, 0), bool))
+    with pytest.raises(ValueError, match="empty sequence"):
         tiny_base.lm.forward(batch)
 
 
