@@ -223,6 +223,12 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _check_lora(w, down, up) -> None:
+    """Raise unless arrays or tensors ``down``, ``up`` are LoRA factors of ``w``."""
+    if down.ndim != 2 or up.ndim != 2 or down.shape[1] != w.shape[1] or up.shape != (w.shape[0], down.shape[0]):
+        raise ShapeMismatch(f"lora_weight: weight {w.shape}, down {down.shape}, up {up.shape}")
+
+
 def lora_weight(w: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     """The dense weight ``w + up @ down`` of a matrix with LoRA factors.
 
@@ -230,9 +236,31 @@ def lora_weight(w: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     weight in the package comes from this one expression, so a forward over
     folded weights computes the bits that training computed.
     """
-    if down.ndim != 2 or up.ndim != 2 or down.shape[1] != w.shape[1] or up.shape != (w.shape[0], down.shape[0]):
-        raise ShapeMismatch(f"lora_weight: weight {w.shape}, down {down.shape}, up {up.shape}")
+    _check_lora(w, down, up)
     return w + up @ down
+
+
+def _residual_of(op: str, residual, out_shape: tuple) -> Tensor | None:
+    """The residual as a tensor, checked to be shaped like the output."""
+    if residual is None:
+        return None
+    residual = _as_tensor(residual)
+    if residual.shape != out_shape:
+        raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
+    return residual
+
+
+def _epilogue(y: np.ndarray, residual: Tensor | None, gelu: bool, keep_grad: bool) -> np.ndarray | None:
+    """Apply GELU, then add the residual, in the product buffer ``y``.
+
+    Returns the GELU derivative when ``keep_grad`` asks for it, else None.
+    ``linear`` and ``routed_linear`` both end with this, so their rows get
+    the bits of ``add(residual, gelu(product))``.
+    """
+    dgelu = _gelu_(y, keep_grad) if gelu else None
+    if residual is not None:
+        y += residual.data
+    return dgelu
 
 
 def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
@@ -263,16 +291,11 @@ def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
         dd, ud = down.data, up.data
         wd = lora_weight(wd, dd, ud)
         inputs = (x, w, down, up)
+    residual = _residual_of("linear", residual, x.shape[:-1] + (w.shape[0],))
     if residual is not None:
-        residual = _as_tensor(residual)
-        out_shape = x.shape[:-1] + (w.shape[0],)
-        if residual.shape != out_shape:
-            raise ShapeMismatch(f"linear: residual {residual.shape} vs output {out_shape}")
         inputs += (residual,)
     y = xd @ wd.T
-    dgelu = _gelu_(y, _will_record(inputs)) if gelu else None
-    if residual is not None:
-        y += residual.data
+    dgelu = _epilogue(y, residual, gelu, _will_record(inputs))
     out = Tensor(y)
 
     def vjp(g):
@@ -300,6 +323,9 @@ def routed_lora(x, down, up, route_mask: np.ndarray) -> Tensor:
 
     Unmasked rows of the output are exactly zero without ever touching the
     adapter factors, so a text position can never observe adapter state.
+    The package itself no longer calls this: routed adapters run inside
+    ``routed_linear``. It stays because ``benchmarks/tracing.py`` wraps it by
+    name, and goes once the tracer no longer does.
     """
     x, down, up = _as_tensor(x), _as_tensor(down), _as_tensor(up)
     if x.ndim != 3 or down.ndim != 2 or up.ndim != 2 or x.shape[-1] != down.shape[-1]:
@@ -332,43 +358,92 @@ def routed_lora(x, down, up, route_mask: np.ndarray) -> Tensor:
     return _maybe_record("routed_lora", out, (x, down, up), vjp)
 
 
-def routed_linear(x, w_base, w_expert, route_mask: np.ndarray) -> Tensor:
-    """Per-position projection: masked positions use the expert weight.
+def routed_linear(
+    x, w_base, w_expert, route_mask: np.ndarray, *, adapter=None, residual=None, gelu=False
+) -> Tensor:
+    """Per-position ``gelu?(x @ W.T) + residual``: masked rows take a routed weight.
 
-    ``x`` is (B, T, k); ``route_mask`` is a constant (B, T) bool array. Rows
-    where the mask is False go through ``w_base`` exactly as a plain
-    ``linear`` would compute them; the expert weight is only ever applied to
-    (and only ever receives gradient from) masked rows.
+    ``x`` is (B, T, k); ``route_mask`` is a constant (B, T) bool array. The
+    routed weight ``W_m`` is either the expert ``w_expert``, shaped like
+    ``w_base``, or the merged weight ``lora_weight(w_base, down, up)`` of a
+    LoRA ``adapter=(down, up)``; exactly one of the two is given. The base
+    product runs over every row, then masked rows are overwritten with ``x
+    @ W_m.T``, and GELU and the residual run in that buffer as in
+    ``linear``. So unmasked rows have the bits of ``linear(x, w_base,
+    residual=, gelu=)``, and ``W_m`` is formed only when a row is masked: a
+    text-only batch never reads the expert or the factors.
+
+    The backward stays factored. ``gx`` is ``gp @ w_base`` with masked rows
+    replaced by ``gp[mask] @ W_m``, where ``gp`` is the gradient behind the
+    GELU. ``w_base`` gets a gradient only when it is trainable itself, from
+    every row under an adapter and from unmasked rows beside an expert. The
+    expert gets ``gp[mask].T @ x[mask]``, the factors ``(gp[mask] @ up).T @
+    x[mask]`` and ``gp[mask].T @ (x[mask] @ down.T)``, and the residual the
+    incoming gradient itself. The node is recorded as ``routed_linear`` over
+    ``(x, w_base, w_expert | down, up[, residual])``.
     """
-    x, wb, we = _as_tensor(x), _as_tensor(w_base), _as_tensor(w_expert)
-    if wb.shape != we.shape:
-        raise ShapeMismatch(f"routed_linear: base {wb.shape} vs expert {we.shape}")
-    if x.ndim != 3 or x.shape[-1] != wb.shape[-1]:
+    if (w_expert is None) == (adapter is None):
+        raise ValueError("routed_linear: give exactly one of w_expert and adapter")
+    x, wb = _as_tensor(x), _as_tensor(w_base)
+    if x.ndim != 3 or wb.ndim != 2 or x.shape[-1] != wb.shape[-1]:
         raise ShapeMismatch(f"routed_linear: x {x.shape} incompatible with weight {wb.shape}")
+    if adapter is None:
+        we = _as_tensor(w_expert)
+        if wb.shape != we.shape:
+            raise ShapeMismatch(f"routed_linear: base {wb.shape} vs expert {we.shape}")
+        routed = (we,)
+    else:
+        down, up = _as_tensor(adapter[0]), _as_tensor(adapter[1])
+        _check_lora(wb, down, up)
+        routed = (down, up)
     mask = np.asarray(route_mask, dtype=bool)
     if mask.shape != x.shape[:2]:
         raise ShapeMismatch(f"routed_linear: mask {mask.shape} vs x {x.shape}")
-    y = x.data @ wb.data.T
-    if mask.any():
-        y[mask] = x.data[mask] @ we.data.T
+    residual = _residual_of("routed_linear", residual, x.shape[:2] + (wb.shape[0],))
+    inputs = (x, wb) + routed + (() if residual is None else (residual,))
+    xd, wbd = x.data, wb.data
+    any_sel = bool(mask.any())
+    wm = None
+    y = xd @ wbd.T
+    if any_sel:
+        wm = we.data if adapter is None else lora_weight(wbd, down.data, up.data)
+        y[mask] = xd[mask] @ wm.T
+    dgelu = _epilogue(y, residual, gelu, _will_record(inputs))
     out = Tensor(y)
-    xd, wbd, wed = x.data, wb.data, we.data
 
     def vjp(g):
-        gx = gwb = gwe = None
-        sel = mask
-        inv = ~mask
+        gp = g if dgelu is None else dgelu * g
+        gx = gwb = None
         if x.requires_grad:
-            gx = g @ wbd
-            if sel.any():
-                gx[sel] = g[sel] @ wed
+            gx = gp @ wbd
         if wb.requires_grad:
-            gwb = g[inv].T @ xd[inv]
-        if we.requires_grad:
-            gwe = g[sel].T @ xd[sel] if sel.any() else np.zeros_like(wed)
-        return gx, gwb, gwe
+            if adapter is None:  # beside an expert, w_base serves unmasked rows only
+                inv = ~mask
+                gwb = gp[inv].T @ xd[inv]
+            else:  # the merged weight holds w_base, so every row reaches it
+                n, k = wbd.shape
+                gwb = gp.reshape(-1, n).T @ xd.reshape(-1, k)
+        if not any_sel:
+            gr = tuple(np.zeros_like(t.data) if t.requires_grad else None for t in routed)
+        else:
+            gs = gp[mask]
+            if gx is not None:
+                gx[mask] = gs @ wm
+            xs = xd[mask] if any(t.requires_grad for t in routed) else None
+            if adapter is None:
+                gr = (gs.T @ xs if we.requires_grad else None,)
+            else:
+                dd, ud = down.data, up.data
+                gr = (
+                    (gs @ ud).T @ xs if down.requires_grad else None,
+                    gs.T @ (xs @ dd.T) if up.requires_grad else None,
+                )
+        grads = (gx, gwb) + gr
+        if residual is not None:
+            grads += (g if residual.requires_grad else None,)
+        return grads
 
-    return _maybe_record("routed_linear", out, (x, wb, we), vjp)
+    return _maybe_record("routed_linear", out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ pure function of its TaskSpec.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
+        for field_name in ("n_samples", "seq_len", "seed"):
+            value = getattr(self, field_name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field_name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         if self.seq_len < 1:

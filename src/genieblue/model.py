@@ -11,8 +11,10 @@ low-rank adapter factors, or base weights paired with per-token expert
 copies. Unrouted adapter factors apply as a merged weight inside ``linear``,
 one product per matrix, which also folds in the FFN GELU and the residual
 adds, so the tape keeps no product that only an add or a GELU reads. Routed
-ones add a low-rank delta at image positions, and their GELU and residual
-adds stay separate ops.
+experts and adapters do the same inside ``routed_linear``: the base product
+over every position, image positions overwritten with the expert or merged
+weight's product, then the same GELU and residual epilogue, one node per
+matrix.
 ``MultimodalBase`` binds the LM's own blocks; each adapted model of the
 adaptation module is the same stack with its own bindings.
 """
@@ -137,10 +139,12 @@ class BlockBinding:
     matrix name to a full replacement weight applied at masked positions.
     Unrouted adapters apply as the merged weight ``w + up @ down`` inside
     ``linear``, which for ``attn.wo``/``ffn.w2`` also adds the residual and
-    for ``ffn.w1`` applies the GELU. ``route_adapters`` confines adapter
-    deltas to masked (image) positions, which is how the visual-expert
-    baseline keeps text tokens on the exact base computation; routed and
-    expert matrices run their GELU and residual add as separate ops.
+    for ``ffn.w1`` applies the GELU. ``route_adapters`` confines the merged
+    weight to masked (image) positions, which is how the visual-expert
+    baseline keeps text tokens on the exact base computation; experts are
+    always routed. Routed matrices run through ``routed_linear`` with the
+    same GELU and residual fold. A routed matrix takes an expert or an
+    adapter, never both.
     """
 
     weights: dict[str, Tensor]
@@ -159,25 +163,20 @@ def _project(
 ) -> Tensor:
     """``gelu?(x @ W.T) + residual`` for the binding's view of one matrix.
 
-    Unrouted matrices fold GELU and the residual into ``linear``; routed
-    ones apply the standalone ``gelu`` and ``add`` after the routed kernels.
+    An unrouted matrix is one ``linear`` node, over the merged weight when it
+    has an adapter. A routed one (an expert, or an adapter with
+    ``route_adapters``) is one ``routed_linear`` node that serves masked rows
+    with the expert or merged weight and every other row with the base
+    weight. Either node folds in the GELU and the residual add.
     """
     w = binding.weights[mat]
     expert = binding.experts.get(mat)
     adapter = binding.adapters.get(mat)
-    if expert is not None:
-        if route_mask is None:
-            raise ValueError("expert binding requires a modality mask")
-        y = ag.routed_linear(x, w, expert, route_mask)
-    elif adapter is None or not binding.route_adapters:
+    if expert is None and (adapter is None or not binding.route_adapters):
         return ag.linear(x, w, adapter, residual=residual, gelu=gelu)
-    elif route_mask is None:
-        raise ValueError("routed adapters require a modality mask")
-    else:
-        y = ag.add(ag.linear(x, w), ag.routed_lora(x, *adapter, route_mask))
-    if gelu:
-        y = ag.gelu(y)
-    return y if residual is None else ag.add(residual, y)
+    if route_mask is None:
+        raise ValueError(f"routed binding of {mat} requires a modality mask")
+    return ag.routed_linear(x, w, expert, route_mask, adapter=adapter, residual=residual, gelu=gelu)
 
 
 def block_forward(

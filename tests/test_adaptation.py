@@ -12,8 +12,8 @@ from genieblue.adaptation import (
     merged_bindings,
     plan_placement,
 )
-from genieblue.autograd import GradTape, ShapeMismatch, Tensor, lora_weight
-from genieblue.model import ModelConfig, TokenBatch, block_forward, build_model, decode
+from genieblue.autograd import GradTape, ShapeMismatch, Tensor, backward, lora_weight, sum_all
+from genieblue.model import BlockBinding, ModelConfig, TokenBatch, block_forward, build_model, decode
 
 from oracles import layers_from_bindings, ref_decode
 
@@ -231,6 +231,53 @@ def test_cogvlm_mixed_routing_matches_dense_reference(tiny_base, rng):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
+def test_cogvlm_text_batch_never_reads_poisoned_experts_or_adapters(tiny_base, rng):
+    sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
+    expert = build_cogvlm(tiny_base, sched, rank=4, seed=1)
+    for per_block in expert.adapters.values():
+        for _, up in per_block.values():
+            up.data += rng.normal(scale=0.05, size=up.shape)
+    batch = _text_batch(rng, tiny_base.config)
+    want = tiny_base.lm.forward(batch).data.tobytes()
+    assert expert.forward(batch).data.tobytes() == want  # the perturbed adapters are routed away
+    for per_block in expert.copies.values():
+        for t in per_block.values():
+            t.data[:] = np.nan
+    for per_block in expert.adapters.values():
+        for down, up in per_block.values():
+            down.data[:] = np.nan
+            up.data[:] = np.nan
+    assert expert.forward(batch).data.tobytes() == want
+    trainable = freeze_mask(expert, 2)
+    for t in trainable.values():
+        t.requires_grad = True
+    try:
+        with GradTape() as tape:
+            logits = expert.forward(batch)
+            loss = sum_all(logits)
+        grads = backward(tape, loss)
+    finally:
+        for t in trainable.values():
+            t.requires_grad = False
+    assert logits.data.tobytes() == want
+    routed = [t for n, t in trainable.items() if n.startswith(("expert.", "adapter."))]
+    assert routed and not any(grads[t].any() for t in routed)  # zero, not NaN
+
+
+def test_routed_binding_rejects_expert_and_adapter_on_one_matrix(tiny_base, rng):
+    cfg = tiny_base.config
+    weights = tiny_base.lm.block_weights(0)
+    wq = weights["attn.wq"]
+    nan_adapter = (Tensor(np.full((4, cfg.d_model), np.nan)), Tensor(np.full((cfg.d_model, 4), np.nan)))
+    x = Tensor(rng.normal(size=(2, cfg.max_seq, cfg.d_model)))
+    mask = np.zeros((2, cfg.max_seq), dtype=bool)
+    mask[:, : cfg.grid_cells] = True
+    for routed in (False, True):
+        binding = BlockBinding(weights, {"attn.wq": nan_adapter}, {"attn.wq": Tensor(wq.data.copy())}, routed)
+        with pytest.raises(ValueError, match="exactly one"):
+            block_forward(x, binding, cfg.n_heads, route_mask=mask)
+
+
 # ----------------------------------------------------------------------------
 # trainable-parameter accounting
 # ----------------------------------------------------------------------------
@@ -385,12 +432,14 @@ def test_adapted_block_tape_matches_replicated_block(tiny_base, rng):
 def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
     sched = plan_placement(tiny_base.config.n_layers, Fraction(1, 4), "skip")
     expert = build_cogvlm(tiny_base, sched, rank=4, seed=1)
+    routed_ops = ["routed_linear" if op == "linear" else op for op in BLOCK_OPS]
     for i, tape in enumerate(_stage2_block_tapes(expert, rng)):
-        ops = [n.op for n in tape.nodes]
-        if i in sched:
-            assert ops.count("routed_linear") == 6 and "linear" not in ops, i
-        else:
-            assert ops.count("routed_lora") == 6 and ops.count("linear") == 6, i
+        assert [n.op for n in tape.nodes] == routed_ops, i
+        n_inputs = [len(n.inputs) for n in tape.nodes if n.op == "routed_linear"]
+        # each matrix is one routed_linear node over (x, w, expert) or (x, w,
+        # down, up); the wo and w2 nodes also take the residual stream
+        k = 3 if i in sched else 4
+        assert n_inputs == [k, k, k, k + 1, k, k + 1], i
 
 
 # ----------------------------------------------------------------------------

@@ -481,6 +481,155 @@ def test_routed_linear_takes_a_list_mask(rng):
 
 
 # ----------------------------------------------------------------------------
+# routed_linear with a folded adapter, GELU and residual: one node per matrix
+# ----------------------------------------------------------------------------
+
+ROUTE_MASK = np.array([[True, True, True, False, False, False, False]] * 2 + [[False] * 7])
+
+
+def _routed_arrays(rng, kind, up_scale=1.0):
+    arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(10, 12)), "r": rng.normal(size=(3, 7, 10))}
+    if kind == "expert":
+        arrays["e"] = rng.normal(size=(10, 12))
+    else:
+        arrays["down"] = rng.normal(size=(4, 12))
+        arrays["up"] = rng.normal(scale=up_scale, size=(10, 4))
+    return arrays
+
+
+def _routed(t, mask, gelu, residual=True):
+    return ag.routed_linear(
+        t["x"], t["w"], t.get("e"), mask, adapter=_adapter_of(t), residual=t["r"] if residual else None, gelu=gelu
+    )
+
+
+def _unfused_routed(t, mask, gelu):
+    """The graph the routed path recorded before the fold: one node per step."""
+    if "e" in t:
+        y = ag.routed_linear(t["x"], t["w"], t["e"], mask)
+    else:
+        y = ag.add(ag.linear(t["x"], t["w"]), ag.routed_lora(t["x"], t["down"], t["up"], mask))
+    if gelu:
+        y = ag.gelu(y)
+    return ag.add(t["r"], y)
+
+
+@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_grad_routed_linear_fold(probe, kind, gelu):
+    mask = np.array([[True, True, False, False], [True, False, False, False]])
+    arrays = {"x": probe((2, 4, 5)), "w": probe((6, 5)), "r": probe((2, 4, 6))}
+    if kind == "expert":
+        arrays["e"] = probe((6, 5))
+    else:
+        arrays.update(down=probe((2, 5)), up=probe((6, 2)))
+    c = probe((2, 4, 6))
+    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, mask, gelu), c)), arrays)
+
+
+@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_routed_linear_unmasked_rows_equal_linear(rng, kind, gelu):
+    t = {k: Tensor(v) for k, v in _routed_arrays(rng, kind).items()}
+    got = _routed(t, ROUTE_MASK, gelu).data
+    want = ag.linear(t["x"], t["w"], residual=t["r"], gelu=gelu).data
+    assert got[~ROUTE_MASK].tobytes() == want[~ROUTE_MASK].tobytes()
+    assert not np.array_equal(got[ROUTE_MASK], want[ROUTE_MASK])
+
+
+@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng, monkeypatch, kind, gelu):
+    arrays = _routed_arrays(rng, kind)
+    for name in ("e", "down", "up"):
+        if name in arrays:
+            arrays[name][:] = np.nan  # unreachable when no row is masked
+
+    def no_merge(*args):
+        raise AssertionError("merged weight formed with no masked row")
+
+    monkeypatch.setattr(ag, "lora_weight", no_merge)
+    g, mask = rng.normal(size=(3, 7, 10)), np.zeros((3, 7), dtype=bool)
+    out, grads, ops = _fold_and_grads(lambda t: _routed(t, mask, gelu), arrays, None, g)
+    plain = {k: arrays[k] for k in ("x", "w", "r")}
+    want, want_grads, _ = _fold_and_grads(
+        lambda t: ag.linear(t["x"], t["w"], residual=t["r"], gelu=gelu), plain, None, g
+    )
+    assert ops == ["routed_linear", "mul", "sum_all"]
+    assert out.tobytes() == want.tobytes()
+    for name in plain:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+    for name in arrays.keys() - plain.keys():
+        assert not grads[name].any(), name  # zero, and finite
+
+
+@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):
+    # with up = 0 the merged weight is w itself; an expert never had a delta
+    arrays, g = _routed_arrays(rng, kind, up_scale=0.0), rng.normal(size=(3, 7, 10))
+    fused, fused_grads, fused_ops = _fold_and_grads(lambda t: _routed(t, ROUTE_MASK, gelu), arrays, None, g)
+    unfused, unfused_grads, unfused_ops = _fold_and_grads(
+        lambda t: _unfused_routed(t, ROUTE_MASK, gelu), arrays, None, g
+    )
+    assert fused_ops == ["routed_linear", "mul", "sum_all"] and len(unfused_ops) > len(fused_ops)
+    assert fused.tobytes() == unfused.tobytes()
+    for name in arrays:
+        assert fused_grads[name].tobytes() == unfused_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+def test_routed_adapter_matches_unfused_graph(rng, gelu):
+    arrays, g = _routed_arrays(rng, "adapter"), rng.normal(size=(3, 7, 10))
+    fused, fused_grads, _ = _fold_and_grads(lambda t: _routed(t, ROUTE_MASK, gelu), arrays, None, g)
+    unfused, unfused_grads, _ = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_MASK, gelu), arrays, None, g)
+    assert fused[~ROUTE_MASK].tobytes() == unfused[~ROUTE_MASK].tobytes()
+    np.testing.assert_allclose(fused[ROUTE_MASK], unfused[ROUTE_MASK], rtol=0, atol=1e-12)
+    for name in arrays:
+        np.testing.assert_allclose(fused_grads[name], unfused_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_routed_linear_frozen_base_gets_no_gradient(rng, kind):
+    arrays, g = _routed_arrays(rng, kind), rng.normal(size=(3, 7, 10))
+    _, grads, ops = _fold_and_grads(lambda t: _routed(t, ROUTE_MASK, gelu=True), arrays, "w", g)
+    assert ops == ["routed_linear", "mul", "sum_all"]
+    assert grads["w"] is None
+    assert all(grads[name] is not None for name in arrays if name != "w")
+
+
+def test_routed_linear_records_inputs_in_order(rng):
+    t = {k: Tensor(v, requires_grad=True) for k, v in _routed_arrays(rng, "adapter").items()}
+    with GradTape() as tape:
+        _routed(t, ROUTE_MASK, gelu=True)
+    (node,) = tape.nodes
+    assert node.op == "routed_linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["r"])
+    g = rng.normal(size=(3, 7, 10))
+    assert node.vjp(g)[-1] is g  # the residual takes the incoming gradient unchanged
+
+
+def test_routed_linear_takes_one_routed_weight(rng):
+    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
+    e = Tensor(rng.normal(size=(10, 12)))
+    with pytest.raises(ValueError, match="exactly one"):
+        ag.routed_linear(a["x"], a["w"], e, ROUTE_MASK, adapter=(a["down"], a["up"]))
+    with pytest.raises(ValueError, match="exactly one"):
+        ag.routed_linear(a["x"], a["w"], None, ROUTE_MASK)
+
+
+@pytest.mark.parametrize("mask", [ROUTE_MASK, np.zeros((3, 7), dtype=bool)], ids=["mixed", "all-text"])
+def test_routed_linear_rejects_misshapen_factors_or_residual(rng, mask):
+    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
+    for down_shape, up_shape in [((4, 11), (10, 4)), ((4, 12), (9, 4)), ((4, 12), (10, 3)), ((12,), (10, 4))]:
+        adapter = (Tensor(np.zeros(down_shape)), Tensor(np.zeros(up_shape)))
+        with pytest.raises(ShapeMismatch, match="down"):
+            ag.routed_linear(a["x"], a["w"], None, mask, adapter=adapter)
+    for shape in [(3, 7, 9), (10,), (1, 7, 10)]:
+        with pytest.raises(ShapeMismatch, match="residual"):
+            ag.routed_linear(a["x"], a["w"], None, mask, adapter=(a["down"], a["up"]), residual=np.zeros(shape))
+
+
+# ----------------------------------------------------------------------------
 # rms_norm and the attention vjp compute the bits of their earlier forms
 # ----------------------------------------------------------------------------
 

@@ -87,6 +87,26 @@ def test_unknown_kind_rejected():
         TaskSpec("text-sort", n_samples=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"n_samples": 2.5}, "n_samples"),
+        ({"n_samples": 2.0}, "n_samples"),
+        ({"n_samples": 2, "seq_len": 2.5}, "seq_len"),
+        ({"n_samples": 2, "seq_len": "4"}, "seq_len"),
+        ({"n_samples": 2, "seed": 0.5}, "seed"),
+    ],
+)
+def test_task_spec_rejects_non_integer_counts(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TaskSpec("text-copy", **kwargs)
+
+
+def test_task_spec_keeps_numpy_integer_counts():
+    ds = synth_dataset(TaskSpec("text-copy", np.int64(2), seq_len=np.int32(3), seed=np.uint32(1)))
+    assert len(ds) == 2
+
+
 def test_collate_targets_and_predict_mask():
     ds = synth_dataset(TaskSpec("text-arith", n_samples=3, seed=0))
     batch, targets, predict, grids = collate(ds.samples, pad_to=10)
