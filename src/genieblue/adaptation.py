@@ -58,8 +58,8 @@ def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -
     post -> the last k layers; pre -> the first k; skip -> evenly spaced
     with the final layer always included.
     """
-    if n_layers < 1:
-        raise ValueError(f"need at least one layer, got {n_layers}")
+    if not isinstance(n_layers, numbers.Integral) or n_layers < 1:
+        raise ValueError(f"n_layers must be a positive integer, got {n_layers!r}")
     f = fraction if isinstance(fraction, Fraction) else Fraction(*float(fraction).as_integer_ratio())
     if not (0 < f <= 1):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")

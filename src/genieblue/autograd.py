@@ -14,6 +14,7 @@ topological order because recording order is execution order.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -318,69 +319,72 @@ def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
     return _maybe_record("linear", out, inputs, vjp)
 
 
-def routed_lora(x, down, up, route_mask: np.ndarray) -> Tensor:
-    """Low-rank delta (x @ down.T) @ up.T applied at masked rows only.
+def _check_span(op: str, span, t: int) -> None:
+    """Raise unless ``span`` is an integer image-prefix length in [0, t]."""
+    if not isinstance(span, numbers.Integral) or not 0 <= span <= t:
+        raise ShapeMismatch(f"{op}: span must be an integer in [0, {t}], got {span!r}")
 
-    Unmasked rows of the output are exactly zero without ever touching the
-    adapter factors, so a text position can never observe adapter state.
-    The package itself no longer calls this: routed adapters run inside
-    ``routed_linear``. It stays because ``benchmarks/tracing.py`` wraps it by
-    name, and goes once the tracer no longer does.
+
+def routed_lora(x, down, up, span: int) -> Tensor:
+    """Low-rank delta (x @ down.T) @ up.T applied at the image prefix only.
+
+    Rows ``[:, :span]`` get the delta; every later row of the output is
+    exactly zero without ever touching the adapter factors, so a text
+    position can never observe adapter state. The package itself no longer
+    calls this: routed adapters run inside ``routed_linear``. It stays
+    because ``benchmarks/tracing.py`` wraps it by name, and goes once the
+    tracer no longer does.
     """
     x, down, up = _as_tensor(x), _as_tensor(down), _as_tensor(up)
     if x.ndim != 3 or down.ndim != 2 or up.ndim != 2 or x.shape[-1] != down.shape[-1]:
         raise ShapeMismatch(f"routed_lora: x {x.shape}, down {down.shape}, up {up.shape}")
     if up.shape[-1] != down.shape[0]:
         raise ShapeMismatch(f"routed_lora: rank mismatch, down {down.shape} vs up {up.shape}")
-    mask = np.asarray(route_mask, dtype=bool)
-    if mask.shape != x.shape[:2]:
-        raise ShapeMismatch(f"routed_lora: mask {mask.shape} vs x {x.shape}")
-    y = np.zeros(x.shape[:2] + (up.shape[0],))
-    if mask.any():
-        y[mask] = (x.data[mask] @ down.data.T) @ up.data.T
-    out = Tensor(y)
+    _check_span("routed_lora", span, x.shape[1])
+    bsz, k = x.shape[0], x.shape[-1]
     xd, dd, ud = x.data, down.data, up.data
+    y = np.zeros(x.shape[:2] + (up.shape[0],))
+    if span:
+        y[:, :span] = ((xd[:, :span].reshape(-1, k) @ dd.T) @ ud.T).reshape(bsz, span, -1)
+    out = Tensor(y)
 
-    def vjp(g):
-        gx = gdown = gup = None
-        sel = mask
-        any_sel = sel.any()
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            if any_sel:
-                gx[sel] = (g[sel] @ ud) @ dd
-        if down.requires_grad:
-            gdown = (g[sel] @ ud).T @ xd[sel] if any_sel else np.zeros_like(dd)
-        if up.requires_grad:
-            gup = g[sel].T @ (xd[sel] @ dd.T) if any_sel else np.zeros_like(ud)
-        return gx, gdown, gup
+    def vjp(g):  # at span 0 the products are empty, so the factor gradients are zero
+        gs, xs = g[:, :span].reshape(-1, g.shape[-1]), xd[:, :span].reshape(-1, k)
+        gx = np.zeros_like(xd) if x.requires_grad else None
+        if gx is not None:
+            gx[:, :span] = ((gs @ ud) @ dd).reshape(bsz, span, k)
+        return (
+            gx,
+            (gs @ ud).T @ xs if down.requires_grad else None,
+            gs.T @ (xs @ dd.T) if up.requires_grad else None,
+        )
 
     return _maybe_record("routed_lora", out, (x, down, up), vjp)
 
 
-def routed_linear(
-    x, w_base, w_expert, route_mask: np.ndarray, *, adapter=None, residual=None, gelu=False
-) -> Tensor:
-    """Per-position ``gelu?(x @ W.T) + residual``: masked rows take a routed weight.
+def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, gelu=False) -> Tensor:
+    """Per-position ``gelu?(x @ W.T) + residual``: the image prefix takes a routed weight.
 
-    ``x`` is (B, T, k); ``route_mask`` is a constant (B, T) bool array. The
-    routed weight ``W_m`` is either the expert ``w_expert``, shaped like
-    ``w_base``, or the merged weight ``lora_weight(w_base, down, up)`` of a
-    LoRA ``adapter=(down, up)``; exactly one of the two is given. The base
-    product runs over every row, then masked rows are overwritten with ``x
-    @ W_m.T``, and GELU and the residual run in that buffer as in
-    ``linear``. So unmasked rows have the bits of ``linear(x, w_base,
-    residual=, gelu=)``, and ``W_m`` is formed only when a row is masked: a
-    text-only batch never reads the expert or the factors.
+    ``x`` is (B, T, k) and ``span`` an integer in [0, T]: rows ``[:, :span]``
+    are image positions. The routed weight ``W_m`` is either the expert
+    ``w_expert``, shaped like ``w_base``, or the merged weight
+    ``lora_weight(w_base, down, up)`` of a LoRA ``adapter=(down, up)``;
+    exactly one of the two is given. The base product runs over every row,
+    then the prefix rows are overwritten with ``x @ W_m.T``, and GELU and the
+    residual run in that buffer as in ``linear``. So rows from ``span`` on
+    have the bits of ``linear(x, w_base, residual=, gelu=)``, and ``W_m`` is
+    formed only when ``span > 0``: a text-only batch never reads the expert
+    or the factors.
 
-    The backward stays factored. ``gx`` is ``gp @ w_base`` with masked rows
-    replaced by ``gp[mask] @ W_m``, where ``gp`` is the gradient behind the
-    GELU. ``w_base`` gets a gradient only when it is trainable itself, from
-    every row under an adapter and from unmasked rows beside an expert. The
-    expert gets ``gp[mask].T @ x[mask]``, the factors ``(gp[mask] @ up).T @
-    x[mask]`` and ``gp[mask].T @ (x[mask] @ down.T)``, and the residual the
-    incoming gradient itself. The node is recorded as ``routed_linear`` over
-    ``(x, w_base, w_expert | down, up[, residual])``.
+    The backward stays factored. With ``gs`` and ``xs`` the prefix rows of
+    ``gp`` (the gradient behind the GELU) and of ``x`` as 2-D arrays, ``gx``
+    is ``gp @ w_base`` with the prefix replaced by ``gs @ W_m``. ``w_base``
+    gets a gradient only when it is trainable itself, from every row under
+    an adapter and from the rows after the prefix beside an expert. The
+    expert gets ``gs.T @ xs``, the factors ``(gs @ up).T @ xs`` and ``gs.T @
+    (xs @ down.T)``, and the residual the incoming gradient itself. The node
+    is recorded as ``routed_linear`` over ``(x, w_base, w_expert | down,
+    up[, residual])``.
     """
     if (w_expert is None) == (adapter is None):
         raise ValueError("routed_linear: give exactly one of w_expert and adapter")
@@ -396,18 +400,16 @@ def routed_linear(
         down, up = _as_tensor(adapter[0]), _as_tensor(adapter[1])
         _check_lora(wb, down, up)
         routed = (down, up)
-    mask = np.asarray(route_mask, dtype=bool)
-    if mask.shape != x.shape[:2]:
-        raise ShapeMismatch(f"routed_linear: mask {mask.shape} vs x {x.shape}")
+    _check_span("routed_linear", span, x.shape[1])
     residual = _residual_of("routed_linear", residual, x.shape[:2] + (wb.shape[0],))
     inputs = (x, wb) + routed + (() if residual is None else (residual,))
     xd, wbd = x.data, wb.data
-    any_sel = bool(mask.any())
+    bsz, (n, k) = x.shape[0], wbd.shape
     wm = None
     y = xd @ wbd.T
-    if any_sel:
+    if span:
         wm = we.data if adapter is None else lora_weight(wbd, down.data, up.data)
-        y[mask] = xd[mask] @ wm.T
+        y[:, :span] = (xd[:, :span].reshape(-1, k) @ wm.T).reshape(bsz, span, n)
     dgelu = _epilogue(y, residual, gelu, _will_record(inputs))
     out = Tensor(y)
 
@@ -417,27 +419,23 @@ def routed_linear(
         if x.requires_grad:
             gx = gp @ wbd
         if wb.requires_grad:
-            if adapter is None:  # beside an expert, w_base serves unmasked rows only
-                inv = ~mask
-                gwb = gp[inv].T @ xd[inv]
+            if adapter is None:  # beside an expert, w_base serves the rows after the prefix only
+                gwb = gp[:, span:].reshape(-1, n).T @ xd[:, span:].reshape(-1, k)
             else:  # the merged weight holds w_base, so every row reaches it
-                n, k = wbd.shape
                 gwb = gp.reshape(-1, n).T @ xd.reshape(-1, k)
-        if not any_sel:
-            gr = tuple(np.zeros_like(t.data) if t.requires_grad else None for t in routed)
+        # at span 0 the prefix products are empty, so the routed gradients are zero
+        gs = gp[:, :span].reshape(-1, n)
+        xs = xd[:, :span].reshape(-1, k) if any(t.requires_grad for t in routed) else None
+        if gx is not None and span:
+            gx[:, :span] = (gs @ wm).reshape(bsz, span, k)
+        if adapter is None:
+            gr = (gs.T @ xs if we.requires_grad else None,)
         else:
-            gs = gp[mask]
-            if gx is not None:
-                gx[mask] = gs @ wm
-            xs = xd[mask] if any(t.requires_grad for t in routed) else None
-            if adapter is None:
-                gr = (gs.T @ xs if we.requires_grad else None,)
-            else:
-                dd, ud = down.data, up.data
-                gr = (
-                    (gs @ ud).T @ xs if down.requires_grad else None,
-                    gs.T @ (xs @ dd.T) if up.requires_grad else None,
-                )
+            dd, ud = down.data, up.data
+            gr = (
+                (gs @ ud).T @ xs if down.requires_grad else None,
+                gs.T @ (xs @ dd.T) if up.requires_grad else None,
+            )
         grads = (gx, gwb) + gr
         if residual is not None:
             grads += (g if residual.requires_grad else None,)

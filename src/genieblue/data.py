@@ -69,7 +69,7 @@ class TaskSpec:
 @dataclass
 class Sample:
     tokens: np.ndarray  # full sequence including specials and the answer
-    image_mask: np.ndarray  # True at image positions (contiguous prefix)
+    image_mask: np.ndarray  # True at image positions, which must be a prefix
     grid: np.ndarray | None = None  # (side, side) symbol ids for grid tasks
 
 
@@ -172,6 +172,13 @@ def synth_dataset(
     grid_alphabet: int = 16,
 ) -> Dataset:
     """Generate a dataset; rejects specs whose sequences exceed max_seq."""
+    for name, value in (("max_seq", max_seq), ("grid_side", grid_side), ("grid_alphabet", grid_alphabet)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if grid_alphabet > COUNT_BASE - GRID_TOKEN_BASE:  # symbol ids would run into the count tokens
+        raise ValueError(f"grid_alphabet must be at most {COUNT_BASE - GRID_TOKEN_BASE}, got {grid_alphabet}")
+    if COUNT_BASE + grid_side * grid_side >= 256:  # a count of every cell would leave the token space
+        raise ValueError(f"grid_side {grid_side} has counts past the 256-id token space")
     rng = np.random.default_rng(spec.seed)
     cells = grid_side * grid_side
     samples: list[Sample] = []
@@ -184,6 +191,8 @@ def synth_dataset(
         return Dataset(samples)
 
     if spec.kind == "grid-caption":
+        if grid_alphabet < 2:
+            raise ValueError(f"grid-caption needs a grid_alphabet of at least 2 for adjacent runs, got {grid_alphabet}")
         max_runs = min(spec.seq_len, (max_seq - cells - 2) // 2, cells)
         if max_runs < 2:
             raise ValueError(f"grid-caption needs room for 2 runs within max_seq {max_seq}")
@@ -202,21 +211,31 @@ def collate(
 ) -> tuple[TokenBatch, np.ndarray, np.ndarray, np.ndarray | None]:
     """Stack samples into (batch, next-token targets, predict mask, grids).
 
+    Each sample's ``image_mask`` must be a prefix, and every sample must
+    have the same span, which becomes the batch's ``image_span``.
     ``predict_mask[b, t]`` is True when position t predicts an answer token
     (everything after the final separator, including the end marker).
     """
     n = len(samples)
     if n == 0:
         raise ValueError("cannot collate an empty list of samples")
+    if pad_to is not None and (not isinstance(pad_to, numbers.Integral) or pad_to < 1):
+        raise ValueError(f"pad_to must be a positive integer, got {pad_to!r}")
+    spans = []
     for b, s in enumerate(samples):
         if np.ndim(s.tokens) != 1 or np.shape(s.image_mask) != np.shape(s.tokens):
             raise ValueError(
                 f"sample {b}: tokens {np.shape(s.tokens)} and image_mask {np.shape(s.image_mask)} "
                 "must be 1-D and of one length"
             )
+        span = int(np.count_nonzero(s.image_mask))
+        if not np.all(s.image_mask[:span]):
+            raise ValueError(f"sample {b}: image positions are not a contiguous prefix")
+        spans.append(span)
+    if len(set(spans)) > 1:
+        raise ValueError(f"samples have image spans {sorted(set(spans))}; a batch needs one span")
     width = pad_to or max(len(s.tokens) for s in samples)
     ids = np.full((n, width), PAD, dtype=np.int64)
-    image_mask = np.zeros((n, width), dtype=bool)
     targets = np.zeros((n, width), dtype=np.int64)
     predict = np.zeros((n, width), dtype=bool)
     for b, s in enumerate(samples):
@@ -224,12 +243,10 @@ def collate(
         if ln > width:
             raise ValueError(f"sample length {ln} exceeds pad width {width}")
         ids[b, :ln] = s.tokens
-        image_mask[b, :ln] = s.image_mask
         start = answer_start(s.tokens)
         targets[b, : ln - 1] = s.tokens[1:]
         predict[b, start - 1 : ln - 1] = True
     grids = None
     if all(s.grid is not None for s in samples):
         grids = np.stack([s.grid for s in samples])
-    return TokenBatch(ids, image_mask), targets, predict, grids
-
+    return TokenBatch(ids, spans[0]), targets, predict, grids

@@ -12,16 +12,18 @@ copies. Unrouted adapter factors apply as a merged weight inside ``linear``,
 one product per matrix, which also folds in the FFN GELU and the residual
 adds, so the tape keeps no product that only an add or a GELU reads. Routed
 experts and adapters do the same inside ``routed_linear``: the base product
-over every position, image positions overwritten with the expert or merged
-weight's product, then the same GELU and residual epilogue, one node per
-matrix.
+over every position, the image prefix ``[:, :span]`` overwritten with the
+expert or merged weight's product, then the same GELU and residual
+epilogue, one node per matrix. A batch's image positions are one integer
+span shared by every row, from ``collate`` down to the kernels.
 ``MultimodalBase`` binds the LM's own blocks; each adapted model of the
 adaptation module is the same stack with its own bindings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,6 +66,10 @@ class ModelConfig:
     n_vision_heads: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.d_ffn == 0:
             object.__setattr__(self, "d_ffn", 4 * self.d_model)
         dims = (
@@ -94,16 +100,16 @@ class ModelConfig:
 
 @dataclass
 class TokenBatch:
-    """Token ids (B, T) with a per-position modality flag.
+    """Token ids (B, T) whose first ``image_span`` positions are image positions.
 
-    ``image_mask`` is True at image positions, which must form one contiguous
-    prefix per row. Padding sits at the end of a row, where causal attention
-    keeps it from reaching real positions and the loss's predict mask keeps
-    it out of the loss.
+    Every row has the same image prefix ``[:, :image_span]``; an all-text
+    batch has span 0. Padding sits at the end of a row, where causal
+    attention keeps it from reaching real positions and the loss's predict
+    mask keeps it out of the loss.
     """
 
     ids: np.ndarray
-    image_mask: np.ndarray
+    image_span: int = 0
 
     def __post_init__(self):
         ids = np.asarray(self.ids)
@@ -113,22 +119,12 @@ class TokenBatch:
         if ids.size and (ids.min() < 0 or ids.max() > np.iinfo(np.int64).max):
             raise ValueError(f"token ids must lie in [0, 2**63), got range [{ids.min()}, {ids.max()}]")
         self.ids = ids.astype(np.int64, copy=False)
-        self.image_mask = np.asarray(self.image_mask, dtype=bool)
-        if self.ids.ndim != 2 or self.ids.shape != self.image_mask.shape:
-            raise ValueError(f"ids {self.ids.shape} vs image_mask {self.image_mask.shape}")
-        spans = self.image_mask.sum(axis=1)
-        for row, span in enumerate(spans):
-            if span and not self.image_mask[row, :span].all():
-                raise ValueError(f"row {row}: image positions are not a contiguous prefix")
-
-    @property
-    def image_span(self) -> int:
-        """Common prefix span; rows must agree (0 for all-text batches)."""
-        spans = self.image_mask.sum(axis=1)
-        span = int(spans.max(initial=0))
-        if span and not (spans == span).all():
-            raise ValueError("rows have differing image spans; batches must be span-uniform")
-        return span
+        if self.ids.ndim != 2:
+            raise ValueError(f"token ids must be (B, T), got shape {self.ids.shape}")
+        span, t = self.image_span, self.ids.shape[1]
+        if not isinstance(span, numbers.Integral) or not 0 <= span <= t:
+            raise ValueError(f"image_span must be an integer in [0, {t}], got {span!r}")
+        self.image_span = int(span)
 
 
 @dataclass
@@ -136,11 +132,11 @@ class BlockBinding:
     """Resolved weights for one transformer layer.
 
     ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
-    matrix name to a full replacement weight applied at masked positions.
+    matrix name to a full replacement weight applied at image positions.
     Unrouted adapters apply as the merged weight ``w + up @ down`` inside
     ``linear``, which for ``attn.wo``/``ffn.w2`` also adds the residual and
     for ``ffn.w1`` applies the GELU. ``route_adapters`` confines the merged
-    weight to masked (image) positions, which is how the visual-expert
+    weight to the image prefix, which is how the visual-expert
     baseline keeps text tokens on the exact base computation; experts are
     always routed. Routed matrices run through ``routed_linear`` with the
     same GELU and residual fold. A routed matrix takes an expert or an
@@ -157,7 +153,7 @@ def _project(
     x: Tensor,
     binding: BlockBinding,
     mat: str,
-    route_mask: np.ndarray | None,
+    span: int,
     residual: Tensor | None = None,
     gelu: bool = False,
 ) -> Tensor:
@@ -165,37 +161,33 @@ def _project(
 
     An unrouted matrix is one ``linear`` node, over the merged weight when it
     has an adapter. A routed one (an expert, or an adapter with
-    ``route_adapters``) is one ``routed_linear`` node that serves masked rows
-    with the expert or merged weight and every other row with the base
-    weight. Either node folds in the GELU and the residual add.
+    ``route_adapters``) is one ``routed_linear`` node that serves the image
+    prefix ``[:, :span]`` with the expert or merged weight and every other
+    row with the base weight. Either node folds in the GELU and the residual
+    add.
     """
     w = binding.weights[mat]
     expert = binding.experts.get(mat)
     adapter = binding.adapters.get(mat)
     if expert is None and (adapter is None or not binding.route_adapters):
         return ag.linear(x, w, adapter, residual=residual, gelu=gelu)
-    if route_mask is None:
-        raise ValueError(f"routed binding of {mat} requires a modality mask")
-    return ag.routed_linear(x, w, expert, route_mask, adapter=adapter, residual=residual, gelu=gelu)
+    return ag.routed_linear(x, w, expert, span, adapter=adapter, residual=residual, gelu=gelu)
 
 
-def block_forward(
-    x: Tensor,
-    binding: BlockBinding,
-    n_heads: int,
-    causal: bool = True,
-    route_mask: np.ndarray | None = None,
-) -> Tensor:
-    """Pre-norm block: attention then FFN, each with a residual."""
+def block_forward(x: Tensor, binding: BlockBinding, n_heads: int, causal: bool = True, span: int = 0) -> Tensor:
+    """Pre-norm block: attention then FFN, each with a residual.
+
+    ``span`` is the image prefix length that routed matrices serve.
+    """
     h = ag.rms_norm(x, binding.weights["norm1.g"])
-    q = _project(h, binding, "attn.wq", route_mask)
-    k = _project(h, binding, "attn.wk", route_mask)
-    v = _project(h, binding, "attn.wv", route_mask)
+    q = _project(h, binding, "attn.wq", span)
+    k = _project(h, binding, "attn.wk", span)
+    v = _project(h, binding, "attn.wv", span)
     a = ag.attention(q, k, v, n_heads, causal=causal)
-    x = _project(a, binding, "attn.wo", route_mask, residual=x)
+    x = _project(a, binding, "attn.wo", span, residual=x)
     h = ag.rms_norm(x, binding.weights["norm2.g"])
-    f = _project(h, binding, "ffn.w1", route_mask, gelu=True)
-    return _project(f, binding, "ffn.w2", route_mask, residual=x)
+    f = _project(h, binding, "ffn.w1", span, gelu=True)
+    return _project(f, binding, "ffn.w2", span, residual=x)
 
 
 def block_param_shapes(d: int, d_ffn: int) -> dict[str, tuple[int, ...]]:
@@ -221,6 +213,12 @@ def init_block(rng: np.random.Generator, d: int, d_ffn: int) -> dict[str, Tensor
     return params
 
 
+def _block_weights(params: dict[str, Tensor], i: int) -> dict[str, Tensor]:
+    """Block ``i``'s tensors of a flat parameter store, named without the ``blocks.{i}.`` prefix."""
+    prefix = f"blocks.{i}."
+    return {k[len(prefix) :]: v for k, v in params.items() if k.startswith(prefix)}
+
+
 class LanguageModel:
     """Decoder-only LM over a flat name -> Tensor parameter store."""
 
@@ -243,8 +241,7 @@ class LanguageModel:
         return cls(config, params)
 
     def block_weights(self, i: int) -> dict[str, Tensor]:
-        prefix = f"blocks.{i}."
-        return {k[len(prefix) :]: v for k, v in self.params.items() if k.startswith(prefix)}
+        return _block_weights(self.params, i)
 
     def base_bindings(self) -> list[BlockBinding]:
         return [BlockBinding(self.block_weights(i)) for i in range(self.config.n_layers)]
@@ -291,7 +288,7 @@ def decode(
     # position table is frozen base state, so slicing the raw array is safe
     x = ag.add(x, lm_params["embed.pos"].data[:t])
     for binding in bindings:
-        x = block_forward(x, binding, c.n_heads, causal=True, route_mask=batch.image_mask)
+        x = block_forward(x, binding, c.n_heads, causal=True, span=span)
     x = ag.rms_norm(x, lm_params["final_norm.g"])
     return ag.linear(x, lm_params["head.w"])
 
@@ -334,9 +331,7 @@ class VisionEncoder:
         x = ag.embed(self.params["sym_embed"], flat)
         x = ag.add(x, self.params["pos_embed"])
         for i in range(c.n_vision_layers):
-            prefix = f"blocks.{i}."
-            weights = {k[len(prefix) :]: v for k, v in self.params.items() if k.startswith(prefix)}
-            x = block_forward(x, BlockBinding(weights), c.n_vision_heads, causal=False)
+            x = block_forward(x, BlockBinding(_block_weights(self.params, i)), c.n_vision_heads, causal=False)
         return ag.rms_norm(x, self.params["final_norm.g"])
 
 

@@ -9,6 +9,8 @@ that divides by the factor, and one AdamW step per accumulation window.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -58,6 +60,14 @@ class StageConfig:
     vit_lr_decay: float = 0.9
 
     def __post_init__(self):
+        for name in ("stage", "total_steps", "batch_size", "grad_accum"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("peak_lr", "warmup_frac", "weight_decay", "vit_lr_decay"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.stage not in (1, 2):
             raise ValueError(f"stage must be 1 or 2, got {self.stage}")
         if self.total_steps == 0:

@@ -22,15 +22,13 @@ def _mixed_batch(rng, config, bsz=2, t=None):
     t = t or config.max_seq
     span = config.grid_cells
     ids = rng.integers(0, config.vocab_size, size=(bsz, t))
-    mask = np.zeros((bsz, t), dtype=bool)
-    mask[:, :span] = True
     grids = rng.integers(0, config.grid_alphabet, size=(bsz, config.grid_side, config.grid_side))
-    return TokenBatch(ids, mask), grids
+    return TokenBatch(ids, span), grids
 
 
 def _text_batch(rng, config, bsz=2, t=8):
     ids = rng.integers(0, config.vocab_size, size=(bsz, t))
-    return TokenBatch(ids, np.zeros((bsz, t), dtype=bool))
+    return TokenBatch(ids)
 
 
 # ----------------------------------------------------------------------------
@@ -71,6 +69,12 @@ def test_placement_rejects_bad_fraction():
         plan_placement(8, 0.0)
     with pytest.raises(ValueError):
         plan_placement(8, 1.5)
+
+
+@pytest.mark.parametrize("n_layers", [8.5, 8.0, "8", 0], ids=["fractional", "whole-float", "str", "zero"])
+def test_placement_rejects_bad_layer_count(n_layers):
+    with pytest.raises(ValueError, match="n_layers must be a positive integer"):
+        plan_placement(n_layers)
 
 
 def test_placement_full_fraction_replicates_everything(tiny_base):
@@ -197,8 +201,7 @@ def test_cogvlm_all_image_at_init_equals_base(tiny_base, rng):
     expert = build_cogvlm(tiny_base, sched, rank=4)
     span = cfg.grid_cells
     ids = np.full((2, span), 0, dtype=np.int64)
-    mask = np.ones((2, span), dtype=bool)
-    batch = TokenBatch(ids, mask)
+    batch = TokenBatch(ids, span)
     grids = rng.integers(0, cfg.grid_alphabet, size=(2, cfg.grid_side, cfg.grid_side))
     assert (
         expert.forward(batch, grids).data.tobytes()
@@ -224,7 +227,7 @@ def test_cogvlm_mixed_routing_matches_dense_reference(tiny_base, rng):
         {k: v.data for k, v in expert.lm.params.items()},
         layers_from_bindings(expert.bindings()),
         batch.ids,
-        batch.image_mask,
+        np.broadcast_to(np.arange(batch.ids.shape[1]) < batch.image_span, batch.ids.shape),
         injected.data,
         cfg.n_heads,
     )
@@ -270,12 +273,10 @@ def test_routed_binding_rejects_expert_and_adapter_on_one_matrix(tiny_base, rng)
     wq = weights["attn.wq"]
     nan_adapter = (Tensor(np.full((4, cfg.d_model), np.nan)), Tensor(np.full((cfg.d_model, 4), np.nan)))
     x = Tensor(rng.normal(size=(2, cfg.max_seq, cfg.d_model)))
-    mask = np.zeros((2, cfg.max_seq), dtype=bool)
-    mask[:, : cfg.grid_cells] = True
     for routed in (False, True):
         binding = BlockBinding(weights, {"attn.wq": nan_adapter}, {"attn.wq": Tensor(wq.data.copy())}, routed)
         with pytest.raises(ValueError, match="exactly one"):
-            block_forward(x, binding, cfg.n_heads, route_mask=mask)
+            block_forward(x, binding, cfg.n_heads, span=cfg.grid_cells)
 
 
 # ----------------------------------------------------------------------------
@@ -406,12 +407,10 @@ def _stage2_block_tapes(model, rng):
     for t in freeze_mask(model, 2).values():
         t.requires_grad = True
     x = Tensor(rng.normal(size=(2, cfg.max_seq, cfg.d_model)), requires_grad=True)
-    mask = np.zeros((2, cfg.max_seq), dtype=bool)
-    mask[:, : cfg.grid_cells] = True
     tapes = []
     for binding in model.bindings():
         with GradTape() as tape:
-            block_forward(x, binding, cfg.n_heads, route_mask=mask)
+            block_forward(x, binding, cfg.n_heads, span=cfg.grid_cells)
         tapes.append(tape)
     return tapes
 

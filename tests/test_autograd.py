@@ -241,10 +241,9 @@ def test_grad_attention(probe, causal):
 
 
 def test_grad_routed_linear(probe):
-    mask = np.array([[True, True, False, False], [True, False, False, False]])
     c = probe((2, 4, 6))
     _check_grads(
-        lambda t: ag.sum_all(ag.mul(ag.routed_linear(t["x"], t["wb"], t["we"], mask), c)),
+        lambda t: ag.sum_all(ag.mul(ag.routed_linear(t["x"], t["wb"], t["we"], 2), c)),
         {"x": probe((2, 4, 5)), "wb": probe((6, 5)), "we": probe((6, 5))},
     )
 
@@ -473,18 +472,11 @@ def test_masked_nll_rejects_bad_targets():
         ag.masked_nll(Tensor(1.0), np.array(0), np.array(1.0))  # no vocabulary axis
 
 
-def test_routed_linear_takes_a_list_mask(rng):
-    x, wb, we = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-    mask = [[True, False, False], [True, True, False]]
-    got = ag.routed_linear(x, wb, we, mask).data
-    assert got.tobytes() == ag.routed_linear(x, wb, we, np.array(mask)).data.tobytes()
-
-
 # ----------------------------------------------------------------------------
 # routed_linear with a folded adapter, GELU and residual: one node per matrix
 # ----------------------------------------------------------------------------
 
-ROUTE_MASK = np.array([[True, True, True, False, False, False, False]] * 2 + [[False] * 7])
+ROUTE_SPAN = 3  # image prefix of the (3, 7, k) inputs below
 
 
 def _routed_arrays(rng, kind, up_scale=1.0):
@@ -497,18 +489,18 @@ def _routed_arrays(rng, kind, up_scale=1.0):
     return arrays
 
 
-def _routed(t, mask, gelu, residual=True):
+def _routed(t, span, gelu, residual=True):
     return ag.routed_linear(
-        t["x"], t["w"], t.get("e"), mask, adapter=_adapter_of(t), residual=t["r"] if residual else None, gelu=gelu
+        t["x"], t["w"], t.get("e"), span, adapter=_adapter_of(t), residual=t["r"] if residual else None, gelu=gelu
     )
 
 
-def _unfused_routed(t, mask, gelu):
+def _unfused_routed(t, span, gelu):
     """The graph the routed path recorded before the fold: one node per step."""
     if "e" in t:
-        y = ag.routed_linear(t["x"], t["w"], t["e"], mask)
+        y = ag.routed_linear(t["x"], t["w"], t["e"], span)
     else:
-        y = ag.add(ag.linear(t["x"], t["w"]), ag.routed_lora(t["x"], t["down"], t["up"], mask))
+        y = ag.add(ag.linear(t["x"], t["w"]), ag.routed_lora(t["x"], t["down"], t["up"], span))
     if gelu:
         y = ag.gelu(y)
     return ag.add(t["r"], y)
@@ -517,24 +509,80 @@ def _unfused_routed(t, mask, gelu):
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_grad_routed_linear_fold(probe, kind, gelu):
-    mask = np.array([[True, True, False, False], [True, False, False, False]])
     arrays = {"x": probe((2, 4, 5)), "w": probe((6, 5)), "r": probe((2, 4, 6))}
     if kind == "expert":
         arrays["e"] = probe((6, 5))
     else:
         arrays.update(down=probe((2, 5)), up=probe((6, 2)))
     c = probe((2, 4, 6))
-    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, mask, gelu), c)), arrays)
+    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, 2, gelu), c)), arrays)
+
+
+@pytest.mark.parametrize("span", [0, 4], ids=["no-row", "every-row"])
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_grad_routed_linear_at_span_edges(probe, kind, span):
+    arrays = {"x": probe((2, 4, 5)), "w": probe((6, 5)), "r": probe((2, 4, 6))}
+    if kind == "expert":
+        arrays["e"] = probe((6, 5))
+    else:
+        arrays.update(down=probe((2, 5)), up=probe((6, 2)))
+    c = probe((2, 4, 6))
+    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, span, gelu=True), c)), arrays)
+
+
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_routed_linear_routes_every_row_at_full_span(rng, kind):
+    arrays, g = _routed_arrays(rng, kind), rng.normal(size=(3, 7, 10))
+    out, grads, _ = _fold_and_grads(lambda t: _routed(t, 7, gelu=True), arrays, None, g)
+    t = {k: Tensor(v) for k, v in arrays.items()}
+    wm = t["e"] if kind == "expert" else ag.lora_weight(t["w"].data, t["down"].data, t["up"].data)
+    np.testing.assert_allclose(out, ag.linear(t["x"], wm, residual=t["r"], gelu=True).data, rtol=0, atol=1e-12)
+    if kind == "expert":  # beside an expert, w_base serves no row
+        assert grads["w"].shape == arrays["w"].shape and not grads["w"].any()
+    else:  # the merged weight holds w_base, so every row reaches it
+        assert grads["w"].any()
+
+
+@pytest.mark.parametrize(
+    "span", [1.5, np.float64(2.0), "2", None, np.arange(7) < 3, -1, 8],
+    ids=["fractional", "whole-float", "str", "none", "mask", "negative", "past-end"],
+)
+def test_routed_kernels_reject_bad_span(rng, span):
+    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
+    e = Tensor(rng.normal(size=(10, 12)))
+    with pytest.raises(ShapeMismatch, match=r"routed_linear: span must be an integer in \[0, 7\]"):
+        ag.routed_linear(a["x"], a["w"], e, span)
+    with pytest.raises(ShapeMismatch, match=r"routed_linear: span must be an integer in \[0, 7\]"):
+        ag.routed_linear(a["x"], a["w"], None, span, adapter=(a["down"], a["up"]))
+    with pytest.raises(ShapeMismatch, match=r"routed_lora: span must be an integer in \[0, 7\]"):
+        ag.routed_lora(a["x"], a["down"], a["up"], span)
+
+
+@pytest.mark.parametrize("span", [0, ROUTE_SPAN, 7], ids=["no-row", "prefix", "every-row"])
+def test_routed_lora_touches_only_the_prefix(rng, span):
+    a = {k: Tensor(v, requires_grad=True) for k, v in _routed_arrays(rng, "adapter").items()}
+    g = rng.normal(size=(3, 7, 10))
+    with GradTape() as tape:
+        out = ag.routed_lora(a["x"], a["down"], a["up"], span)
+    gx, gdown, gup = tape.nodes[-1].vjp(g)
+    xd, dd, ud = a["x"].data, a["down"].data, a["up"].data
+    assert not out.data[:, span:].any() and not gx[:, span:].any()
+    np.testing.assert_allclose(out.data[:, :span], (xd[:, :span] @ dd.T) @ ud.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gx[:, :span], (g[:, :span] @ ud) @ dd, rtol=0, atol=1e-12)
+    gs, xs = g[:, :span].reshape(-1, 10), xd[:, :span].reshape(-1, 12)
+    np.testing.assert_allclose(gdown, (gs @ ud).T @ xs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gup, gs.T @ (xs @ dd.T), rtol=0, atol=1e-12)
+    assert gdown.shape == dd.shape and gup.shape == ud.shape
 
 
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_unmasked_rows_equal_linear(rng, kind, gelu):
     t = {k: Tensor(v) for k, v in _routed_arrays(rng, kind).items()}
-    got = _routed(t, ROUTE_MASK, gelu).data
+    got = _routed(t, ROUTE_SPAN, gelu).data
     want = ag.linear(t["x"], t["w"], residual=t["r"], gelu=gelu).data
-    assert got[~ROUTE_MASK].tobytes() == want[~ROUTE_MASK].tobytes()
-    assert not np.array_equal(got[ROUTE_MASK], want[ROUTE_MASK])
+    assert got[:, ROUTE_SPAN:].tobytes() == want[:, ROUTE_SPAN:].tobytes()
+    assert not np.array_equal(got[:, :ROUTE_SPAN], want[:, :ROUTE_SPAN])
 
 
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
@@ -543,14 +591,14 @@ def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng,
     arrays = _routed_arrays(rng, kind)
     for name in ("e", "down", "up"):
         if name in arrays:
-            arrays[name][:] = np.nan  # unreachable when no row is masked
+            arrays[name][:] = np.nan  # unreachable at span 0
 
     def no_merge(*args):
-        raise AssertionError("merged weight formed with no masked row")
+        raise AssertionError("merged weight formed at span 0")
 
     monkeypatch.setattr(ag, "lora_weight", no_merge)
-    g, mask = rng.normal(size=(3, 7, 10)), np.zeros((3, 7), dtype=bool)
-    out, grads, ops = _fold_and_grads(lambda t: _routed(t, mask, gelu), arrays, None, g)
+    g = rng.normal(size=(3, 7, 10))
+    out, grads, ops = _fold_and_grads(lambda t: _routed(t, 0, gelu), arrays, None, g)
     plain = {k: arrays[k] for k in ("x", "w", "r")}
     want, want_grads, _ = _fold_and_grads(
         lambda t: ag.linear(t["x"], t["w"], residual=t["r"], gelu=gelu), plain, None, g
@@ -568,9 +616,9 @@ def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng,
 def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):
     # with up = 0 the merged weight is w itself; an expert never had a delta
     arrays, g = _routed_arrays(rng, kind, up_scale=0.0), rng.normal(size=(3, 7, 10))
-    fused, fused_grads, fused_ops = _fold_and_grads(lambda t: _routed(t, ROUTE_MASK, gelu), arrays, None, g)
+    fused, fused_grads, fused_ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN, gelu), arrays, None, g)
     unfused, unfused_grads, unfused_ops = _fold_and_grads(
-        lambda t: _unfused_routed(t, ROUTE_MASK, gelu), arrays, None, g
+        lambda t: _unfused_routed(t, ROUTE_SPAN, gelu), arrays, None, g
     )
     assert fused_ops == ["routed_linear", "mul", "sum_all"] and len(unfused_ops) > len(fused_ops)
     assert fused.tobytes() == unfused.tobytes()
@@ -581,10 +629,10 @@ def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
 def test_routed_adapter_matches_unfused_graph(rng, gelu):
     arrays, g = _routed_arrays(rng, "adapter"), rng.normal(size=(3, 7, 10))
-    fused, fused_grads, _ = _fold_and_grads(lambda t: _routed(t, ROUTE_MASK, gelu), arrays, None, g)
-    unfused, unfused_grads, _ = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_MASK, gelu), arrays, None, g)
-    assert fused[~ROUTE_MASK].tobytes() == unfused[~ROUTE_MASK].tobytes()
-    np.testing.assert_allclose(fused[ROUTE_MASK], unfused[ROUTE_MASK], rtol=0, atol=1e-12)
+    fused, fused_grads, _ = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN, gelu), arrays, None, g)
+    unfused, unfused_grads, _ = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_SPAN, gelu), arrays, None, g)
+    assert fused[:, ROUTE_SPAN:].tobytes() == unfused[:, ROUTE_SPAN:].tobytes()
+    np.testing.assert_allclose(fused[:, :ROUTE_SPAN], unfused[:, :ROUTE_SPAN], rtol=0, atol=1e-12)
     for name in arrays:
         np.testing.assert_allclose(fused_grads[name], unfused_grads[name], rtol=0, atol=1e-12, err_msg=name)
 
@@ -592,7 +640,7 @@ def test_routed_adapter_matches_unfused_graph(rng, gelu):
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_frozen_base_gets_no_gradient(rng, kind):
     arrays, g = _routed_arrays(rng, kind), rng.normal(size=(3, 7, 10))
-    _, grads, ops = _fold_and_grads(lambda t: _routed(t, ROUTE_MASK, gelu=True), arrays, "w", g)
+    _, grads, ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN, gelu=True), arrays, "w", g)
     assert ops == ["routed_linear", "mul", "sum_all"]
     assert grads["w"] is None
     assert all(grads[name] is not None for name in arrays if name != "w")
@@ -601,7 +649,7 @@ def test_routed_linear_frozen_base_gets_no_gradient(rng, kind):
 def test_routed_linear_records_inputs_in_order(rng):
     t = {k: Tensor(v, requires_grad=True) for k, v in _routed_arrays(rng, "adapter").items()}
     with GradTape() as tape:
-        _routed(t, ROUTE_MASK, gelu=True)
+        _routed(t, ROUTE_SPAN, gelu=True)
     (node,) = tape.nodes
     assert node.op == "routed_linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["r"])
     g = rng.normal(size=(3, 7, 10))
@@ -612,21 +660,21 @@ def test_routed_linear_takes_one_routed_weight(rng):
     a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
     e = Tensor(rng.normal(size=(10, 12)))
     with pytest.raises(ValueError, match="exactly one"):
-        ag.routed_linear(a["x"], a["w"], e, ROUTE_MASK, adapter=(a["down"], a["up"]))
+        ag.routed_linear(a["x"], a["w"], e, ROUTE_SPAN, adapter=(a["down"], a["up"]))
     with pytest.raises(ValueError, match="exactly one"):
-        ag.routed_linear(a["x"], a["w"], None, ROUTE_MASK)
+        ag.routed_linear(a["x"], a["w"], None, ROUTE_SPAN)
 
 
-@pytest.mark.parametrize("mask", [ROUTE_MASK, np.zeros((3, 7), dtype=bool)], ids=["mixed", "all-text"])
-def test_routed_linear_rejects_misshapen_factors_or_residual(rng, mask):
+@pytest.mark.parametrize("span", [ROUTE_SPAN, 0], ids=["mixed", "all-text"])
+def test_routed_linear_rejects_misshapen_factors_or_residual(rng, span):
     a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
     for down_shape, up_shape in [((4, 11), (10, 4)), ((4, 12), (9, 4)), ((4, 12), (10, 3)), ((12,), (10, 4))]:
         adapter = (Tensor(np.zeros(down_shape)), Tensor(np.zeros(up_shape)))
         with pytest.raises(ShapeMismatch, match="down"):
-            ag.routed_linear(a["x"], a["w"], None, mask, adapter=adapter)
+            ag.routed_linear(a["x"], a["w"], None, span, adapter=adapter)
     for shape in [(3, 7, 9), (10,), (1, 7, 10)]:
         with pytest.raises(ShapeMismatch, match="residual"):
-            ag.routed_linear(a["x"], a["w"], None, mask, adapter=(a["down"], a["up"]), residual=np.zeros(shape))
+            ag.routed_linear(a["x"], a["w"], None, span, adapter=(a["down"], a["up"]), residual=np.zeros(shape))
 
 
 # ----------------------------------------------------------------------------

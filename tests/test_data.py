@@ -142,3 +142,52 @@ def test_collate_rejects_malformed_sample():
     for bad in (short_mask, two_d):
         with pytest.raises(ValueError, match="sample 1"):
             collate([good, bad])
+
+
+def test_collate_rejects_non_prefix_image_mask():
+    good = synth_dataset(TaskSpec("grid-count", n_samples=1, seed=0))[0]
+    mask = good.image_mask.copy()
+    mask[0] = False  # the image positions now start at 1
+    with pytest.raises(ValueError, match="sample 1: image positions are not a contiguous prefix"):
+        collate([good, Sample(good.tokens, mask, good.grid)])
+
+
+def test_collate_rejects_mixed_image_spans():
+    text = synth_dataset(TaskSpec("text-copy", n_samples=1, seq_len=3, seed=0))[0]
+    grid = synth_dataset(TaskSpec("grid-caption", n_samples=1, seed=0))[0]
+    for samples in ([text, grid], [grid, text]):
+        with pytest.raises(ValueError, match=r"image spans \[0, 36\]; a batch needs one span"):
+            collate(samples)
+
+
+@pytest.mark.parametrize("pad_to", [-3, 0, 20.5, "20"], ids=["negative", "zero", "fractional", "str"])
+def test_collate_rejects_bad_pad_width(pad_to):
+    ds = synth_dataset(TaskSpec("text-arith", n_samples=2, seed=0))
+    with pytest.raises(ValueError, match="pad_to must be a positive integer"):
+        collate(ds.samples, pad_to=pad_to)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"grid_alphabet": 1}, "grid_alphabet of at least 2"),
+        ({"grid_alphabet": 0}, "grid_alphabet must be a positive integer"),
+        ({"grid_alphabet": 4.0}, "grid_alphabet must be a positive integer"),
+        ({"grid_alphabet": 17}, "grid_alphabet must be at most 16"),
+        ({"grid_side": 2.5}, "grid_side must be a positive integer"),
+        ({"grid_side": 10, "max_seq": 256}, "past the 256-id token space"),
+        ({"max_seq": -1}, "max_seq must be a positive integer"),
+    ],
+    ids=[
+        "one-symbol",
+        "no-symbol",
+        "float-alphabet",
+        "alphabet-past-grid-tokens",
+        "fractional-side",
+        "side-past-count-tokens",
+        "negative-seq",
+    ],
+)
+def test_synth_dataset_rejects_bad_sizes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        synth_dataset(TaskSpec("grid-caption", 2), **kwargs)

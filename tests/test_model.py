@@ -10,17 +10,20 @@ from oracles import count_params_by_walk, expected_parameter_count, layers_from_
 def _text_batch(rng, config, bsz=3, t=None):
     t = t or config.max_seq
     ids = rng.integers(0, config.vocab_size, size=(bsz, t))
-    return TokenBatch(ids, np.zeros((bsz, t), dtype=bool))
+    return TokenBatch(ids)
+
+
+def _prefix_mask(batch):
+    """The (B, T) image mask the dense oracle reads, built from the batch's span."""
+    return np.broadcast_to(np.arange(batch.ids.shape[1]) < batch.image_span, batch.ids.shape)
 
 
 def _mixed_batch(rng, config, bsz=2, span=None, t=None):
     t = t or config.max_seq
     span = span if span is not None else config.grid_cells
     ids = rng.integers(0, config.vocab_size, size=(bsz, t))
-    mask = np.zeros((bsz, t), dtype=bool)
-    mask[:, :span] = True
     grids = rng.integers(0, config.grid_alphabet, size=(bsz, config.grid_side, config.grid_side))
-    return TokenBatch(ids, mask), grids
+    return TokenBatch(ids, span), grids
 
 
 def test_build_is_deterministic(tiny_config):
@@ -64,11 +67,36 @@ def test_config_validation():
         ModelConfig(vocab_size=0)
 
 
-def test_token_batch_rejects_non_prefix_image_span():
-    ids = np.zeros((1, 4), dtype=np.int64)
-    mask = np.array([[False, True, True, False]])
-    with pytest.raises(ValueError, match="prefix"):
-        TokenBatch(ids, mask)
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"n_layers": 8.0}, "n_layers"),
+        ({"d_model": 64.0}, "d_model"),
+        ({"vocab_size": "256"}, "vocab_size"),
+        ({"d_ffn": 128.5}, "d_ffn"),
+        ({"n_vision_layers": None}, "n_vision_layers"),
+    ],
+    ids=["float-layers", "float-width", "str-vocab", "fractional-ffn", "none-vision-layers"],
+)
+def test_config_rejects_non_integer_extents(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ModelConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "span",
+    [1.5, np.float64(2.0), "2", None, np.array([True, True, False, False]), -1, 5],
+    ids=["fractional", "whole-float", "str", "none", "mask", "negative", "past-end"],
+)
+def test_token_batch_rejects_bad_span(span):
+    with pytest.raises(ValueError, match=r"image_span must be an integer in \[0, 4\]"):
+        TokenBatch(np.zeros((2, 4), dtype=np.int64), span)
+
+
+def test_token_batch_keeps_numpy_integer_span_as_int():
+    batch = TokenBatch(np.zeros((2, 4), dtype=np.int64), np.int32(4))
+    assert type(batch.image_span) is int and batch.image_span == 4
+    assert TokenBatch(np.zeros((2, 4), dtype=np.int64)).image_span == 0
 
 
 @pytest.mark.parametrize(
@@ -78,7 +106,7 @@ def test_token_batch_rejects_non_prefix_image_span():
 )
 def test_token_batch_rejects_non_integer_ids(ids, dtype):
     with pytest.raises(ValueError, match=dtype):
-        TokenBatch(ids, [[False, False]])
+        TokenBatch(ids)
 
 
 @pytest.mark.parametrize(
@@ -89,16 +117,16 @@ def test_token_batch_rejects_non_integer_ids(ids, dtype):
 def test_token_batch_rejects_ids_outside_int64_range(ids):
     # these used to reach autograd.embed as negative int64 and fail there with IndexError
     with pytest.raises(ValueError, match="token ids must lie in"):
-        TokenBatch(ids, [[False, False]])
+        TokenBatch(ids)
 
 
 def test_token_batch_keeps_largest_uint64_id_that_fits():
-    batch = TokenBatch(np.array([[0, 2**63 - 1]], dtype=np.uint64), [[False, False]])
+    batch = TokenBatch(np.array([[0, 2**63 - 1]], dtype=np.uint64))
     assert batch.ids.dtype == np.int64 and batch.ids.tolist() == [[0, 2**63 - 1]]
 
 
 def test_token_batch_keeps_integer_ids_of_any_width():
-    batch = TokenBatch(np.array([[1, 2]], dtype=np.int16), [[False, False]])
+    batch = TokenBatch(np.array([[1, 2]], dtype=np.int16))
     assert batch.ids.dtype == np.int64 and batch.ids.tolist() == [[1, 2]]
 
 
@@ -109,7 +137,7 @@ def test_causality_suffix_perturbation(tiny_base, rng):
     logits_a = tiny_base.lm.forward(batch).data
     ids2 = batch.ids.copy()
     ids2[:, cut + 1 :] = rng.integers(0, cfg.vocab_size, size=ids2[:, cut + 1 :].shape)
-    batch2 = TokenBatch(ids2, batch.image_mask)
+    batch2 = TokenBatch(ids2, batch.image_span)
     logits_b = tiny_base.lm.forward(batch2).data
     assert logits_a[:, : cut + 1].tobytes() == logits_b[:, : cut + 1].tobytes()
     assert not np.array_equal(logits_a[:, cut + 1 :], logits_b[:, cut + 1 :])
@@ -132,20 +160,20 @@ def test_image_positions_require_injection(tiny_base, rng):
 def test_rejects_overlong_sequence(tiny_base, rng):
     cfg = tiny_base.config
     ids = rng.integers(0, cfg.vocab_size, size=(1, cfg.max_seq + 1))
-    batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool))
+    batch = TokenBatch(ids)
     with pytest.raises(ValueError, match="exceeds"):
         tiny_base.lm.forward(batch)
 
 
 def test_rejects_empty_sequence(tiny_base):
-    batch = TokenBatch(np.zeros((1, 0), np.int64), np.zeros((1, 0), bool))
+    batch = TokenBatch(np.zeros((1, 0), np.int64))
     with pytest.raises(ValueError, match="empty sequence"):
         tiny_base.lm.forward(batch)
 
 
 def test_rejects_out_of_vocab_ids(tiny_base):
     ids = np.full((1, 4), tiny_base.config.vocab_size, dtype=np.int64)
-    batch = TokenBatch(ids, np.zeros_like(ids, dtype=bool))
+    batch = TokenBatch(ids)
     with pytest.raises(ValueError, match="vocab"):
         tiny_base.lm.forward(batch)
 
@@ -178,14 +206,14 @@ def test_forward_matches_dense_reference_small_model(rng):
         grid_side=2, grid_alphabet=2, d_vision=4, n_vision_heads=2,
     )
     model = build_model(cfg, seed=3)
-    batch = TokenBatch(np.array([[0, 3, 5]]), np.zeros((1, 3), dtype=bool))
+    batch = TokenBatch(np.array([[0, 3, 5]]))
     got = model.lm.forward(batch).data
     lm_arrays = {k: v.data for k, v in model.lm.params.items()}
     ref = ref_decode(
         lm_arrays,
         layers_from_bindings(model.lm.base_bindings()),
         batch.ids,
-        batch.image_mask,
+        _prefix_mask(batch),
         None,
         cfg.n_heads,
     )
@@ -201,7 +229,7 @@ def test_mixed_forward_matches_dense_reference(tiny_base, rng):
         lm_arrays,
         layers_from_bindings(tiny_base.lm.base_bindings()),
         batch.ids,
-        batch.image_mask,
+        _prefix_mask(batch),
         injected.data,
         tiny_base.config.n_heads,
     )

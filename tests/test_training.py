@@ -243,3 +243,21 @@ def test_stage_config_defaults():
 def test_stage_config_rejects_runs_that_cannot_start(kw, field):
     with pytest.raises(ValueError, match=field):
         StageConfig(stage=2, **kw)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"total_steps": 3.5}, "total_steps must be an integer"),
+        ({"batch_size": 2.5}, "batch_size must be an integer"),
+        ({"grad_accum": 1.5}, "grad_accum must be an integer"),
+        ({"stage": 2.0}, "stage must be an integer"),
+        ({"peak_lr": float("nan")}, "peak_lr must be a finite number"),
+        ({"peak_lr": float("inf")}, "peak_lr must be a finite number"),
+        ({"weight_decay": float("nan")}, "weight_decay must be a finite number"),
+    ],
+    ids=["fractional-steps", "fractional-batch", "fractional-accum", "float-stage", "nan-lr", "inf-lr", "nan-decay"],
+)
+def test_stage_config_rejects_non_integer_counts_and_non_finite_rates(kw, message):
+    with pytest.raises(ValueError, match=message):
+        StageConfig(**{"stage": 2, **kw})
