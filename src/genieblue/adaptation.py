@@ -60,12 +60,12 @@ def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -
     """
     if not isinstance(n_layers, numbers.Integral) or n_layers < 1:
         raise ValueError(f"n_layers must be a positive integer, got {n_layers!r}")
+    if not isinstance(fraction, numbers.Real) or not 0 < fraction <= 1:  # also rules out NaN and inf
+        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     f = fraction if isinstance(fraction, Fraction) else Fraction(*float(fraction).as_integer_ratio())
-    if not (0 < f <= 1):
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    mode = mode.lower()
-    if mode not in PLACEMENT_MODES:
+    if not isinstance(mode, str) or mode.lower() not in PLACEMENT_MODES:
         raise ValueError(f"mode must be one of {PLACEMENT_MODES}, got {mode!r}")
+    mode = mode.lower()
     k = max(1, math.floor(n_layers * f))
     if mode == "post":
         return tuple(range(n_layers - k, n_layers))

@@ -241,88 +241,136 @@ def lora_weight(w: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     return w + up @ down
 
 
-def _residual_of(op: str, residual, out_shape: tuple) -> Tensor | None:
-    """The residual as a tensor, checked to be shaped like the output."""
-    if residual is None:
-        return None
-    residual = _as_tensor(residual)
-    if residual.shape != out_shape:
-        raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
-    return residual
+def _check_span(op: str, span, t: int) -> None:
+    """Raise unless ``span`` is an integer image-prefix length in [0, t]."""
+    if not isinstance(span, numbers.Integral) or not 0 <= span <= t:
+        raise ShapeMismatch(f"{op}: span must be an integer in [0, {t}], got {span!r}")
 
 
-def _epilogue(y: np.ndarray, residual: Tensor | None, gelu: bool, keep_grad: bool) -> np.ndarray | None:
-    """Apply GELU, then add the residual, in the product buffer ``y``.
+def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tensor:
+    """The one product node behind ``linear`` and ``routed_linear``.
 
-    Returns the GELU derivative when ``keep_grad`` asks for it, else None.
-    ``linear`` and ``routed_linear`` both end with this, so their rows get
-    the bits of ``add(residual, gelu(product))``.
-    """
-    dgelu = _gelu_(y, keep_grad) if gelu else None
-    if residual is not None:
-        y += residual.data
-    return dgelu
+    The routed rows are every row when ``span`` is None (``linear``) and the
+    image prefix ``[:, :span]`` of a (B, T, k) ``x`` otherwise. They take
+    the routed weight ``W_m``: the ``expert``, else ``lora_weight(w, down,
+    up)`` of a LoRA ``adapter=(down, up)``, else ``w`` itself. ``W_m`` is
+    formed only when ``span != 0``, so an all-text batch never reads the
+    expert or the factors. A routed product runs ``x @ w.T`` over every row,
+    then overwrites the prefix with its ``x @ W_m.T`` rows.
 
-
-def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
-    """``gelu?(x @ w.T) + residual`` for x (..., k) and a weight stored (out, k).
-
-    ``adapter`` is an optional LoRA ``(down, up)`` pair. The product then
-    uses the merged weight ``lora_weight(w, down, up)``, and the backward
-    stays factored: the factors get ``(g @ up).T @ x`` and ``g.T @ (x @
-    down.T)``, and a full gradient for ``w`` is formed only when ``w`` is
-    trainable itself.
-
-    ``gelu`` applies GELU to the product, and ``residual``, a tensor shaped
-    like the output, is added after it. Both run in the product's buffer
-    with the arithmetic of ``gelu`` and ``add``, so the result has the bits
-    of ``add(residual, gelu(linear(x, w, adapter)))``, yet the tape keeps
+    GELU then runs in the product's buffer with the arithmetic of ``gelu``,
+    and the residual, shaped like the output, is added after it, so the
+    result has the bits of ``add(residual, gelu(product))``. The tape keeps
     neither the product nor the pre-activation rows: a recorded GELU saves
     its derivative (none is computed with the tape off), and the residual's
-    gradient is the incoming one. The node is recorded as ``linear`` over
-    ``(x, w[, down, up][, residual])``.
+    gradient is the incoming one.
+
+    The backward stays factored. With ``gp`` the gradient behind the GELU
+    and ``gs``, ``xs`` the routed rows of ``gp`` and ``x`` as 2-D arrays,
+    ``gx`` is ``gp @ W_m``, or for a routed product ``gp @ w`` with the
+    prefix replaced by ``gs @ W_m``. ``w`` gets a gradient only when it is
+    trainable itself, from the rows after the prefix beside an expert and
+    from every row otherwise. The expert gets ``gs.T @ xs`` and the factors
+    ``(gs @ up).T @ xs`` and ``gs.T @ (xs @ down.T)``. The node is recorded
+    as ``op`` over ``(x, w[, expert][, down, up][, residual])``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    if w.ndim != 2 or x.shape[-1] != w.shape[-1]:
-        raise ShapeMismatch(f"linear: x {x.shape} incompatible with weight {w.shape}")
+    routed = op == "routed_linear"  # ``linear`` passes span None: every row is routed
+    if (routed and x.ndim != 3) or w.ndim != 2 or x.shape[-1] != w.shape[-1]:
+        raise ShapeMismatch(f"{op}: x {x.shape} incompatible with weight {w.shape}")
     xd, wd = x.data, w.data
     inputs = (x, w)
+    if expert is not None:
+        expert = _as_tensor(expert)
+        if expert.shape != w.shape:
+            raise ShapeMismatch(f"{op}: base {w.shape} vs expert {expert.shape}")
+        inputs += (expert,)
     if adapter is not None:
         down, up = _as_tensor(adapter[0]), _as_tensor(adapter[1])
-        dd, ud = down.data, up.data
-        wd = lora_weight(wd, dd, ud)
-        inputs = (x, w, down, up)
-    residual = _residual_of("linear", residual, x.shape[:-1] + (w.shape[0],))
+        _check_lora(wd, down.data, up.data)
+        inputs += (down, up)
+    if routed:
+        _check_span(op, span, x.shape[1])
     if residual is not None:
+        residual, out_shape = _as_tensor(residual), x.shape[:-1] + (w.shape[0],)
+        if residual.shape != out_shape:
+            raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
         inputs += (residual,)
-    y = xd @ wd.T
-    dgelu = _epilogue(y, residual, gelu, _will_record(inputs))
+    wm = None
+    if span != 0:
+        wm = expert.data if expert is not None else wd if adapter is None else lora_weight(wd, down.data, up.data)
+    if span is None:
+        y = xd @ wm.T
+    else:  # the base product over every row, then the prefix rows over W_m
+        y = xd @ wd.T
+        if span:
+            y[:, :span] = (xd[:, :span].reshape(-1, xd.shape[-1]) @ wm.T).reshape(x.shape[0], span, -1)
+    dgelu = _gelu_(y, _will_record(inputs)) if gelu else None
+    if residual is not None:
+        y += residual.data
     out = Tensor(y)
 
     def vjp(g):
+        (n, k), bsz = wd.shape, x.shape[0]
         gp = g if dgelu is None else dgelu * g
-        n, k = wd.shape
-        g2, x2 = gp.reshape(-1, n), xd.reshape(-1, k)
-        grads = (
-            gp @ wd if x.requires_grad else None,
-            g2.T @ x2 if w.requires_grad else None,
-        )
+        # the routed rows as 2-D arrays; empty at span 0, so the routed gradients are zero
+        if span is None:
+            gs, xs = gp.reshape(-1, n), xd.reshape(-1, k)
+        else:
+            gs, xs = gp[:, :span].reshape(-1, n), xd[:, :span].reshape(-1, k)
+        gx = gw = None
+        if x.requires_grad and span is None:
+            gx = gp @ wm
+        elif x.requires_grad:
+            gx = gp @ wd
+            if span:
+                gx[:, :span] = (gs @ wm).reshape(bsz, span, k)
+        if w.requires_grad and expert is not None:  # beside an expert, w serves the rows after the prefix only
+            gw = gp[:, span:].reshape(-1, n).T @ xd[:, span:].reshape(-1, k)
+        elif w.requires_grad:  # w itself or inside the merged weight: every row reaches it
+            gw = gp.reshape(-1, n).T @ xd.reshape(-1, k)
+        grads = (gx, gw)
+        if expert is not None:
+            grads += (gs.T @ xs if expert.requires_grad else None,)
         if adapter is not None:
             grads += (
-                (g2 @ ud).T @ x2 if down.requires_grad else None,
-                g2.T @ (x2 @ dd.T) if up.requires_grad else None,
+                (gs @ up.data).T @ xs if down.requires_grad else None,
+                gs.T @ (xs @ down.data.T) if up.requires_grad else None,
             )
         if residual is not None:
             grads += (g if residual.requires_grad else None,)
         return grads
 
-    return _maybe_record("linear", out, inputs, vjp)
+    return _maybe_record(op, out, inputs, vjp)
 
 
-def _check_span(op: str, span, t: int) -> None:
-    """Raise unless ``span`` is an integer image-prefix length in [0, t]."""
-    if not isinstance(span, numbers.Integral) or not 0 <= span <= t:
-        raise ShapeMismatch(f"{op}: span must be an integer in [0, {t}], got {span!r}")
+def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
+    """``gelu?(x @ W.T) + residual`` for x (..., k) and a weight stored (out, k).
+
+    ``W`` is ``w``, or the merged weight ``lora_weight(w, down, up)`` of a
+    LoRA ``adapter=(down, up)``. This is ``_product`` with every row routed:
+    the result has the bits of ``add(residual, gelu(linear(x, w, adapter)))``,
+    the backward stays factored, and the node is recorded as ``linear`` over
+    ``(x, w[, down, up][, residual])``.
+    """
+    return _product("linear", x, w, None, adapter, None, residual, gelu)
+
+
+def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, gelu=False) -> Tensor:
+    """Per-position ``gelu?(x @ W.T) + residual``: the image prefix takes a routed weight.
+
+    ``x`` is (B, T, k) and ``span`` an integer in [0, T]: rows ``[:, :span]``
+    are image positions and take the expert ``w_expert``, shaped like
+    ``w_base``, or the merged weight of a LoRA ``adapter=(down, up)``;
+    exactly one of the two is given. Rows from ``span`` on have the bits of
+    ``linear(x, w_base, residual=, gelu=)``, and at span 0 neither the expert
+    nor the factors are read. This is ``_product`` over the prefix, recorded
+    as ``routed_linear`` over ``(x, w_base, w_expert | down, up[,
+    residual])``.
+    """
+    if (w_expert is None) == (adapter is None):
+        raise ValueError("routed_linear: give exactly one of w_expert and adapter")
+    return _product("routed_linear", x, w_base, w_expert, adapter, span, residual, gelu)
 
 
 def routed_lora(x, down, up, span: int) -> Tensor:
@@ -360,88 +408,6 @@ def routed_lora(x, down, up, span: int) -> Tensor:
         )
 
     return _maybe_record("routed_lora", out, (x, down, up), vjp)
-
-
-def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, gelu=False) -> Tensor:
-    """Per-position ``gelu?(x @ W.T) + residual``: the image prefix takes a routed weight.
-
-    ``x`` is (B, T, k) and ``span`` an integer in [0, T]: rows ``[:, :span]``
-    are image positions. The routed weight ``W_m`` is either the expert
-    ``w_expert``, shaped like ``w_base``, or the merged weight
-    ``lora_weight(w_base, down, up)`` of a LoRA ``adapter=(down, up)``;
-    exactly one of the two is given. The base product runs over every row,
-    then the prefix rows are overwritten with ``x @ W_m.T``, and GELU and the
-    residual run in that buffer as in ``linear``. So rows from ``span`` on
-    have the bits of ``linear(x, w_base, residual=, gelu=)``, and ``W_m`` is
-    formed only when ``span > 0``: a text-only batch never reads the expert
-    or the factors.
-
-    The backward stays factored. With ``gs`` and ``xs`` the prefix rows of
-    ``gp`` (the gradient behind the GELU) and of ``x`` as 2-D arrays, ``gx``
-    is ``gp @ w_base`` with the prefix replaced by ``gs @ W_m``. ``w_base``
-    gets a gradient only when it is trainable itself, from every row under
-    an adapter and from the rows after the prefix beside an expert. The
-    expert gets ``gs.T @ xs``, the factors ``(gs @ up).T @ xs`` and ``gs.T @
-    (xs @ down.T)``, and the residual the incoming gradient itself. The node
-    is recorded as ``routed_linear`` over ``(x, w_base, w_expert | down,
-    up[, residual])``.
-    """
-    if (w_expert is None) == (adapter is None):
-        raise ValueError("routed_linear: give exactly one of w_expert and adapter")
-    x, wb = _as_tensor(x), _as_tensor(w_base)
-    if x.ndim != 3 or wb.ndim != 2 or x.shape[-1] != wb.shape[-1]:
-        raise ShapeMismatch(f"routed_linear: x {x.shape} incompatible with weight {wb.shape}")
-    if adapter is None:
-        we = _as_tensor(w_expert)
-        if wb.shape != we.shape:
-            raise ShapeMismatch(f"routed_linear: base {wb.shape} vs expert {we.shape}")
-        routed = (we,)
-    else:
-        down, up = _as_tensor(adapter[0]), _as_tensor(adapter[1])
-        _check_lora(wb, down, up)
-        routed = (down, up)
-    _check_span("routed_linear", span, x.shape[1])
-    residual = _residual_of("routed_linear", residual, x.shape[:2] + (wb.shape[0],))
-    inputs = (x, wb) + routed + (() if residual is None else (residual,))
-    xd, wbd = x.data, wb.data
-    bsz, (n, k) = x.shape[0], wbd.shape
-    wm = None
-    y = xd @ wbd.T
-    if span:
-        wm = we.data if adapter is None else lora_weight(wbd, down.data, up.data)
-        y[:, :span] = (xd[:, :span].reshape(-1, k) @ wm.T).reshape(bsz, span, n)
-    dgelu = _epilogue(y, residual, gelu, _will_record(inputs))
-    out = Tensor(y)
-
-    def vjp(g):
-        gp = g if dgelu is None else dgelu * g
-        gx = gwb = None
-        if x.requires_grad:
-            gx = gp @ wbd
-        if wb.requires_grad:
-            if adapter is None:  # beside an expert, w_base serves the rows after the prefix only
-                gwb = gp[:, span:].reshape(-1, n).T @ xd[:, span:].reshape(-1, k)
-            else:  # the merged weight holds w_base, so every row reaches it
-                gwb = gp.reshape(-1, n).T @ xd.reshape(-1, k)
-        # at span 0 the prefix products are empty, so the routed gradients are zero
-        gs = gp[:, :span].reshape(-1, n)
-        xs = xd[:, :span].reshape(-1, k) if any(t.requires_grad for t in routed) else None
-        if gx is not None and span:
-            gx[:, :span] = (gs @ wm).reshape(bsz, span, k)
-        if adapter is None:
-            gr = (gs.T @ xs if we.requires_grad else None,)
-        else:
-            dd, ud = down.data, up.data
-            gr = (
-                (gs @ ud).T @ xs if down.requires_grad else None,
-                gs.T @ (xs @ dd.T) if up.requires_grad else None,
-            )
-        grads = (gx, gwb) + gr
-        if residual is not None:
-            grads += (g if residual.requires_grad else None,)
-        return grads
-
-    return _maybe_record("routed_linear", out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

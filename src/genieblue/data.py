@@ -211,8 +211,10 @@ def collate(
 ) -> tuple[TokenBatch, np.ndarray, np.ndarray, np.ndarray | None]:
     """Stack samples into (batch, next-token targets, predict mask, grids).
 
-    Each sample's ``image_mask`` must be a prefix, and every sample must
-    have the same span, which becomes the batch's ``image_span``.
+    Tokens must be integers. Each sample's ``image_mask`` must be a prefix,
+    and every sample must have the same span, which becomes the batch's
+    ``image_span``. Either every sample has a grid, all of one shape, or
+    none has; a malformed sample raises ``ValueError`` naming it.
     ``predict_mask[b, t]`` is True when position t predicts an answer token
     (everything after the final separator, including the end marker).
     """
@@ -228,12 +230,22 @@ def collate(
                 f"sample {b}: tokens {np.shape(s.tokens)} and image_mask {np.shape(s.image_mask)} "
                 "must be 1-D and of one length"
             )
+        dtype = np.asarray(s.tokens).dtype
+        if not np.issubdtype(dtype, np.integer):  # the copy into the id array would truncate them
+            raise ValueError(f"sample {b}: tokens must be integers, got dtype {dtype}")
         span = int(np.count_nonzero(s.image_mask))
         if not np.all(s.image_mask[:span]):
             raise ValueError(f"sample {b}: image positions are not a contiguous prefix")
         spans.append(span)
     if len(set(spans)) > 1:
         raise ValueError(f"samples have image spans {sorted(set(spans))}; a batch needs one span")
+    grid_shapes = [None if s.grid is None else np.shape(s.grid) for s in samples]
+    for b, shape in enumerate(grid_shapes):
+        if shape != grid_shapes[0]:
+            raise ValueError(
+                f"sample {b}: grid {shape} vs sample 0's {grid_shapes[0]}; "
+                "a batch needs a grid of one shape in every sample, or none"
+            )
     width = pad_to or max(len(s.tokens) for s in samples)
     ids = np.full((n, width), PAD, dtype=np.int64)
     targets = np.zeros((n, width), dtype=np.int64)
@@ -246,7 +258,5 @@ def collate(
         start = answer_start(s.tokens)
         targets[b, : ln - 1] = s.tokens[1:]
         predict[b, start - 1 : ln - 1] = True
-    grids = None
-    if all(s.grid is not None for s in samples):
-        grids = np.stack([s.grid for s in samples])
+    grids = None if samples[0].grid is None else np.stack([s.grid for s in samples])
     return TokenBatch(ids, spans[0]), targets, predict, grids

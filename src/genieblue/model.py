@@ -8,14 +8,15 @@ per cell (single-patch regime) and the projector maps them into the LM width.
 Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
-copies. Unrouted adapter factors apply as a merged weight inside ``linear``,
-one product per matrix, which also folds in the FFN GELU and the residual
-adds, so the tape keeps no product that only an add or a GELU reads. Routed
-experts and adapters do the same inside ``routed_linear``: the base product
-over every position, the image prefix ``[:, :span]`` overwritten with the
-expert or merged weight's product, then the same GELU and residual
-epilogue, one node per matrix. A batch's image positions are one integer
-span shared by every row, from ``collate`` down to the kernels.
+copies. Each matrix is one product node, built by ``autograd._product``
+behind ``linear`` and ``routed_linear``, which also folds in the FFN GELU
+and the residual adds, so the tape keeps no product that only an add or a
+GELU reads. Unrouted adapter factors apply as a merged weight for every
+token through ``linear``. Routed experts and adapters go through
+``routed_linear``: the image prefix ``[:, :span]`` takes the expert or
+merged weight and every other position the base weight. A batch's image
+positions are one integer span shared by every row, from ``collate`` down
+to the kernels.
 ``MultimodalBase`` binds the LM's own blocks; each adapted model of the
 adaptation module is the same stack with its own bindings.
 """
@@ -133,14 +134,14 @@ class BlockBinding:
 
     ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
     matrix name to a full replacement weight applied at image positions.
-    Unrouted adapters apply as the merged weight ``w + up @ down`` inside
-    ``linear``, which for ``attn.wo``/``ffn.w2`` also adds the residual and
-    for ``ffn.w1`` applies the GELU. ``route_adapters`` confines the merged
-    weight to the image prefix, which is how the visual-expert
+    Every matrix runs as one ``autograd._product`` node, which for
+    ``attn.wo``/``ffn.w2`` also adds the residual and for ``ffn.w1`` applies
+    the GELU. Unrouted adapters apply as the merged weight ``w + up @ down``
+    through ``linear``. ``route_adapters`` confines the merged weight to the
+    image prefix through ``routed_linear``, which is how the visual-expert
     baseline keeps text tokens on the exact base computation; experts are
-    always routed. Routed matrices run through ``routed_linear`` with the
-    same GELU and residual fold. A routed matrix takes an expert or an
-    adapter, never both.
+    always routed. A routed matrix takes an expert or an adapter, never
+    both.
     """
 
     weights: dict[str, Tensor]
@@ -159,12 +160,12 @@ def _project(
 ) -> Tensor:
     """``gelu?(x @ W.T) + residual`` for the binding's view of one matrix.
 
-    An unrouted matrix is one ``linear`` node, over the merged weight when it
-    has an adapter. A routed one (an expert, or an adapter with
-    ``route_adapters``) is one ``routed_linear`` node that serves the image
-    prefix ``[:, :span]`` with the expert or merged weight and every other
-    row with the base weight. Either node folds in the GELU and the residual
-    add.
+    Both kinds are the one product node of ``autograd._product``, which
+    folds in the GELU and the residual add. An unrouted matrix is a
+    ``linear`` node, over the merged weight when it has an adapter. A routed
+    one (an expert, or an adapter with ``route_adapters``) is a
+    ``routed_linear`` node that serves the image prefix ``[:, :span]`` with
+    the expert or merged weight and every other row with the base weight.
     """
     w = binding.weights[mat]
     expert = binding.experts.get(mat)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -75,6 +76,11 @@ class LrSchedule:
     total_steps: int
 
     def __post_init__(self):
+        if not isinstance(self.peak, numbers.Real) or not math.isfinite(self.peak) or self.peak < 0:
+            raise ValueError(f"peak must be a finite non-negative number, got {self.peak!r}")
+        for name in ("warmup_steps", "total_steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 < self.warmup_steps < self.total_steps):
             raise ValueError(f"need 0 < warmup ({self.warmup_steps}) < total ({self.total_steps})")
 

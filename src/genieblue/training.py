@@ -80,8 +80,9 @@ class StageConfig:
             raise ValueError("batch_size must be >= 1")
         if not (0 < self.vit_lr_decay <= 1):
             raise ValueError("vit_lr_decay must be in (0, 1]")
-        if self.peak_lr < 0:
-            raise ValueError(f"peak_lr must be non-negative, got {self.peak_lr}")
+        for name in ("peak_lr", "warmup_frac", "weight_decay"):
+            if getattr(self, name) < 0:  # a negative decay grows every weight
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.warmup_steps >= self.total_steps:
             raise ValueError(
                 f"warmup_steps {self.warmup_steps} (total_steps {self.total_steps} * warmup_frac "

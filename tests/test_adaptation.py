@@ -69,6 +69,11 @@ def test_placement_rejects_bad_fraction():
         plan_placement(8, 0.0)
     with pytest.raises(ValueError):
         plan_placement(8, 1.5)
+    for fraction in (float("inf"), float("nan"), "0.25"):
+        with pytest.raises(ValueError, match="fraction must be in"):
+            plan_placement(8, fraction)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        plan_placement(8, 0.25, 3)
 
 
 @pytest.mark.parametrize("n_layers", [8.5, 8.0, "8", 0], ids=["fractional", "whole-float", "str", "zero"])

@@ -611,6 +611,20 @@ def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng,
         assert not grads[name].any(), name  # zero, and finite
 
 
+@pytest.mark.parametrize("span", [0, ROUTE_SPAN], ids=["all-text", "mixed"])
+@pytest.mark.parametrize("kind", ["expert", "adapter"])
+def test_routed_linear_never_calls_the_public_linear(rng, monkeypatch, kind, span):
+    arrays, g = _routed_arrays(rng, kind), rng.normal(size=(3, 7, 10))
+
+    def no_linear(*args, **kwargs):
+        raise AssertionError("routed_linear went through the public linear")
+
+    monkeypatch.setattr(ag, "linear", no_linear)
+    out, grads, ops = _fold_and_grads(lambda t: _routed(t, span, gelu=True), arrays, None, g)
+    assert ops == ["routed_linear", "mul", "sum_all"] and np.isfinite(out).all()
+    assert all(grads[name] is not None for name in arrays)
+
+
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):

@@ -160,6 +160,34 @@ def test_collate_rejects_mixed_image_spans():
             collate(samples)
 
 
+def _float_tokens(text, grid):
+    return [text, Sample(np.array([1.7, 16.2, 2.0, 16.9, 3.0]), np.zeros(5, bool))]
+
+
+def _grid_missing(text, grid):
+    return [grid, Sample(grid.tokens, grid.image_mask)]
+
+
+def _grid_reshaped(text, grid):
+    return [grid, Sample(grid.tokens, grid.image_mask, grid.grid.reshape(4, -1))]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_float_tokens, "sample 1: tokens must be integers, got dtype float64"),
+        (_grid_missing, r"sample 1: grid None vs sample 0's \(6, 6\)"),
+        (_grid_reshaped, r"sample 1: grid \(4, 9\) vs sample 0's \(6, 6\)"),
+    ],
+    ids=["float-tokens", "grid-missing", "grid-shape"],
+)
+def test_collate_rejects_what_a_batch_cannot_hold(make, message):
+    text = synth_dataset(TaskSpec("text-copy", n_samples=1, seq_len=3, seed=0))[0]
+    grid = synth_dataset(TaskSpec("grid-caption", n_samples=1, seed=0))[0]
+    with pytest.raises(ValueError, match=message):
+        collate(make(text, grid))
+
+
 @pytest.mark.parametrize("pad_to", [-3, 0, 20.5, "20"], ids=["negative", "zero", "fractional", "str"])
 def test_collate_rejects_bad_pad_width(pad_to):
     ds = synth_dataset(TaskSpec("text-arith", n_samples=2, seed=0))

@@ -121,6 +121,22 @@ def test_schedule_invariants():
         LrSchedule(peak=1.0, warmup_steps=10, total_steps=10)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"peak": -1.0}, "peak must be a finite non-negative number"),
+        ({"peak": float("nan")}, "peak must be a finite non-negative number"),
+        ({"peak": float("inf")}, "peak must be a finite non-negative number"),
+        ({"warmup_steps": 1.5}, "warmup_steps must be an integer"),
+        ({"total_steps": 10.0}, "total_steps must be an integer"),
+    ],
+    ids=["negative-peak", "nan-peak", "inf-peak", "fractional-warmup", "float-total"],
+)
+def test_schedule_rejects_bad_peak_and_step_counts(kw, message):
+    with pytest.raises(ValueError, match=message):
+        LrSchedule(**{"peak": 1e-3, "warmup_steps": 1, "total_steps": 10, **kw})
+
+
 def test_integer_lr_matches_float_lr():
     ints, floats = _single_param(0.5), _single_param(0.5)
     for _ in range(3):

@@ -65,3 +65,29 @@ def test_every_recorded_op_has_a_benchmark_bucket(monkeypatch, name, stage):
         autograd.masked_nll(m.forward(batch, grids), targets, predict / predict.sum())
     recorded = {n.op for n in tape.nodes}
     assert "linear" in recorded and recorded - set(ops) == set()
+
+
+TINY = model.ModelConfig(
+    vocab_size=256, d_model=16, n_layers=4, n_heads=2, max_seq=48, grid_side=3, grid_alphabet=4, d_vision=8
+)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_the_tracer_counts_each_product_once(monkeypatch, name):
+    """Every traced ``linear`` or ``routed_linear`` call is one product node on the tape.
+
+    Both ops share one private core; a routed product that went through the
+    public ``linear``, which the tracer wraps, would be counted twice.
+    """
+    tracing = _tracing(monkeypatch)
+    m = MODELS[name](model.build_model(TINY, seed=0))
+    data = synth_dataset(TaskSpec("grid-caption", n_samples=2, seed=0), max_seq=48, grid_side=3, grid_alphabet=4)
+    batch, _, _, grids = collate([data[0], data[1]], data.max_len)
+    for t in freeze_mask(m, 2).values():
+        t.requires_grad = True
+    with tracing.Tracer() as tracer, autograd.GradTape() as tape:
+        m.forward(batch, grids)
+    calls = tracer.calls("autograd.linear.fwd") + tracer.calls("autograd.routed_linear.fwd")
+    assert calls == sum(n.op in ("linear", "routed_linear") for n in tape.nodes) > 0
+    # only the CogVLM-style baseline routes; GenieBlue runs one product per matrix for every token
+    assert (tracer.calls("autograd.routed_linear.fwd") > 0) == (name == "cogvlm")

@@ -245,6 +245,12 @@ def test_stage_config_rejects_runs_that_cannot_start(kw, field):
         StageConfig(stage=2, **kw)
 
 
+@pytest.mark.parametrize("field", ["weight_decay", "warmup_frac"])
+def test_stage_config_rejects_negative_decay_and_warmup(field):
+    with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+        StageConfig(stage=2, total_steps=10, **{field: -0.5})
+
+
 @pytest.mark.parametrize(
     "kw, message",
     [
