@@ -6,7 +6,11 @@ functions of their inputs, so identical inputs give bit-identical outputs.
 
 Gradients are recorded on an explicit tape (a Wengert list): while a
 ``GradTape`` is active, every kernel whose inputs are tracked appends one
-node holding the saved values its backward pass needs. ``backward`` replays
+node holding its inputs and output and the values its backward pass needs
+that are not cheap to rebuild. What is cheap is rebuilt from the inputs with
+the forward's own operations, so the gradients keep their bits: the product
+nodes keep no GELU derivative and no merged LoRA weight, ``gelu`` keeps no
+derivative, and ``masked_nll`` keeps no probabilities. ``backward`` replays
 the list in reverse, which visits each node exactly once in reverse
 topological order because recording order is execution order.
 """
@@ -241,10 +245,39 @@ def lora_weight(w: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     return w + up @ down
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer and not a bool; a plain int takes the fast path."""
+    return type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))
+
+
 def _check_span(op: str, span, t: int) -> None:
     """Raise unless ``span`` is an integer image-prefix length in [0, t]."""
-    if not isinstance(span, numbers.Integral) or not 0 <= span <= t:
+    if not _is_int(span) or not 0 <= span <= t:
         raise ShapeMismatch(f"{op}: span must be an integer in [0, {t}], got {span!r}")
+
+
+def _routed_weight(w: np.ndarray, expert, adapter, span) -> np.ndarray | None:
+    """``W_m``: the expert, else the merged weight of ``adapter=(down, up)``, else ``w``; None at span 0."""
+    if span == 0:
+        return None
+    if expert is not None:
+        return expert.data
+    return w if adapter is None else lora_weight(w, adapter[0].data, adapter[1].data)
+
+
+def _pre_activation(xd: np.ndarray, wd: np.ndarray, wm, span) -> np.ndarray:
+    """A product node's result before GELU and residual; its forward and its vjp both call this.
+
+    ``xd @ wm.T`` when every row is routed (span None), else ``xd @ wd.T``
+    with the prefix rows ``[:, :span]`` overwritten by their product with
+    ``wm``.
+    """
+    if span is None:
+        return xd @ wm.T
+    y = xd @ wd.T
+    if span:
+        y[:, :span] = (xd[:, :span].reshape(-1, xd.shape[-1]) @ wm.T).reshape(xd.shape[0], span, -1)
+    return y
 
 
 def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tensor:
@@ -258,12 +291,14 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tens
     expert or the factors. A routed product runs ``x @ w.T`` over every row,
     then overwrites the prefix with its ``x @ W_m.T`` rows.
 
-    GELU then runs in the product's buffer with the arithmetic of ``gelu``,
-    and the residual, shaped like the output, is added after it, so the
-    result has the bits of ``add(residual, gelu(product))``. The tape keeps
-    neither the product nor the pre-activation rows: a recorded GELU saves
-    its derivative (none is computed with the tape off), and the residual's
-    gradient is the incoming one.
+    GELU then runs value-only in the product's buffer with the arithmetic of
+    ``gelu``, and the residual, shaped like the output, is added after it,
+    so the result has the bits of ``add(residual, gelu(product))``. The node
+    keeps only its inputs: no product, no GELU derivative and no merged
+    weight. Its vjp forms ``W_m`` again and, under a GELU, rebuilds the
+    pre-activation with the forward's own ``_pre_activation`` and takes the
+    derivative from it, so the gradients have the bits a kept derivative
+    gave. The residual's gradient is the incoming one.
 
     The backward stays factored. With ``gp`` the gradient behind the GELU
     and ``gs``, ``xs`` the routed rows of ``gp`` and ``x`` as 2-D arrays,
@@ -275,10 +310,10 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tens
     as ``op`` over ``(x, w[, expert][, down, up][, residual])``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    routed = op == "routed_linear"  # ``linear`` passes span None: every row is routed
-    if (routed and x.ndim != 3) or w.ndim != 2 or x.shape[-1] != w.shape[-1]:
-        raise ShapeMismatch(f"{op}: x {x.shape} incompatible with weight {w.shape}")
     xd, wd = x.data, w.data
+    routed = op == "routed_linear"  # ``linear`` passes span None: every row is routed
+    if not xd.ndim or (routed and xd.ndim != 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[-1]:
+        raise ShapeMismatch(f"{op}: x {x.shape} incompatible with weight {w.shape}")
     inputs = (x, w)
     if expert is not None:
         expert = _as_tensor(expert)
@@ -288,7 +323,8 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tens
     if adapter is not None:
         down, up = _as_tensor(adapter[0]), _as_tensor(adapter[1])
         _check_lora(wd, down.data, up.data)
-        inputs += (down, up)
+        adapter = (down, up)
+        inputs += adapter
     if routed:
         _check_span(op, span, x.shape[1])
     if residual is not None:
@@ -296,23 +332,17 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tens
         if residual.shape != out_shape:
             raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
         inputs += (residual,)
-    wm = None
-    if span != 0:
-        wm = expert.data if expert is not None else wd if adapter is None else lora_weight(wd, down.data, up.data)
-    if span is None:
-        y = xd @ wm.T
-    else:  # the base product over every row, then the prefix rows over W_m
-        y = xd @ wd.T
-        if span:
-            y[:, :span] = (xd[:, :span].reshape(-1, xd.shape[-1]) @ wm.T).reshape(x.shape[0], span, -1)
-    dgelu = _gelu_(y, _will_record(inputs)) if gelu else None
+    y = _pre_activation(xd, wd, _routed_weight(wd, expert, adapter, span), span)
+    if gelu:
+        _gelu_(y)
     if residual is not None:
         y += residual.data
     out = Tensor(y)
 
     def vjp(g):
         (n, k), bsz = wd.shape, x.shape[0]
-        gp = g if dgelu is None else dgelu * g
+        wm = _routed_weight(wd, expert, adapter, span)
+        gp = _gelu_grad(_pre_activation(xd, wd, wm, span), g) if gelu else g
         # the routed rows as 2-D arrays; empty at span 0, so the routed gradients are zero
         if span is None:
             gs, xs = gp.reshape(-1, n), xd.reshape(-1, k)
@@ -351,7 +381,8 @@ def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
     LoRA ``adapter=(down, up)``. This is ``_product`` with every row routed:
     the result has the bits of ``add(residual, gelu(linear(x, w, adapter)))``,
     the backward stays factored, and the node is recorded as ``linear`` over
-    ``(x, w[, down, up][, residual])``.
+    ``(x, w[, down, up][, residual])``. The node keeps only those inputs; its
+    vjp rebuilds the merged weight and, under ``gelu``, the pre-activation.
     """
     return _product("linear", x, w, None, adapter, None, residual, gelu)
 
@@ -366,7 +397,9 @@ def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None
     ``linear(x, w_base, residual=, gelu=)``, and at span 0 neither the expert
     nor the factors are read. This is ``_product`` over the prefix, recorded
     as ``routed_linear`` over ``(x, w_base, w_expert | down, up[,
-    residual])``.
+    residual])``. The node keeps only those inputs; its vjp rebuilds the
+    merged weight and, under ``gelu``, the pre-activation: the base product
+    with its prefix rows overwritten, as in the forward.
     """
     if (w_expert is None) == (adapter is None):
         raise ValueError("routed_linear: give exactly one of w_expert and adapter")
@@ -417,48 +450,81 @@ def routed_lora(x, down, up, span: int) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_(p: np.ndarray, keep_grad: bool) -> np.ndarray | None:
-    """Overwrite ``p`` with its GELU; return the derivative at ``p`` if asked.
+_GELU_TILE = 16384  # elements per pass: a tile and its temporaries stay in cache
 
-    Tanh form: 0.5*p*(1 + t) with t = tanh(c*(p + 0.044715*p^3)). The
-    standalone ``gelu`` and ``linear(..., gelu=True)`` both run this, so
-    they give the same bits.
+
+def _tiles(a: np.ndarray):
+    """``a`` itself, or when larger than a tile, flat views of ``_GELU_TILE`` elements.
+
+    Views share ``a``'s memory only when ``a`` is contiguous.
     """
-    # the cube by multiplication: p**3 takes numpy's generic pow loop, ~40x slower
-    t = p * p
-    t *= p
+    if a.size <= _GELU_TILE:
+        return (a,)
+    flat = a.reshape(-1)
+    return [flat[i : i + _GELU_TILE] for i in range(0, flat.size, _GELU_TILE)]
+
+
+def _gelu_tanh(q: np.ndarray) -> np.ndarray:
+    """tanh(c*(q + 0.044715*q^3)) in a new array."""
+    # the cube by multiplication: q**3 takes numpy's generic pow loop, ~40x slower
+    t = q * q
+    t *= q
     t *= 0.044715
-    t += p
+    t += q
     t *= _GELU_C
     np.tanh(t, out=t)
-    d = None
-    if keep_grad:
-        # d = 0.5*(1 + t) + u*(1 - t^2) with u = 0.5*c*p*(1 + 3*0.044715*p^2),
-        # evaluated as (1 + t) * (0.5 + u*(1 - t))
-        d = p * p
+    return t
+
+
+def _gelu_(p: np.ndarray) -> None:
+    """Overwrite the contiguous array ``p`` with its GELU, value only.
+
+    Tanh form: 0.5*p*(1 + t) with t = tanh(c*(p + 0.044715*p^3)). It runs
+    in tiles of ``_GELU_TILE`` elements, each with the same elementwise
+    operations as one whole-array pass, so the bits do not depend on the
+    tiling. The standalone ``gelu`` and ``linear(..., gelu=True)`` both run
+    this, so they give the same bits; neither keeps the derivative, which
+    their vjps rebuild with ``_gelu_grad``.
+    """
+    for q in _tiles(p):
+        t = _gelu_tanh(q)
+        t += 1.0
+        q *= t
+        q *= 0.5
+
+
+def _gelu_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Overwrite the contiguous array ``p`` with GELU'(p) * g and return it.
+
+    The derivative of ``_gelu_``'s arithmetic, tile by tile with the same
+    tiles: d = 0.5*(1 + t) + u*(1 - t^2) with u = 0.5*c*p*(1 + 3*0.044715*p^2),
+    evaluated as (1 + t) * (0.5 + u*(1 - t)), then multiplied by ``g``.
+    """
+    for q, gq in zip(_tiles(p), _tiles(g)):
+        t = _gelu_tanh(q)
+        d = q * q
         d *= 3 * 0.044715
         d += 1.0
-        d *= p
+        d *= q
         d *= 0.5 * _GELU_C
         d *= np.subtract(1.0, t)
         d += 0.5
-    t += 1.0
-    if d is not None:
+        t += 1.0
         d *= t
-    p *= t
-    p *= 0.5
-    return d
+        np.multiply(d, gq, out=q)
+    return p
 
 
 def gelu(x) -> Tensor:
-    """GELU, tanh form; a recorded node keeps the derivative, not the input."""
+    """GELU, tanh form; a recorded node keeps only its input and rebuilds the derivative."""
     x = _as_tensor(x)
-    y = x.data.copy()
-    d = _gelu_(y, _will_record((x,)))
+    xd = x.data
+    y = xd.copy()
+    _gelu_(y)
     out = Tensor(y)
 
     def vjp(g):
-        return (d * g,)
+        return (_gelu_grad(xd.copy(), g),)
 
     return _maybe_record("gelu", out, (x,), vjp)
 
@@ -474,9 +540,9 @@ def rms_norm(x, gain) -> Tensor:
     """
     x, gain = _as_tensor(x), _as_tensor(gain)
     xd, gd = x.data, gain.data
+    if xd.ndim == 0 or gain.shape != (xd.shape[-1],):
+        raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs x {x.shape}")
     n = xd.shape[-1]
-    if gain.shape != (n,):
-        raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs feature width {n}")
     inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + _RMS_EPS)
     y = xd * inv
     y *= gd
@@ -506,6 +572,8 @@ def embed(table, ids: np.ndarray) -> Tensor:
     """Gather rows of an embedding table; ids are a constant int array."""
     table = _as_tensor(table)
     ids = np.asarray(ids)
+    if table.ndim == 0 or ids.dtype.kind not in "iu":  # bool ids would select rows as a mask
+        raise ShapeMismatch(f"embed: needs a table and integer ids, got table {table.shape} and ids {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"embed: id out of range for table with {table.shape[0]} rows")
     out = Tensor(table.data[ids])
@@ -556,6 +624,8 @@ def attention(q, k, v, n_heads: int, causal: bool = True) -> Tensor:
     if not (q.shape == k.shape == v.shape) or q.ndim != 3:
         raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
     bsz, t, d = q.shape
+    if not _is_int(n_heads) or n_heads <= 0:
+        raise ShapeMismatch(f"attention: n_heads must be a positive integer, got {n_heads!r}")
     if d % n_heads:
         raise ShapeMismatch(f"attention: width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
@@ -607,6 +677,11 @@ def masked_nll(logits, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     ``targets`` (integer ids in [0, vocab)) and ``weights`` are constants
     shaped like logits minus the vocabulary axis. The caller encodes its
     averaging convention in the weights (zero at ignored positions).
+
+    A recorded node keeps the row max and the softmax denominator, (..., 1)
+    each, not the (..., vocab) probabilities: its vjp rebuilds them as
+    ``exp(logits - max) / denom``, the forward's own operations, then
+    multiplies by the weights.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
@@ -623,17 +698,19 @@ def masked_nll(logits, targets: np.ndarray, weights: np.ndarray) -> Tensor:
             f"masked_nll: targets span [{targets.min()}, {targets.max()}], outside vocabulary of {vocab}"
         )
     ld = logits.data
-    z = ld - ld.max(axis=-1, keepdims=True)
+    mx = ld.max(axis=-1, keepdims=True)
+    z = ld - mx
     zt = np.take_along_axis(z, targets[..., None], axis=-1)
-    # one full-size buffer: z becomes exp(z), then the probabilities
-    p = np.exp(z, out=z)
-    denom = p.sum(axis=-1, keepdims=True)
-    p /= denom
+    denom = np.exp(z, out=z).sum(axis=-1, keepdims=True)
     picked = (zt - np.log(denom))[..., 0]  # log-probs at the targets only
     out = Tensor(-(weights * picked).sum())
 
     def vjp(g):
-        gl = p * weights[..., None]
+        # the probabilities, rebuilt from the logits as the forward computed them
+        gl = ld - mx
+        np.exp(gl, out=gl)
+        gl /= denom
+        gl *= weights[..., None]
         np.subtract.at(
             gl.reshape(-1, gl.shape[-1]),
             (np.arange(targets.size), targets.reshape(-1)),

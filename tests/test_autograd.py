@@ -926,3 +926,119 @@ def test_backward_matches_out_of_place_replay_on_stage2_tape(build):
     assert got.keys() == ref.keys() and len(got) == len(trainable)
     for t, g in got.items():
         assert g.tobytes() == ref[t].tobytes(), t.shape
+
+
+# ----------------------------------------------------------------------------
+# what the tape keeps: inputs, plus only what is dear to rebuild
+# ----------------------------------------------------------------------------
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _closure_arrays(fn) -> list[np.ndarray]:
+    """The distinct ndarray bases reachable from ``fn.__closure__``.
+
+    Follows Tensors, tuples, lists and the closures of any function the
+    closure holds, so a vjp cannot hide an array inside a helper closure.
+    """
+    found: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
+    todo = [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, np.ndarray):
+            found[id(_root(obj))] = _root(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a name the enclosing call never bound
+                    pass
+    return list(found.values())
+
+
+def _kept(node) -> list[np.ndarray]:
+    """Arrays a node's vjp holds besides its inputs' data."""
+    inputs = {id(_root(t.data)) for t in node.inputs}
+    return [a for a in _closure_arrays(node.vjp) if id(a) not in inputs]
+
+
+def _stage2_tape(build):
+    cfg = ModelConfig(
+        vocab_size=256, d_model=16, n_layers=4, n_heads=2, max_seq=48,
+        grid_side=3, grid_alphabet=4, d_vision=8, n_vision_heads=2,
+    )
+    model = build(build_model(cfg, seed=0), plan_placement(4, Fraction(1, 4), "skip"), rank=4, seed=1)
+    trainable = freeze_mask(model, 2)
+    r = np.random.default_rng(4)
+    for t in trainable.values():
+        t.data += r.normal(scale=0.05, size=t.shape)
+        t.requires_grad = True
+    data = synth_dataset(TaskSpec("grid-caption", n_samples=4, seed=0), max_seq=48, grid_side=3, grid_alphabet=4)
+    batch, targets, predict, grids = collate([data[i] for i in range(4)], data.max_len)
+    with GradTape() as tape:
+        loss = ag.masked_nll(model.forward(batch, grids), targets, predict / predict.sum())
+    return tape, loss
+
+
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_stage2_tape_keeps_no_derivative_merged_weight_or_probabilities(build):
+    tape, loss = _stage2_tape(build)
+    ops = {node.op for node in tape.nodes}
+    assert {"linear", "gelu", "masked_nll"} <= ops and ("routed_linear" in ops) == (build is build_cogvlm)
+    merged = 0
+    for node in tape.nodes:
+        kept = _kept(node)
+        if node.op in ("linear", "routed_linear"):
+            weight_shapes = {t.shape for t in node.inputs[1:] if t.ndim == 2}
+            merged += sum(t.ndim == 2 for t in node.inputs) == 3  # w, down and up
+            assert not [a.shape for a in kept if a.shape == node.out.shape], f"{node.op} keeps a derivative"
+            assert not [a.shape for a in kept if a.shape in weight_shapes], f"{node.op} keeps a merged weight"
+        elif node.op == "gelu":
+            assert kept == [], "gelu keeps its derivative"
+        elif node.op == "masked_nll":
+            logits_shape = node.inputs[0].shape
+            assert not [a.shape for a in kept if a.shape == logits_shape], "masked_nll keeps the probabilities"
+    assert merged  # some product node does run over a merged weight
+
+
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_backward_twice_on_one_tape_gives_the_same_bits(build):
+    tape, loss = _stage2_tape(build)
+    first, second = backward(tape, loss), backward(tape, loss)
+    assert first.keys() == second.keys() and first
+    for t, g in first.items():
+        assert g.tobytes() == second[t].tobytes(), t.shape
+
+
+# ----------------------------------------------------------------------------
+# malformed operands raise typed errors naming the op
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "op, call",
+    [
+        ("routed_linear", lambda: ag.routed_linear(np.zeros((1, 2, 3)), np.zeros((4, 3)), np.zeros((4, 3)), True)),
+        ("routed_lora", lambda: ag.routed_lora(np.zeros((1, 2, 3)), np.zeros((2, 3)), np.zeros((4, 2)), True)),
+        ("linear", lambda: ag.linear(Tensor(1.0), Tensor(np.eye(2)))),
+        ("rms_norm", lambda: ag.rms_norm(Tensor(1.0), np.ones(1))),
+        ("attention", lambda: ag.attention(*(np.zeros((1, 2, 4)),) * 3, n_heads=0)),
+        ("embed", lambda: ag.embed(np.eye(3), np.array([0.5]))),
+    ],
+    ids=["routed_linear-bool-span", "routed_lora-bool-span", "linear-0d", "rms_norm-0d", "attention-0-heads", "embed-float-ids"],
+)
+def test_kernels_reject_malformed_operands(op, call):
+    with pytest.raises(ShapeMismatch, match=f"^{op}: "):
+        call()
