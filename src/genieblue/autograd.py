@@ -9,8 +9,10 @@ Gradients are recorded on an explicit tape (a Wengert list): while a
 node holding its inputs and output and the values its backward pass needs
 that are not cheap to rebuild. What is cheap is rebuilt from the inputs with
 the forward's own operations, so the gradients keep their bits: the product
-nodes keep no GELU derivative and no merged LoRA weight, ``gelu`` keeps no
-derivative, and ``masked_nll`` keeps no probabilities. ``backward`` replays
+nodes keep no GELU derivative, no merged LoRA weight and, for a whole FFN,
+no hidden activations; ``gelu`` keeps no derivative; ``attention`` and
+``masked_nll`` keep a row max and a softmax denominator, not the
+probabilities. ``backward`` replays
 the list in reverse, which visits each node exactly once in reverse
 topological order because recording order is execution order.
 """
@@ -280,7 +282,78 @@ def _pre_activation(xd: np.ndarray, wd: np.ndarray, wm, span) -> np.ndarray:
     return y
 
 
-def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tensor:
+def _checked_matrix(op: str, rows: tuple[int, ...], w, expert, adapter, span, routed: bool):
+    """One matrix of a product node as Tensors ``(w, expert, adapter)``, checked against its rows.
+
+    ``rows`` is the shape of the array the matrix multiplies. ``w`` must be
+    2-D and as wide as a row, an ``expert`` shaped like ``w`` and an
+    ``adapter`` LoRA factors of ``w``. A ``routed`` matrix needs (B, T, k)
+    rows and an integer ``span`` in [0, T].
+    """
+    w = _as_tensor(w)
+    ws = w.data.shape
+    if not rows or (routed and len(rows) != 3) or len(ws) != 2 or rows[-1] != ws[1]:
+        raise ShapeMismatch(f"{op}: x {rows} incompatible with weight {ws}")
+    if expert is not None:
+        expert = _as_tensor(expert)
+        if expert.shape != w.shape:
+            raise ShapeMismatch(f"{op}: base {w.shape} vs expert {expert.shape}")
+    if adapter is not None:
+        adapter = (_as_tensor(adapter[0]), _as_tensor(adapter[1]))
+        _check_lora(w.data, adapter[0].data, adapter[1].data)
+    if routed:
+        _check_span(op, span, rows[1])
+    return w, expert, adapter
+
+
+def _operands(w: Tensor, expert, adapter) -> tuple[Tensor, ...]:
+    """A matrix's inputs in node order: ``(w[, expert][, down, up])``."""
+    return (w,) + ((expert,) if expert is not None else ()) + (adapter or ())
+
+
+def _factored_grads(gp, xd, w, expert, adapter, span, wm, x_grad: bool) -> tuple:
+    """The gradients of one product over rows ``xd``, ``gp`` being the gradient of its result.
+
+    Returns ``(gx, gw[, g_expert][, g_down, g_up])``, with None for a frozen
+    operand, and for ``gx`` unless ``x_grad``. With ``gs``, ``xs`` the
+    routed rows of ``gp`` and ``xd`` as 2-D arrays, ``gx`` is ``gp @ W_m``,
+    or for a routed product ``gp @ w`` with the prefix replaced by
+    ``gs @ W_m``. ``w`` gets a gradient only when it is trainable itself,
+    from the rows after the prefix beside an expert and from every row
+    otherwise. The expert gets ``gs.T @ xs`` and the factors
+    ``(gs @ up).T @ xs`` and ``gs.T @ (xs @ down.T)``.
+    """
+    wd = w.data
+    (n, k), bsz = wd.shape, xd.shape[0]
+    # the routed rows as 2-D arrays; empty at span 0, so the routed gradients are zero
+    if span is None:
+        gs, xs = gp.reshape(-1, n), xd.reshape(-1, k)
+    else:
+        gs, xs = gp[:, :span].reshape(-1, n), xd[:, :span].reshape(-1, k)
+    gx = gw = None
+    if x_grad and span is None:
+        gx = gp @ wm
+    elif x_grad:
+        gx = gp @ wd
+        if span:
+            gx[:, :span] = (gs @ wm).reshape(bsz, span, k)
+    if w.requires_grad and expert is not None:  # beside an expert, w serves the rows after the prefix only
+        gw = gp[:, span:].reshape(-1, n).T @ xd[:, span:].reshape(-1, k)
+    elif w.requires_grad:  # w itself or inside the merged weight: every row reaches it
+        gw = gp.reshape(-1, n).T @ xd.reshape(-1, k)
+    grads = (gx, gw)
+    if expert is not None:
+        grads += (gs.T @ xs if expert.requires_grad else None,)
+    if adapter is not None:
+        down, up = adapter
+        grads += (
+            (gs @ up.data).T @ xs if down.requires_grad else None,
+            gs.T @ (xs @ down.data.T) if up.requires_grad else None,
+        )
+    return grads
+
+
+def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool, inner=None) -> Tensor:
     """The one product node behind ``linear`` and ``routed_linear``.
 
     The routed rows are every row when ``span`` is None (``linear``) and the
@@ -291,82 +364,74 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tens
     expert or the factors. A routed product runs ``x @ w.T`` over every row,
     then overwrites the prefix with its ``x @ W_m.T`` rows.
 
-    GELU then runs value-only in the product's buffer with the arithmetic of
-    ``gelu``, and the residual, shaped like the output, is added after it,
-    so the result has the bits of ``add(residual, gelu(product))``. The node
-    keeps only its inputs: no product, no GELU derivative and no merged
-    weight. Its vjp forms ``W_m`` again and, under a GELU, rebuilds the
-    pre-activation with the forward's own ``_pre_activation`` and takes the
-    derivative from it, so the gradients have the bits a kept derivative
-    gave. The residual's gradient is the incoming one.
+    ``inner``, a matrix spec ``(w_h, expert_h, adapter_h, span_h)`` whose
+    span None means every row, puts a hidden layer in front: the product
+    then runs over ``gelu(x @ W_h.T)`` instead of ``x``, with ``W_h`` routed
+    as above. That is a whole FFN in one node, with the bits of the inner
+    product as a ``gelu=True`` node followed by the outer one.
 
-    The backward stays factored. With ``gp`` the gradient behind the GELU
-    and ``gs``, ``xs`` the routed rows of ``gp`` and ``x`` as 2-D arrays,
-    ``gx`` is ``gp @ W_m``, or for a routed product ``gp @ w`` with the
-    prefix replaced by ``gs @ W_m``. ``w`` gets a gradient only when it is
-    trainable itself, from the rows after the prefix beside an expert and
-    from every row otherwise. The expert gets ``gs.T @ xs`` and the factors
-    ``(gs @ up).T @ xs`` and ``gs.T @ (xs @ down.T)``. The node is recorded
-    as ``op`` over ``(x, w[, expert][, down, up][, residual])``.
+    Under ``gelu`` the product's buffer then gets GELU, value-only, with the
+    arithmetic of ``gelu``, and the residual, shaped like the output, is
+    added after it, so the result has the bits of ``add(residual,
+    gelu(product))``. The node
+    keeps only its inputs: no product, no hidden rows, no GELU derivative
+    and no merged weight. Its vjp forms the merged weights again and
+    rebuilds the hidden rows and, under a GELU, the pre-activation with the
+    forward's own ``_pre_activation``, so the gradients have the bits of
+    kept arrays. One tiled pass gives the hidden rows and their GELU slope
+    from one ``tanh`` per element. The outer product's gradients are taken
+    over the hidden rows; the hidden gradient, times the slope in place,
+    then gives the inner product's. Both use ``_factored_grads``. The
+    residual's gradient is the incoming one. The node is recorded as ``op``
+    over ``(x, w[, expert][, down, up][, w_h[, expert_h][, down_h,
+    up_h]][, residual])``.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
-    xd, wd = x.data, w.data
-    routed = op == "routed_linear"  # ``linear`` passes span None: every row is routed
-    if not xd.ndim or (routed and xd.ndim != 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[-1]:
-        raise ShapeMismatch(f"{op}: x {x.shape} incompatible with weight {w.shape}")
-    inputs = (x, w)
-    if expert is not None:
-        expert = _as_tensor(expert)
-        if expert.shape != w.shape:
-            raise ShapeMismatch(f"{op}: base {w.shape} vs expert {expert.shape}")
-        inputs += (expert,)
-    if adapter is not None:
-        down, up = _as_tensor(adapter[0]), _as_tensor(adapter[1])
-        _check_lora(wd, down.data, up.data)
-        adapter = (down, up)
-        inputs += adapter
-    if routed:
-        _check_span(op, span, x.shape[1])
+    x = _as_tensor(x)
+    rows, inner_inputs = x.data.shape, ()
+    if inner is not None:
+        wh, eh, ah, sh = inner
+        if (eh is not None and sh is None) or (sh is not None and (eh is None) == (ah is None)):
+            raise ValueError(f"{op}: a routed inner matrix takes an expert or an adapter, an unrouted one no expert")
+        wh, eh, ah = _checked_matrix(op, rows, wh, eh, ah, sh, sh is not None)
+        inner_inputs = _operands(wh, eh, ah)
+        rows = rows[:-1] + (wh.shape[0],)
+    w, expert, adapter = _checked_matrix(op, rows, w, expert, adapter, span, op == "routed_linear")
+    inputs = (x,) + _operands(w, expert, adapter) + inner_inputs
     if residual is not None:
-        residual, out_shape = _as_tensor(residual), x.shape[:-1] + (w.shape[0],)
+        residual, out_shape = _as_tensor(residual), rows[:-1] + (w.shape[0],)
         if residual.shape != out_shape:
             raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
         inputs += (residual,)
-    y = _pre_activation(xd, wd, _routed_weight(wd, expert, adapter, span), span)
+    xd, wd = x.data, w.data
+    if inner is None:
+        h = xd
+    else:
+        h = _pre_activation(xd, wh.data, _routed_weight(wh.data, eh, ah, sh), sh)
+        _gelu_(h)
+    y = _pre_activation(h, wd, _routed_weight(wd, expert, adapter, span), span)
     if gelu:
         _gelu_(y)
     if residual is not None:
         y += residual.data
     out = Tensor(y)
+    if not _will_record(inputs):  # the tape-off path builds no vjp closure
+        return out
 
     def vjp(g):
-        (n, k), bsz = wd.shape, x.shape[0]
+        if inner is None:
+            hd = xd
+        else:  # the hidden rows, rebuilt, and their GELU slope
+            wmh = _routed_weight(wh.data, eh, ah, sh)
+            hd = _pre_activation(xd, wh.data, wmh, sh)
+            slope = _gelu_with_slope_(hd)
         wm = _routed_weight(wd, expert, adapter, span)
-        gp = _gelu_grad(_pre_activation(xd, wd, wm, span), g) if gelu else g
-        # the routed rows as 2-D arrays; empty at span 0, so the routed gradients are zero
-        if span is None:
-            gs, xs = gp.reshape(-1, n), xd.reshape(-1, k)
-        else:
-            gs, xs = gp[:, :span].reshape(-1, n), xd[:, :span].reshape(-1, k)
-        gx = gw = None
-        if x.requires_grad and span is None:
-            gx = gp @ wm
-        elif x.requires_grad:
-            gx = gp @ wd
-            if span:
-                gx[:, :span] = (gs @ wm).reshape(bsz, span, k)
-        if w.requires_grad and expert is not None:  # beside an expert, w serves the rows after the prefix only
-            gw = gp[:, span:].reshape(-1, n).T @ xd[:, span:].reshape(-1, k)
-        elif w.requires_grad:  # w itself or inside the merged weight: every row reaches it
-            gw = gp.reshape(-1, n).T @ xd.reshape(-1, k)
-        grads = (gx, gw)
-        if expert is not None:
-            grads += (gs.T @ xs if expert.requires_grad else None,)
-        if adapter is not None:
-            grads += (
-                (gs @ up.data).T @ xs if down.requires_grad else None,
-                gs.T @ (xs @ down.data.T) if up.requires_grad else None,
-            )
+        gp = _gelu_grad(_pre_activation(hd, wd, wm, span), g) if gelu else g
+        grads = _factored_grads(gp, hd, w, expert, adapter, span, wm, inner is not None or x.requires_grad)
+        if inner is not None:
+            gh = grads[0]
+            gh *= slope
+            inner_grads = _factored_grads(gh, xd, wh, eh, ah, sh, wmh, x.requires_grad)
+            grads = inner_grads[:1] + grads[1:] + inner_grads[1:]
         if residual is not None:
             grads += (g if residual.requires_grad else None,)
         return grads
@@ -374,7 +439,7 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool) -> Tens
     return _maybe_record(op, out, inputs, vjp)
 
 
-def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
+def linear(x, w, adapter=None, *, residual=None, gelu=False, inner=None) -> Tensor:
     """``gelu?(x @ W.T) + residual`` for x (..., k) and a weight stored (out, k).
 
     ``W`` is ``w``, or the merged weight ``lora_weight(w, down, up)`` of a
@@ -383,11 +448,19 @@ def linear(x, w, adapter=None, *, residual=None, gelu=False) -> Tensor:
     the backward stays factored, and the node is recorded as ``linear`` over
     ``(x, w[, down, up][, residual])``. The node keeps only those inputs; its
     vjp rebuilds the merged weight and, under ``gelu``, the pre-activation.
+
+    ``inner=(w_h, expert_h, adapter_h, span_h)`` makes the node a whole FFN:
+    ``x`` first goes through ``gelu(x @ W_h.T)``, with ``W_h`` routed as in
+    ``routed_linear`` when ``span_h`` is an integer and merged over every
+    row when it is None. The result has the bits of ``linear(linear(x, w_h,
+    adapter_h, gelu=True), w, adapter, residual=)`` (or ``routed_linear``
+    inside), the inner operands join the node's inputs before the residual,
+    and the vjp rebuilds the hidden rows, which the node does not keep.
     """
-    return _product("linear", x, w, None, adapter, None, residual, gelu)
+    return _product("linear", x, w, None, adapter, None, residual, gelu, inner)
 
 
-def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, gelu=False) -> Tensor:
+def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, gelu=False, inner=None) -> Tensor:
     """Per-position ``gelu?(x @ W.T) + residual``: the image prefix takes a routed weight.
 
     ``x`` is (B, T, k) and ``span`` an integer in [0, T]: rows ``[:, :span]``
@@ -399,11 +472,12 @@ def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None
     as ``routed_linear`` over ``(x, w_base, w_expert | down, up[,
     residual])``. The node keeps only those inputs; its vjp rebuilds the
     merged weight and, under ``gelu``, the pre-activation: the base product
-    with its prefix rows overwritten, as in the forward.
+    with its prefix rows overwritten, as in the forward. ``inner`` puts a
+    GELU hidden layer in front, as in ``linear``.
     """
     if (w_expert is None) == (adapter is None):
         raise ValueError("routed_linear: give exactly one of w_expert and adapter")
-    return _product("routed_linear", x, w_base, w_expert, adapter, span, residual, gelu)
+    return _product("routed_linear", x, w_base, w_expert, adapter, span, residual, gelu, inner)
 
 
 def routed_lora(x, down, up, span: int) -> Tensor:
@@ -488,9 +562,10 @@ def _gelu_(p: np.ndarray) -> None:
     Tanh form: 0.5*p*(1 + t) with t = tanh(c*(p + 0.044715*p^3)). It runs
     in tiles of ``_GELU_TILE`` elements, each with the same elementwise
     operations as one whole-array pass, so the bits do not depend on the
-    tiling. The standalone ``gelu`` and ``linear(..., gelu=True)`` both run
-    this, so they give the same bits; neither keeps the derivative, which
-    their vjps rebuild with ``_gelu_grad``.
+    tiling. The standalone ``gelu``, ``linear(..., gelu=True)`` and the
+    hidden layer of a product node all run this, so they give the same bits;
+    none keeps the derivative, which their vjps rebuild with ``_gelu_grad``
+    or ``_gelu_with_slope_``.
     """
     for q in _tiles(p):
         t = _gelu_tanh(q)
@@ -499,26 +574,52 @@ def _gelu_(p: np.ndarray) -> None:
         q *= 0.5
 
 
+def _gelu_slope(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 + u*(1 - t) in a new array, u = 0.5*c*q*(1 + 3*0.044715*q^2), ``t`` the tanh of ``q``.
+
+    GELU'(q) = 0.5*(1 + t) + u*(1 - t^2) is this times (1 + t).
+    """
+    d = q * q
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= q
+    d *= 0.5 * _GELU_C
+    d *= np.subtract(1.0, t)
+    d += 0.5
+    return d
+
+
 def _gelu_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Overwrite ``p`` with GELU'(p) * g and return it; ``p`` as for ``_gelu_``, ``g`` of any layout.
 
     The derivative of ``_gelu_``'s arithmetic, tile by tile with the same
-    tiles: d = 0.5*(1 + t) + u*(1 - t^2) with u = 0.5*c*p*(1 + 3*0.044715*p^2),
-    evaluated as (1 + t) * (0.5 + u*(1 - t)), then multiplied by ``g``.
+    tiles: (1 + t) * ``_gelu_slope``, then multiplied by ``g``.
     """
     for q, gq in zip(_tiles(p), _tiles(np.ascontiguousarray(g))):
         t = _gelu_tanh(q)
-        d = q * q
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= q
-        d *= 0.5 * _GELU_C
-        d *= np.subtract(1.0, t)
-        d += 0.5
+        d = _gelu_slope(q, t)
         t += 1.0
         d *= t
         np.multiply(d, gq, out=q)
     return p
+
+
+def _gelu_with_slope_(p: np.ndarray) -> np.ndarray:
+    """Overwrite ``p`` with its GELU and return GELU'(p) in a new array, from one tanh per element.
+
+    ``p`` is as for ``_gelu_``. Each tile runs the operations of ``_gelu_``
+    and of ``_gelu_grad`` on one shared tanh, so ``p`` gets ``_gelu_``'s
+    bits and the slope times a gradient ``_gelu_grad``'s.
+    """
+    slope = np.empty_like(p)
+    for q, sq in zip(_tiles(p), _tiles(slope)):
+        t = _gelu_tanh(q)
+        d = _gelu_slope(q, t)
+        t += 1.0
+        np.multiply(d, t, out=sq)
+        q *= t
+        q *= 0.5
+    return slope
 
 
 def gelu(x) -> Tensor:
@@ -548,6 +649,8 @@ def rms_norm(x, gain) -> Tensor:
     xd, gd = x.data, gain.data
     if xd.ndim == 0 or gain.shape != (xd.shape[-1],):
         raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs x {x.shape}")
+    if not xd.shape[-1]:
+        raise ShapeMismatch(f"rms_norm: rows of x {x.shape} have no elements to normalise")
     n = xd.shape[-1]
     inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + _RMS_EPS)
     y = xd * inv
@@ -624,12 +727,40 @@ def _causal_mask(t: int) -> np.ndarray:
     return m
 
 
+def _attention_probs(qh, kh, scale: float, causal: bool, mx=None, denom=None):
+    """Softmax rows of the scaled, masked scores ``qh @ kh.T``: ``(p, row max, denominator)``.
+
+    The forward lets this find the row max and the denominator, (B, H, T, 1)
+    each; the vjp passes them back in and so rebuilds the probabilities
+    with the forward's own operations.
+    """
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p *= scale
+    if causal:
+        p += _causal_mask(p.shape[-1])
+    if mx is None:
+        mx = p.max(axis=-1, keepdims=True)
+    p -= mx
+    np.exp(p, out=p)
+    if denom is None:
+        denom = p.sum(axis=-1, keepdims=True)
+    p /= denom
+    return p, mx, denom
+
+
 def attention(q, k, v, n_heads: int, causal: bool = True) -> Tensor:
-    """Multi-head scaled-dot-product attention over (B, T, d) streams."""
+    """Multi-head scaled-dot-product attention over (B, T, d) streams, T > 0.
+
+    A recorded node keeps the row max and the softmax denominator, (B, H,
+    T, 1) each, not the (B, H, T, T) probabilities: its vjp rebuilds them
+    from q and k through ``_attention_probs``, as the forward made them.
+    """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if not (q.shape == k.shape == v.shape) or q.ndim != 3:
         raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
     bsz, t, d = q.shape
+    if not t:
+        raise ShapeMismatch(f"attention: empty sequence, q {q.shape}")
     if not _is_int(n_heads) or n_heads <= 0:
         raise ShapeMismatch(f"attention: n_heads must be a positive integer, got {n_heads!r}")
     if d % n_heads:
@@ -641,18 +772,14 @@ def attention(q, k, v, n_heads: int, causal: bool = True) -> Tensor:
         return x.reshape(bsz, t, n_heads, hd).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    s = np.matmul(qh, kh.swapaxes(-1, -2))
-    s *= scale
-    if causal:
-        s += _causal_mask(t)
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    p = s
+    p, mx, denom = _attention_probs(qh, kh, scale, causal)
     o = np.matmul(p, vh)
     out = Tensor(o.transpose(0, 2, 1, 3).reshape(bsz, t, d))
+    if not _will_record((q, k, v)):  # the tape-off path builds no vjp closure
+        return out
 
     def vjp(g):
+        p = _attention_probs(qh, kh, scale, causal, mx, denom)[0]
         gh = g.reshape(bsz, t, n_heads, hd).transpose(0, 2, 1, 3)
         gq = gk = gv = None
         if v.requires_grad:

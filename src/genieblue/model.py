@@ -8,10 +8,11 @@ per cell (single-patch regime) and the projector maps them into the LM width.
 Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
-copies. Each matrix is one product node, built by ``autograd._product``
-behind ``linear`` and ``routed_linear``, which also folds in the FFN GELU
-and the residual adds, so the tape keeps no product that only an add or a
-GELU reads. Unrouted adapter factors apply as a merged weight for every
+copies. Every matrix is one product node, built by ``autograd._product``
+behind ``linear`` and ``routed_linear``, which also folds in the residual
+adds; a whole FFN is one node, ``ffn.w2`` over ``gelu(x @ w1.T)``, so the
+tape keeps neither a product that only an add reads nor the FFN's hidden
+activations. Unrouted adapter factors apply as a merged weight for every
 token through ``linear``. Routed experts and adapters go through
 ``routed_linear``: the image prefix ``[:, :span]`` takes the expert or
 merged weight and every other position the base weight. A batch's image
@@ -134,9 +135,10 @@ class BlockBinding:
 
     ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
     matrix name to a full replacement weight applied at image positions.
-    Every matrix runs as one ``autograd._product`` node, which for
-    ``attn.wo``/``ffn.w2`` also adds the residual and for ``ffn.w1`` applies
-    the GELU. Unrouted adapters apply as the merged weight ``w + up @ down``
+    Every matrix is one product node of ``autograd._product``: the
+    attention matrices one node each, with the residual add in ``attn.wo``,
+    and ``ffn.w1`` with its GELU inside the ``ffn.w2`` node, which adds the
+    residual. Unrouted adapters apply as the merged weight ``w + up @ down``
     through ``linear``. ``route_adapters`` confines the merged weight to the
     image prefix through ``routed_linear``, which is how the visual-expert
     baseline keeps text tokens on the exact base computation; experts are
@@ -150,35 +152,42 @@ class BlockBinding:
     route_adapters: bool = False
 
 
-def _project(
-    x: Tensor,
-    binding: BlockBinding,
-    mat: str,
-    span: int,
-    residual: Tensor | None = None,
-    gelu: bool = False,
-) -> Tensor:
-    """``gelu?(x @ W.T) + residual`` for the binding's view of one matrix.
+def _matrix(binding: BlockBinding, mat: str, span: int) -> tuple:
+    """The binding's view of one matrix as a spec ``(w, expert, adapter, span)``.
 
-    Both kinds are the one product node of ``autograd._product``, which
-    folds in the GELU and the residual add. An unrouted matrix is a
-    ``linear`` node, over the merged weight when it has an adapter. A routed
-    one (an expert, or an adapter with ``route_adapters``) is a
-    ``routed_linear`` node that serves the image prefix ``[:, :span]`` with
-    the expert or merged weight and every other row with the base weight.
+    The span is None for an unrouted matrix, whose adapter, if any, serves
+    every row. A routed one (an expert, or an adapter with
+    ``route_adapters``) keeps ``span``: the image prefix ``[:, :span]`` takes
+    the expert or merged weight and every other row the base weight.
     """
-    w = binding.weights[mat]
     expert = binding.experts.get(mat)
     adapter = binding.adapters.get(mat)
-    if expert is None and (adapter is None or not binding.route_adapters):
-        return ag.linear(x, w, adapter, residual=residual, gelu=gelu)
-    return ag.routed_linear(x, w, expert, span, adapter=adapter, residual=residual, gelu=gelu)
+    routed = expert is not None or (adapter is not None and binding.route_adapters)
+    return binding.weights[mat], expert, adapter, span if routed else None
+
+
+def _project(x: Tensor, binding: BlockBinding, mat: str, span: int, residual=None, inner=None) -> Tensor:
+    """``x @ W.T + residual`` for the binding's view of one matrix, behind an optional GELU hidden layer.
+
+    This is one product node of ``autograd._product``, which folds in the
+    residual add and, given an ``inner`` matrix spec, the hidden layer
+    ``gelu(x @ W_h.T)``. An unrouted matrix is a ``linear`` node, over the
+    merged weight when it has an adapter; a routed one is a
+    ``routed_linear`` node.
+    """
+    w, expert, adapter, routed_span = _matrix(binding, mat, span)
+    if routed_span is None:
+        return ag.linear(x, w, adapter, residual=residual, inner=inner)
+    return ag.routed_linear(x, w, expert, routed_span, adapter=adapter, residual=residual, inner=inner)
 
 
 def block_forward(x: Tensor, binding: BlockBinding, n_heads: int, causal: bool = True, span: int = 0) -> Tensor:
     """Pre-norm block: attention then FFN, each with a residual.
 
-    ``span`` is the image prefix length that routed matrices serve.
+    ``span`` is the image prefix length that routed matrices serve. The
+    attention matrices are one product node each, and the whole FFN is one
+    more: the ``ffn.w2`` node takes ``ffn.w1`` as its inner matrix, so the
+    tape never holds the (B, T, d_ffn) hidden rows.
     """
     h = ag.rms_norm(x, binding.weights["norm1.g"])
     q = _project(h, binding, "attn.wq", span)
@@ -187,8 +196,7 @@ def block_forward(x: Tensor, binding: BlockBinding, n_heads: int, causal: bool =
     a = ag.attention(q, k, v, n_heads, causal=causal)
     x = _project(a, binding, "attn.wo", span, residual=x)
     h = ag.rms_norm(x, binding.weights["norm2.g"])
-    f = _project(h, binding, "ffn.w1", span, gelu=True)
-    return _project(f, binding, "ffn.w2", span, residual=x)
+    return _project(h, binding, "ffn.w2", span, residual=x, inner=_matrix(binding, "ffn.w1", span))
 
 
 def block_param_shapes(d: int, d_ffn: int) -> dict[str, tuple[int, ...]]:

@@ -399,10 +399,11 @@ def test_merged_bindings_rejects_routed_model(tiny_base):
 # stage-2 tapes: what each layer binding records
 # ----------------------------------------------------------------------------
 
-# the wo and w2 products carry the residual add, and w1 carries the GELU
+# the wo product carries the residual add; the FFN is one product over w2
+# with w1 and its GELU inside, and the residual add
 BLOCK_OPS = [
     "rms_norm", "linear", "linear", "linear", "attention", "linear",
-    "rms_norm", "linear", "linear",
+    "rms_norm", "linear",
 ]
 
 
@@ -428,9 +429,10 @@ def test_adapted_block_tape_matches_replicated_block(tiny_base, rng):
         assert [n.op for n in tape.nodes] == BLOCK_OPS, i
         n_inputs = [len(n.inputs) for n in tape.nodes if n.op == "linear"]
         # an adapted matrix is one linear node over (x, w, down, up); the wo
-        # and w2 nodes also take the residual stream as their last input
+        # node also takes the residual stream as its last input, and the FFN
+        # node is over (x, w2[, down2, up2], w1[, down1, up1], residual)
         k = 2 if i in sched else 4
-        assert n_inputs == [k, k, k, k + 1, k, k + 1], i
+        assert n_inputs == [k, k, k, k + 1, 2 * k], i
 
 
 def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
@@ -441,9 +443,10 @@ def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
         assert [n.op for n in tape.nodes] == routed_ops, i
         n_inputs = [len(n.inputs) for n in tape.nodes if n.op == "routed_linear"]
         # each matrix is one routed_linear node over (x, w, expert) or (x, w,
-        # down, up); the wo and w2 nodes also take the residual stream
+        # down, up); the wo node also takes the residual stream, and the FFN
+        # node is over x, the operands of w2 and then of w1, and the residual
         k = 3 if i in sched else 4
-        assert n_inputs == [k, k, k, k + 1, k, k + 1], i
+        assert n_inputs == [k, k, k, k + 1, 2 * k], i
 
 
 # ----------------------------------------------------------------------------

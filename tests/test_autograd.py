@@ -701,6 +701,111 @@ def test_routed_linear_rejects_misshapen_factors_or_residual(rng, span):
 
 
 # ----------------------------------------------------------------------------
+# a whole FFN as one product node: the bits of the two-node composition
+# ----------------------------------------------------------------------------
+
+FFN_SPAN = 30  # image prefix of the (4, 80, 12) input below, whose hidden rows fill two GELU tiles
+
+
+def _ffn_arrays(rng):
+    shapes = {
+        "x": (4, 80, 12), "r": (4, 80, 10),
+        "w1": (64, 12), "e1": (64, 12), "down1": (4, 12), "up1": (64, 4),
+        "w2": (10, 64), "e2": (10, 64), "down2": (4, 64), "up2": (10, 4),
+    }
+    return {k: rng.normal(size=s) for k, s in shapes.items()}
+
+
+def _ffn_spec(t, i, kind, span):
+    """Matrix ``i`` of the FFN as ``(w, expert, adapter, span)``, routed for "expert" and "routed-adapter"."""
+    adapter = (t[f"down{i}"], t[f"up{i}"])
+    return {
+        "plain": (t[f"w{i}"], None, None, None),
+        "adapter": (t[f"w{i}"], None, adapter, None),
+        "expert": (t[f"w{i}"], t[f"e{i}"], None, span),
+        "routed-adapter": (t[f"w{i}"], None, adapter, span),
+    }[kind]
+
+
+def _spec_product(x, spec, **kw):
+    w, expert, adapter, span = spec
+    if span is None:
+        return ag.linear(x, w, adapter, **kw)
+    return ag.routed_linear(x, w, expert, span, adapter=adapter, **kw)
+
+
+FFN_CASES = {  # (kind of w1, kind of w2, span)
+    "adapter": ("adapter", "adapter", FFN_SPAN),
+    "expert": ("expert", "expert", FFN_SPAN),
+    "routed-adapter": ("routed-adapter", "routed-adapter", FFN_SPAN),
+    "w1-routed": ("expert", "adapter", FFN_SPAN),
+    "w2-routed": ("adapter", "routed-adapter", FFN_SPAN),
+    "span-0": ("routed-adapter", "expert", 0),
+}
+
+
+@pytest.mark.parametrize("hidden_frozen", [False, True], ids=["all-trainable", "x-and-w1-frozen"])
+@pytest.mark.parametrize("case", sorted(FFN_CASES))
+def test_ffn_node_bits_equal_two_node_composition(rng, case, hidden_frozen):
+    kind1, kind2, span = FFN_CASES[case]
+    if hidden_frozen:  # nothing under the hidden rows trains, so only the outer matrix and r get gradients
+        kind1 = "plain"
+    arrays, g = _ffn_arrays(rng), rng.normal(size=(4, 80, 10))
+    frozen = {"x", "w1"} if hidden_frozen else set()
+
+    def run(build, tape_on=True):
+        t = {k: Tensor(v, requires_grad=tape_on and k not in frozen) for k, v in arrays.items()}
+        with GradTape() as tape:
+            out = build(t, _ffn_spec(t, 1, kind1, span), _ffn_spec(t, 2, kind2, span))
+            loss = ag.sum_all(ag.mul(out, g))
+        grads = backward(tape, loss) if tape_on else {}
+        return out.data, {k: grads.get(v) for k, v in t.items()}, [n.op for n in tape.nodes]
+
+    def fused(t, s1, s2):
+        return _spec_product(t["x"], s2, residual=t["r"], inner=s1)
+
+    def composed(t, s1, s2):
+        return _spec_product(_spec_product(t["x"], s1, gelu=True), s2, residual=t["r"])
+
+    out, grads, ops = run(fused)
+    ref, ref_grads, _ = run(composed)
+    assert ops == ["linear" if kind2 == "adapter" else "routed_linear", "mul", "sum_all"]
+    assert out.tobytes() == ref.tobytes()
+    for name in arrays:
+        assert (grads[name] is None) == (ref_grads[name] is None), name
+        if grads[name] is not None:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    assert (grads["x"] is None) == hidden_frozen and grads["w2"] is not None and grads["r"] is not None
+    # with the tape off nothing is recorded and the output keeps its bytes
+    plain, _, plain_ops = run(fused, tape_on=False)
+    assert plain_ops == [] and plain.tobytes() == out.tobytes()
+
+
+def test_ffn_node_records_outer_then_inner_operands_then_residual(rng):
+    t = {k: Tensor(v, requires_grad=True) for k, v in _ffn_arrays(rng).items()}
+    with GradTape() as tape:
+        ag.routed_linear(
+            t["x"], t["w2"], t["e2"], FFN_SPAN, residual=t["r"], inner=(t["w1"], None, (t["down1"], t["up1"]), None)
+        )
+    assert [n.op for n in tape.nodes] == ["routed_linear"]
+    names = ["x", "w2", "e2", "w1", "down1", "up1", "r"]
+    assert [id(i) for i in tape.nodes[0].inputs] == [id(t[k]) for k in names]
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [("w1", "e1", None, None), ("w1", None, None, 3), ("w1", "e1", "adapter", 3)],
+    ids=["unrouted-expert", "routed-without-weight", "routed-with-both"],
+)
+def test_ffn_node_rejects_an_inner_spec_without_one_routed_weight(rng, inner):
+    t = {k: Tensor(v) for k, v in _ffn_arrays(rng).items()}
+    w, e, a, span = inner
+    spec = (t[w], t[e] if e else None, (t["down1"], t["up1"]) if a else None, span)
+    with pytest.raises(ValueError, match="^linear: "):
+        ag.linear(t["x"], t["w2"], inner=spec)
+
+
+# ----------------------------------------------------------------------------
 # rms_norm and the attention vjp compute the bits of their earlier forms
 # ----------------------------------------------------------------------------
 
@@ -993,9 +1098,19 @@ def test_stage2_tape_keeps_no_derivative_merged_weight_or_probabilities(build):
     tape = _stage2_tape(build)[0]
     ops = {node.op for node in tape.nodes}
     assert {"linear", "gelu", "masked_nll"} <= ops and ("routed_linear" in ops) == (build is build_cogvlm)
-    merged = 0
+    # the FFN hidden widths of the LM (4 * d_model) and of the vision encoder (4 * d_vision)
+    ffn_widths = {4 * 16, 4 * 8}
+    merged = attentions = 0
     for node in tape.nodes:
         kept = _kept(node)
+        held = _closure_arrays(node.vjp) + [t.data for t in node.inputs]
+        hidden = [a.shape for a in held if a.ndim >= 3 and a.shape[-1] in ffn_widths]
+        assert not hidden, f"{node.op} holds FFN hidden activations {hidden}"
+        if node.op == "attention":
+            attentions += 1
+            (bsz, t, _) = node.inputs[0].shape
+            probs = [a.shape for a in kept if a.ndim == 4 and (a.shape[0],) + a.shape[2:] == (bsz, t, t)]
+            assert not probs, f"attention keeps the probabilities {probs}"
         if node.op in ("linear", "routed_linear"):
             weight_shapes = {t.shape for t in node.inputs[1:] if t.ndim == 2}
             merged += sum(t.ndim == 2 for t in node.inputs) == 3  # w, down and up
@@ -1007,6 +1122,7 @@ def test_stage2_tape_keeps_no_derivative_merged_weight_or_probabilities(build):
             logits_shape = node.inputs[0].shape
             assert not [a.shape for a in kept if a.shape == logits_shape], "masked_nll keeps the probabilities"
     assert merged  # some product node does run over a merged weight
+    assert attentions == 4 + 2  # every LM and vision block was checked
 
 
 # ----------------------------------------------------------------------------
@@ -1020,11 +1136,17 @@ def test_stage2_tape_keeps_no_derivative_merged_weight_or_probabilities(build):
         ("routed_linear", lambda: ag.routed_linear(np.zeros((1, 2, 3)), np.zeros((4, 3)), np.zeros((4, 3)), True)),
         ("routed_lora", lambda: ag.routed_lora(np.zeros((1, 2, 3)), np.zeros((2, 3)), np.zeros((4, 2)), True)),
         ("linear", lambda: ag.linear(Tensor(1.0), Tensor(np.eye(2)))),
+        ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 5)), inner=(np.zeros((5, 2)), None, None, None))),
         ("rms_norm", lambda: ag.rms_norm(Tensor(1.0), np.ones(1))),
+        ("rms_norm", lambda: ag.rms_norm(np.zeros((2, 0)), np.zeros(0))),
         ("attention", lambda: ag.attention(*(np.zeros((1, 2, 4)),) * 3, n_heads=0)),
+        ("attention", lambda: ag.attention(*(np.zeros((1, 0, 4)),) * 3, n_heads=2)),
         ("embed", lambda: ag.embed(np.eye(3), np.array([0.5]))),
     ],
-    ids=["routed_linear-bool-span", "routed_lora-bool-span", "linear-0d", "rms_norm-0d", "attention-0-heads", "embed-float-ids"],
+    ids=[
+        "routed_linear-bool-span", "routed_lora-bool-span", "linear-0d", "linear-inner-width", "rms_norm-0d",
+        "rms_norm-zero-width", "attention-0-heads", "attention-empty", "embed-float-ids",
+    ],
 )
 def test_kernels_reject_malformed_operands(op, call):
     with pytest.raises(ShapeMismatch, match=f"^{op}: "):
