@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .autograd import Tensor, lora_weight
+from .autograd import Tensor, is_int, lora_weight
 from .model import (
     BLOCK_MATRICES,
     BlockBinding,
@@ -58,9 +58,10 @@ def plan_placement(n_layers: int, fraction=Fraction(1, 4), mode: str = "skip") -
     post -> the last k layers; pre -> the first k; skip -> evenly spaced
     with the final layer always included.
     """
-    if not isinstance(n_layers, numbers.Integral) or n_layers < 1:
+    if not is_int(n_layers) or n_layers < 1:
         raise ValueError(f"n_layers must be a positive integer, got {n_layers!r}")
-    if not isinstance(fraction, numbers.Real) or not 0 < fraction <= 1:  # also rules out NaN and inf
+    # also rules out NaN and inf; a bool is no fraction, True would replicate every layer
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real) or not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     f = fraction if isinstance(fraction, Fraction) else Fraction(*float(fraction).as_integer_ratio())
     if not isinstance(mode, str) or mode.lower() not in PLACEMENT_MODES:
@@ -151,13 +152,13 @@ class VisualExpertModel(AdaptedModel):
 
 def _build(cls, base: MultimodalBase, replicated: tuple[int, ...], rank: int, seed: int):
     config = base.config
-    if not isinstance(rank, numbers.Integral):
+    if not is_int(rank):
         raise ValueError(f"rank must be an integer, got {rank!r}")
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     if rank >= config.d_model:
         raise ValueError(f"rank {rank} is degenerate for width {config.d_model}")
-    if not all(isinstance(i, numbers.Integral) for i in replicated):
+    if not all(is_int(i) for i in replicated):
         raise ValueError(f"placement {replicated} must hold integer layer indices")
     if len(set(replicated)) != len(replicated):
         raise ValueError(f"placement {replicated} repeats a layer")

@@ -8,13 +8,17 @@ Gradients are recorded on an explicit tape (a Wengert list): while a
 ``GradTape`` is active, every kernel whose inputs are tracked appends one
 node holding its inputs and output and the values its backward pass needs
 that are not cheap to rebuild. What is cheap is rebuilt from the inputs with
-the forward's own operations, so the gradients keep their bits: the product
-nodes keep no GELU derivative, no merged LoRA weight and, for a whole FFN,
-no hidden activations; ``gelu`` keeps no derivative; ``attention`` and
-``masked_nll`` keep a row max and a softmax denominator, not the
-probabilities. ``backward`` replays
-the list in reverse, which visits each node exactly once in reverse
-topological order because recording order is execution order.
+the forward's own operations, so the gradients keep their bits. A pre-norm
+transformer block is two nodes: the attention half, entered through
+``attention``, and the FFN half, a product node with a norm prologue. They
+keep the block input and the mid-block stream, their operands and
+attention's (B, H, T, 1) row max and softmax denominator; the normed rows,
+q, k, v, the attention probabilities and output, the FFN hidden rows, GELU
+derivatives and merged LoRA weights are all rebuilt. ``gelu`` keeps no
+derivative, and ``masked_nll`` keeps a row max and a denominator, not the
+probabilities. ``backward`` replays the list in reverse, which visits each
+node exactly once in reverse topological order because recording order is
+execution order.
 """
 
 from __future__ import annotations
@@ -247,14 +251,18 @@ def lora_weight(w: np.ndarray, down: np.ndarray, up: np.ndarray) -> np.ndarray:
     return w + up @ down
 
 
-def _is_int(v) -> bool:
-    """Whether ``v`` is an integer and not a bool; a plain int takes the fast path."""
+def is_int(v) -> bool:
+    """Whether ``v`` is an integer and not a bool; a plain int takes the fast path.
+
+    This is the package's one integer check: every entry point that takes a
+    count, a size or a span tests it with this, so ``True`` is never 1.
+    """
     return type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))
 
 
 def _check_span(op: str, span, t: int) -> None:
     """Raise unless ``span`` is an integer image-prefix length in [0, t]."""
-    if not _is_int(span) or not 0 <= span <= t:
+    if not is_int(span) or not 0 <= span <= t:
         raise ShapeMismatch(f"{op}: span must be an integer in [0, {t}], got {span!r}")
 
 
@@ -353,7 +361,21 @@ def _factored_grads(gp, xd, w, expert, adapter, span, wm, x_grad: bool) -> tuple
     return grads
 
 
-def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool, inner=None) -> Tensor:
+def _checked_spec(op: str, rows: tuple[int, ...], spec) -> tuple:
+    """A matrix spec ``(w, expert, adapter, span)`` as Tensors, checked against the rows it multiplies.
+
+    A span None routes every row and takes no expert; an integer span routes
+    the image prefix and takes exactly one of an expert and an adapter.
+    """
+    w, expert, adapter, span = spec
+    if (expert is not None and span is None) or (span is not None and (expert is None) == (adapter is None)):
+        raise ValueError(
+            f"{op}: a routed matrix takes exactly one of an expert and an adapter, an unrouted one no expert"
+        )
+    return _checked_matrix(op, rows, w, expert, adapter, span, span is not None) + (span,)
+
+
+def _product(op: str, x, w, expert, adapter, span, residual, inner=None, norm=None) -> Tensor:
     """The one product node behind ``linear`` and ``routed_linear``.
 
     The routed rows are every row when ``span`` is None (``linear``) and the
@@ -368,70 +390,80 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool, inner=N
     span None means every row, puts a hidden layer in front: the product
     then runs over ``gelu(x @ W_h.T)`` instead of ``x``, with ``W_h`` routed
     as above. That is a whole FFN in one node, with the bits of the inner
-    product as a ``gelu=True`` node followed by the outer one.
+    product, ``gelu`` and the outer product as three nodes. ``norm``, a gain
+    as wide as a row of ``x``, puts ``rms_norm(x, norm)`` in front of
+    everything, with ``rms_norm``'s own arithmetic (``_rms_rows``). The
+    residual, shaped like the output, is added last, so the result has the
+    bits of ``add(residual, product)``. With ``norm``, ``inner`` and the
+    residual ``x``, the node is the FFN half of a pre-norm block.
 
-    Under ``gelu`` the product's buffer then gets GELU, value-only, with the
-    arithmetic of ``gelu``, and the residual, shaped like the output, is
-    added after it, so the result has the bits of ``add(residual,
-    gelu(product))``. The node
-    keeps only its inputs: no product, no hidden rows, no GELU derivative
-    and no merged weight. Its vjp forms the merged weights again and
-    rebuilds the hidden rows and, under a GELU, the pre-activation with the
-    forward's own ``_pre_activation``, so the gradients have the bits of
+    The node keeps only its inputs: no normed rows, no hidden rows, no GELU
+    derivative and no merged weight. Its vjp forms the merged weights again
+    and rebuilds the normed and hidden rows with the forward's own
+    ``_rms_rows`` and ``_pre_activation``, so the gradients have the bits of
     kept arrays. One tiled pass gives the hidden rows and their GELU slope
     from one ``tanh`` per element. The outer product's gradients are taken
     over the hidden rows; the hidden gradient, times the slope in place,
-    then gives the inner product's. Both use ``_factored_grads``. The
-    residual's gradient is the incoming one. The node is recorded as ``op``
-    over ``(x, w[, expert][, down, up][, w_h[, expert_h][, down_h,
-    up_h]][, residual])``.
+    then gives the inner product's. Both use ``_factored_grads``. The normed
+    rows' gradient gives those of ``x`` and the gain through ``_rms_grads``,
+    and the residual's gradient is the incoming one. The node is recorded as
+    ``op`` over ``(x, w[, expert][, down, up][, w_h[, expert_h][, down_h,
+    up_h]][, gain][, residual])``.
     """
     x = _as_tensor(x)
-    rows, inner_inputs = x.data.shape, ()
+    rows = x.data.shape
+    gain = None if norm is None else _checked_gain(op, rows, norm)
     if inner is not None:
-        wh, eh, ah, sh = inner
-        if (eh is not None and sh is None) or (sh is not None and (eh is None) == (ah is None)):
-            raise ValueError(f"{op}: a routed inner matrix takes an expert or an adapter, an unrouted one no expert")
-        wh, eh, ah = _checked_matrix(op, rows, wh, eh, ah, sh, sh is not None)
-        inner_inputs = _operands(wh, eh, ah)
-        rows = rows[:-1] + (wh.shape[0],)
+        inner = _checked_spec(op, rows, inner)
+        rows = rows[:-1] + (inner[0].shape[0],)
     w, expert, adapter = _checked_matrix(op, rows, w, expert, adapter, span, op == "routed_linear")
-    inputs = (x,) + _operands(w, expert, adapter) + inner_inputs
+    inputs = (x,) + _operands(w, expert, adapter)
+    if inner is not None:
+        inputs += _operands(*inner[:3])
+    if gain is not None:
+        inputs += (gain,)
     if residual is not None:
         residual, out_shape = _as_tensor(residual), rows[:-1] + (w.shape[0],)
         if residual.shape != out_shape:
             raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
         inputs += (residual,)
     xd, wd = x.data, w.data
-    if inner is None:
-        h = xd
-    else:
-        h = _pre_activation(xd, wh.data, _routed_weight(wh.data, eh, ah, sh), sh)
+    h = xd if gain is None else _rms_rows(xd, gain.data)[0]
+    if inner is not None:
+        wh, eh, ah, sh = inner
+        h = _pre_activation(h, wh.data, _routed_weight(wh.data, eh, ah, sh), sh)
         _gelu_(h)
     y = _pre_activation(h, wd, _routed_weight(wd, expert, adapter, span), span)
-    if gelu:
-        _gelu_(y)
     if residual is not None:
         y += residual.data
     out = Tensor(y)
     if not _will_record(inputs):  # the tape-off path builds no vjp closure
         return out
+    # whether the rows the products run over, x or its normed rows, need a gradient
+    xn_grad = x.requires_grad or (gain is not None and gain.requires_grad)
 
     def vjp(g):
+        if gain is None:
+            xn = xd
+        else:  # the normed rows, rebuilt
+            xn, inv = _rms_rows(xd, gain.data)
         if inner is None:
-            hd = xd
+            hd = xn
         else:  # the hidden rows, rebuilt, and their GELU slope
+            wh, eh, ah, sh = inner
             wmh = _routed_weight(wh.data, eh, ah, sh)
-            hd = _pre_activation(xd, wh.data, wmh, sh)
+            hd = _pre_activation(xn, wh.data, wmh, sh)
             slope = _gelu_with_slope_(hd)
         wm = _routed_weight(wd, expert, adapter, span)
-        gp = _gelu_grad(_pre_activation(hd, wd, wm, span), g) if gelu else g
-        grads = _factored_grads(gp, hd, w, expert, adapter, span, wm, inner is not None or x.requires_grad)
+        grads = _factored_grads(g, hd, w, expert, adapter, span, wm, inner is not None or xn_grad)
         if inner is not None:
             gh = grads[0]
             gh *= slope
-            inner_grads = _factored_grads(gh, xd, wh, eh, ah, sh, wmh, x.requires_grad)
+            inner_grads = _factored_grads(gh, xn, wh, eh, ah, sh, wmh, xn_grad)
             grads = inner_grads[:1] + grads[1:] + inner_grads[1:]
+        if gain is not None:
+            gx, ggain = _rms_grads(grads[0], xd, gain.data, inv, x.requires_grad, gain.requires_grad)
+            grads = (gx,) + grads[1:] + (ggain,)
         if residual is not None:
             grads += (g if residual.requires_grad else None,)
         return grads
@@ -439,45 +471,46 @@ def _product(op: str, x, w, expert, adapter, span, residual, gelu: bool, inner=N
     return _maybe_record(op, out, inputs, vjp)
 
 
-def linear(x, w, adapter=None, *, residual=None, gelu=False, inner=None) -> Tensor:
-    """``gelu?(x @ W.T) + residual`` for x (..., k) and a weight stored (out, k).
+def linear(x, w, adapter=None, *, residual=None, inner=None, norm=None) -> Tensor:
+    """``x @ W.T + residual`` for x (..., k) and a weight stored (out, k).
 
     ``W`` is ``w``, or the merged weight ``lora_weight(w, down, up)`` of a
     LoRA ``adapter=(down, up)``. This is ``_product`` with every row routed:
-    the result has the bits of ``add(residual, gelu(linear(x, w, adapter)))``,
-    the backward stays factored, and the node is recorded as ``linear`` over
+    the result has the bits of ``add(residual, linear(x, w, adapter))``, the
+    backward stays factored, and the node is recorded as ``linear`` over
     ``(x, w[, down, up][, residual])``. The node keeps only those inputs; its
-    vjp rebuilds the merged weight and, under ``gelu``, the pre-activation.
+    vjp rebuilds the merged weight.
 
     ``inner=(w_h, expert_h, adapter_h, span_h)`` makes the node a whole FFN:
     ``x`` first goes through ``gelu(x @ W_h.T)``, with ``W_h`` routed as in
     ``routed_linear`` when ``span_h`` is an integer and merged over every
-    row when it is None. The result has the bits of ``linear(linear(x, w_h,
-    adapter_h, gelu=True), w, adapter, residual=)`` (or ``routed_linear``
-    inside), the inner operands join the node's inputs before the residual,
-    and the vjp rebuilds the hidden rows, which the node does not keep.
+    row when it is None. ``norm=gain`` puts ``rms_norm(x, gain)`` in front
+    of that. The result has the bits of ``linear(gelu(linear(rms_norm(x,
+    gain), w_h, adapter_h)), w, adapter, residual=)`` (or ``routed_linear``
+    inside), the operands of ``inner`` and then the gain join the node's
+    inputs before the residual, and the vjp rebuilds the normed and hidden
+    rows, which the node does not keep.
     """
-    return _product("linear", x, w, None, adapter, None, residual, gelu, inner)
+    return _product("linear", x, w, None, adapter, None, residual, inner, norm)
 
 
-def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, gelu=False, inner=None) -> Tensor:
-    """Per-position ``gelu?(x @ W.T) + residual``: the image prefix takes a routed weight.
+def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, inner=None, norm=None) -> Tensor:
+    """Per-position ``x @ W.T + residual``: the image prefix takes a routed weight.
 
     ``x`` is (B, T, k) and ``span`` an integer in [0, T]: rows ``[:, :span]``
     are image positions and take the expert ``w_expert``, shaped like
     ``w_base``, or the merged weight of a LoRA ``adapter=(down, up)``;
     exactly one of the two is given. Rows from ``span`` on have the bits of
-    ``linear(x, w_base, residual=, gelu=)``, and at span 0 neither the expert
-    nor the factors are read. This is ``_product`` over the prefix, recorded
-    as ``routed_linear`` over ``(x, w_base, w_expert | down, up[,
-    residual])``. The node keeps only those inputs; its vjp rebuilds the
-    merged weight and, under ``gelu``, the pre-activation: the base product
-    with its prefix rows overwritten, as in the forward. ``inner`` puts a
-    GELU hidden layer in front, as in ``linear``.
+    ``linear(x, w_base, residual=)``, and at span 0 neither the expert nor
+    the factors are read. This is ``_product`` over the prefix, recorded as
+    ``routed_linear`` over ``(x, w_base, w_expert | down, up[, residual])``.
+    The node keeps only those inputs; its vjp rebuilds the merged weight.
+    ``inner`` puts a GELU hidden layer in front and ``norm`` an RMS norm in
+    front of that, as in ``linear``.
     """
     if (w_expert is None) == (adapter is None):
         raise ValueError("routed_linear: give exactly one of w_expert and adapter")
-    return _product("routed_linear", x, w_base, w_expert, adapter, span, residual, gelu, inner)
+    return _product("routed_linear", x, w_base, w_expert, adapter, span, residual, inner, norm)
 
 
 def routed_lora(x, down, up, span: int) -> Tensor:
@@ -562,10 +595,9 @@ def _gelu_(p: np.ndarray) -> None:
     Tanh form: 0.5*p*(1 + t) with t = tanh(c*(p + 0.044715*p^3)). It runs
     in tiles of ``_GELU_TILE`` elements, each with the same elementwise
     operations as one whole-array pass, so the bits do not depend on the
-    tiling. The standalone ``gelu``, ``linear(..., gelu=True)`` and the
-    hidden layer of a product node all run this, so they give the same bits;
-    none keeps the derivative, which their vjps rebuild with ``_gelu_grad``
-    or ``_gelu_with_slope_``.
+    tiling. The standalone ``gelu`` and the hidden layer of a product node
+    both run this, so they give the same bits; neither keeps the derivative,
+    which their vjps rebuild with ``_gelu_grad`` or ``_gelu_with_slope_``.
     """
     for q in _tiles(p):
         t = _gelu_tanh(q)
@@ -639,35 +671,59 @@ def gelu(x) -> Tensor:
 _RMS_EPS = 1e-12
 
 
+def _checked_gain(op: str, shape: tuple[int, ...], gain) -> Tensor:
+    """``gain`` as a Tensor, checked as the norm gain of rows of an array shaped ``shape``."""
+    gain = _as_tensor(gain)
+    if not shape or gain.shape != (shape[-1],):
+        raise ShapeMismatch(f"{op}: gain {gain.shape} vs x {shape}")
+    if not shape[-1]:
+        raise ShapeMismatch(f"{op}: rows of x {shape} have no elements to normalise")
+    return gain
+
+
+def _rms_rows(xd: np.ndarray, gd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normed rows ``xd * inv * gd`` and their (..., 1) inverse RMS ``inv``.
+
+    ``rms_norm`` and the norm prologues of the block halves run this in
+    their forwards, and the halves again in their vjps, so the rebuilt rows
+    have the bits of the kept ones.
+    """
+    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + _RMS_EPS)
+    y = xd * inv
+    y *= gd
+    return y, inv
+
+
+def _rms_grads(g, xd, gd, inv, x_grad: bool, gain_grad: bool) -> tuple:
+    """``(gx, ggain)`` of ``_rms_rows(xd, gd)`` for the gradient ``g`` of its rows, None where not wanted."""
+    gx = ggain = None
+    n = xd.shape[-1]
+    if x_grad:
+        h = g * gd
+        gx = inv * h - xd * (inv**3 / n) * (xd * h).sum(axis=-1, keepdims=True)
+    if gain_grad:
+        # the pre-gain rows are recomputed rather than kept on the tape
+        yg = xd * inv
+        yg *= g
+        ggain = yg.reshape(-1, n).sum(axis=0)
+    return gx, ggain
+
+
 def rms_norm(x, gain) -> Tensor:
     """Scale each last-axis row to unit root-mean-square, then apply gain.
 
     The epsilon only guards all-zero rows; on ordinary data the output RMS
-    is 1 to within float64 rounding.
+    is 1 to within float64 rounding. A recorded node keeps the (..., 1)
+    inverse RMS besides its inputs.
     """
-    x, gain = _as_tensor(x), _as_tensor(gain)
+    x = _as_tensor(x)
+    gain = _checked_gain("rms_norm", x.shape, gain)
     xd, gd = x.data, gain.data
-    if xd.ndim == 0 or gain.shape != (xd.shape[-1],):
-        raise ShapeMismatch(f"rms_norm: gain {gain.shape} vs x {x.shape}")
-    if not xd.shape[-1]:
-        raise ShapeMismatch(f"rms_norm: rows of x {x.shape} have no elements to normalise")
-    n = xd.shape[-1]
-    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + _RMS_EPS)
-    y = xd * inv
-    y *= gd
+    y, inv = _rms_rows(xd, gd)
     out = Tensor(y)
 
     def vjp(g):
-        gx = ggain = None
-        if x.requires_grad:
-            h = g * gd
-            gx = inv * h - xd * (inv**3 / n) * (xd * h).sum(axis=-1, keepdims=True)
-        if gain.requires_grad:
-            # the pre-gain rows are recomputed rather than kept on the tape
-            yg = xd * inv
-            yg *= g
-            ggain = yg.reshape(-1, n).sum(axis=0)
-        return gx, ggain
+        return _rms_grads(g, xd, gd, inv, x.requires_grad, gain.requires_grad)
 
     return _maybe_record("rms_norm", out, (x, gain), vjp)
 
@@ -748,55 +804,167 @@ def _attention_probs(qh, kh, scale: float, causal: bool, mx=None, denom=None):
     return p, mx, denom
 
 
-def attention(q, k, v, n_heads: int, causal: bool = True) -> Tensor:
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, T, d) rows as a (B, H, T, d / H) view of heads."""
+    bsz, t, d = a.shape
+    return a.reshape(bsz, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge(a: np.ndarray) -> np.ndarray:
+    """(B, H, T, hd) heads as new contiguous (B, T, H * hd) rows."""
+    bsz, n_heads, t, hd = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(bsz, t, n_heads * hd)
+
+
+def _attention_scale(shape: tuple[int, ...], n_heads) -> float:
+    """The score scale ``1 / sqrt(d / H)`` for (B, T, d) streams, T > 0, checked."""
+    bsz, t, d = shape
+    if not t:
+        raise ShapeMismatch(f"attention: empty sequence, q {shape}")
+    if not is_int(n_heads) or n_heads <= 0:
+        raise ShapeMismatch(f"attention: n_heads must be a positive integer, got {n_heads!r}")
+    if d % n_heads:
+        raise ShapeMismatch(f"attention: width {d} not divisible by {n_heads} heads")
+    return 1.0 / math.sqrt(d // n_heads)
+
+
+def _attention_grads(g, qh, kh, vh, p, scale: float, wanted) -> tuple:
+    """``(gq, gk, gv)`` as (B, T, d) rows for the gradient ``g`` of the output rows; None where not ``wanted``.
+
+    ``qh``, ``kh``, ``vh`` are the heads and ``p`` the probabilities.
+    """
+    q_grad, k_grad, v_grad = wanted
+    gh = _heads(g, qh.shape[1])
+    gq = gk = gv = None
+    if v_grad:
+        gv = _merge(np.matmul(p.swapaxes(-1, -2), gh))
+    if q_grad or k_grad:
+        # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
+        gs = np.matmul(gh, vh.swapaxes(-1, -2))
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        if q_grad:
+            gq = _merge(np.matmul(gs, kh))
+        if k_grad:
+            gk = _merge(np.matmul(gs.swapaxes(-1, -2), qh))
+    return gq, gk, gv
+
+
+def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, wo=None) -> Tensor:
     """Multi-head scaled-dot-product attention over (B, T, d) streams, T > 0.
 
     A recorded node keeps the row max and the softmax denominator, (B, H,
     T, 1) each, not the (B, H, T, T) probabilities: its vjp rebuilds them
     from q and k through ``_attention_probs``, as the forward made them.
+
+    Given the block input ``x``, a norm ``gain`` and an output matrix
+    ``wo``, the node is instead the attention half of a pre-norm block (see
+    ``_attention_half``): ``q``, ``k``, ``v`` and ``wo`` are then matrix
+    specs ``(w, expert, adapter, span)``, as ``linear``'s ``inner`` takes.
     """
+    if x is not None or gain is not None or wo is not None:
+        if x is None or gain is None or wo is None:
+            raise ValueError("attention: the block half takes all of x, gain and wo")
+        return _attention_half(x, gain, (q, k, v), wo, n_heads, causal)
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if not (q.shape == k.shape == v.shape) or q.ndim != 3:
         raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    bsz, t, d = q.shape
-    if not t:
-        raise ShapeMismatch(f"attention: empty sequence, q {q.shape}")
-    if not _is_int(n_heads) or n_heads <= 0:
-        raise ShapeMismatch(f"attention: n_heads must be a positive integer, got {n_heads!r}")
-    if d % n_heads:
-        raise ShapeMismatch(f"attention: width {d} not divisible by {n_heads} heads")
-    hd = d // n_heads
-    scale = 1.0 / math.sqrt(hd)
-
-    def split(x):
-        return x.reshape(bsz, t, n_heads, hd).transpose(0, 2, 1, 3)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = _attention_scale(q.shape, n_heads)
+    qh, kh, vh = _heads(q.data, n_heads), _heads(k.data, n_heads), _heads(v.data, n_heads)
     p, mx, denom = _attention_probs(qh, kh, scale, causal)
-    o = np.matmul(p, vh)
-    out = Tensor(o.transpose(0, 2, 1, 3).reshape(bsz, t, d))
+    out = Tensor(_merge(np.matmul(p, vh)))
     if not _will_record((q, k, v)):  # the tape-off path builds no vjp closure
         return out
 
     def vjp(g):
         p = _attention_probs(qh, kh, scale, causal, mx, denom)[0]
-        gh = g.reshape(bsz, t, n_heads, hd).transpose(0, 2, 1, 3)
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = np.matmul(p.swapaxes(-1, -2), gh).transpose(0, 2, 1, 3).reshape(bsz, t, d)
-        if q.requires_grad or k.requires_grad:
-            # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
-            gs = np.matmul(gh, vh.swapaxes(-1, -2))
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= scale
-            if q.requires_grad:
-                gq = np.matmul(gs, kh).transpose(0, 2, 1, 3).reshape(bsz, t, d)
-            if k.requires_grad:
-                gk = np.matmul(gs.swapaxes(-1, -2), qh).transpose(0, 2, 1, 3).reshape(bsz, t, d)
-        return gq, gk, gv
+        return _attention_grads(g, qh, kh, vh, p, scale, (q.requires_grad, k.requires_grad, v.requires_grad))
 
     return _maybe_record("attention", out, (q, k, v), vjp)
+
+
+def _qkv_heads(hn: np.ndarray, mats, n_heads: int) -> tuple[list, list]:
+    """The routed weights of the q, k, v specs ``mats`` and the heads of their products over ``hn``."""
+    wms = [_routed_weight(w.data, e, a, s) for w, e, a, s in mats]
+    return wms, [_heads(_pre_activation(hn, m[0].data, wm, m[3]), n_heads) for m, wm in zip(mats, wms)]
+
+
+def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
+    """``x + attention(q, k, v) @ W_o.T``, q, k, v the ``mats`` products of ``rms_norm(x, gain)``, as one node.
+
+    ``mats`` are the q, k and v matrix specs and ``wo`` the output's, each
+    routed as in ``_product``. The result has the bits of the flat graph:
+    ``rms_norm``, a product node per matrix (the ``wo`` one adding ``x``)
+    and ``attention``. The node keeps its inputs and attention's (B, H, T,
+    1) row max and softmax denominator, nothing of (B, T, d) size besides
+    ``x``. Its vjp rebuilds the normed rows, q, k, v, the probabilities and
+    the attention output with the forward's own ``_rms_rows``,
+    ``_pre_activation`` and ``_attention_probs``, then takes the flat
+    graph's gradients in its order: ``wo``, attention, then v, k and q,
+    whose row gradients sum as ``(gx_v + gx_k) + gx_q``, then the norm,
+    and ``x`` gets ``g + gx_norm``. It computes only the gradients the flat
+    graph would have. The node is recorded as ``attention`` over ``(x, wo,
+    v, k and q operands, gain)``, the matrices in the flat graph's reverse
+    order, so a tensor shared by two of them sums its gradients as before.
+    """
+    op = "attention"
+    x = _as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeMismatch(f"{op}: x {x.shape} is not (B, T, d)")
+    gain = _checked_gain(op, x.shape, gain)
+    mats = [_checked_spec(op, x.shape, m) for m in mats]
+    widths = {m[0].shape[0] for m in mats}
+    if len(widths) != 1:
+        raise ShapeMismatch(f"{op}: q, k and v widths {[m[0].shape[0] for m in mats]} differ")
+    rows = x.shape[:2] + tuple(widths)
+    scale = _attention_scale(rows, n_heads)
+    wo = _checked_spec(op, rows, wo)
+    if wo[0].shape[0] != x.shape[-1]:
+        raise ShapeMismatch(f"{op}: output width {wo[0].shape[0]} vs residual {x.shape}")
+    replay = (wo,) + tuple(reversed(mats))  # the flat graph's replay order
+    inputs = (x,) + tuple(t for m in replay for t in _operands(*m[:3])) + (gain,)
+    xd, gd = x.data, gain.data
+    hn = _rms_rows(xd, gd)[0]
+    qh, kh, vh = _qkv_heads(hn, mats, n_heads)[1]
+    p, mx, denom = _attention_probs(qh, kh, scale, causal)
+    w, e, a, s = wo
+    y = _pre_activation(_merge(np.matmul(p, vh)), w.data, _routed_weight(w.data, e, a, s), s)
+    y += xd
+    out = Tensor(y)
+    if not _will_record(inputs):  # the tape-off path builds no vjp closure
+        return out
+    # which arrays of the flat graph needed a gradient: the normed rows, q, k and v, the attention output
+    hn_grad = x.requires_grad or gain.requires_grad
+    qkv_grad = [hn_grad or any(t.requires_grad for t in _operands(*m[:3])) for m in mats]
+    a_grad = any(qkv_grad)
+
+    def vjp(g):
+        hn, inv = _rms_rows(xd, gd)
+        wms, (qh, kh, vh) = _qkv_heads(hn, mats, n_heads)
+        p = _attention_probs(qh, kh, scale, causal, mx, denom)[0]
+        w, e, a, s = wo
+        wo_grads = _factored_grads(g, _merge(np.matmul(p, vh)), w, e, a, s, _routed_weight(w.data, e, a, s), a_grad)
+        gqkv = _attention_grads(wo_grads[0], qh, kh, vh, p, scale, qkv_grad) if a_grad else (None,) * 3
+        grads, row_grads = wo_grads[1:], []
+        for m, wm, gm in reversed(list(zip(mats, wms, gqkv))):  # v, k, q: the flat graph's replay order
+            if gm is None:  # nothing under this matrix trains
+                grads += (None,) * len(_operands(*m[:3]))
+            else:
+                gx_m, *g_ops = _factored_grads(gm, hn, *m, wm, hn_grad)
+                grads += tuple(g_ops)
+                row_grads.append(gx_m)
+        gh = None
+        if hn_grad:  # summed as the flat graph's backward summed them
+            gx_v, gx_k, gx_q = row_grads
+            gh = gx_v + gx_k
+            gh += gx_q
+        gx, ggain = _rms_grads(gh, xd, gd, inv, x.requires_grad, gain.requires_grad)
+        if gx is not None:
+            gx = g + gx
+        return (gx,) + grads + (ggain,)
+
+    return _maybe_record(op, out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

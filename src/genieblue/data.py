@@ -9,11 +9,11 @@ pure function of its TaskSpec.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import is_int
 from .model import TokenBatch
 
 __all__ = [
@@ -58,7 +58,7 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         for field_name in ("n_samples", "seq_len", "seed"):
             value = getattr(self, field_name)
-            if not isinstance(value, numbers.Integral):
+            if not is_int(value):
                 raise ValueError(f"{field_name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
@@ -173,7 +173,7 @@ def synth_dataset(
 ) -> Dataset:
     """Generate a dataset; rejects specs whose sequences exceed max_seq."""
     for name, value in (("max_seq", max_seq), ("grid_side", grid_side), ("grid_alphabet", grid_alphabet)):
-        if not isinstance(value, numbers.Integral) or value < 1:
+        if not is_int(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if grid_alphabet > COUNT_BASE - GRID_TOKEN_BASE:  # symbol ids would run into the count tokens
         raise ValueError(f"grid_alphabet must be at most {COUNT_BASE - GRID_TOKEN_BASE}, got {grid_alphabet}")
@@ -221,7 +221,7 @@ def collate(
     n = len(samples)
     if n == 0:
         raise ValueError("cannot collate an empty list of samples")
-    if pad_to is not None and (not isinstance(pad_to, numbers.Integral) or pad_to < 1):
+    if pad_to is not None and (not is_int(pad_to) or pad_to < 1):
         raise ValueError(f"pad_to must be a positive integer, got {pad_to!r}")
     spans = []
     for b, s in enumerate(samples):

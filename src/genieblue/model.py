@@ -8,29 +8,30 @@ per cell (single-patch regime) and the projector maps them into the LM width.
 Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
-copies. Every matrix is one product node, built by ``autograd._product``
-behind ``linear`` and ``routed_linear``, which also folds in the residual
-adds; a whole FFN is one node, ``ffn.w2`` over ``gelu(x @ w1.T)``, so the
-tape keeps neither a product that only an add reads nor the FFN's hidden
-activations. Unrouted adapter factors apply as a merged weight for every
-token through ``linear``. Routed experts and adapters go through
-``routed_linear``: the image prefix ``[:, :span]`` takes the expert or
-merged weight and every other position the base weight. A batch's image
-positions are one integer span shared by every row, from ``collate`` down
-to the kernels.
+copies. A block records two tape nodes. The attention half, entered through
+``autograd.attention``, runs the first norm, the q, k and v products,
+attention and the ``attn.wo`` product with the residual add. The FFN half,
+a product node of ``autograd._product`` behind ``linear`` or
+``routed_linear``, runs the second norm, ``gelu(x @ w1.T)`` and the
+``ffn.w2`` product with the residual add. So the tape keeps two (B, T, d)
+arrays per block, the block input and the mid-block stream; the vjps
+rebuild everything else. Unrouted adapter factors apply as a merged weight
+for every token. Routed experts and adapters serve the image prefix
+``[:, :span]`` with the expert or merged weight and every other position
+with the base weight. A batch's image positions are one integer span
+shared by every row, from ``collate`` down to the kernels.
 ``MultimodalBase`` binds the LM's own blocks; each adapted model of the
 adaptation module is the same stack with its own bindings.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import Tensor, is_int
 
 __all__ = [
     "ModelConfig",
@@ -70,7 +71,7 @@ class ModelConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, numbers.Integral):
+            if not is_int(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.d_ffn == 0:
             object.__setattr__(self, "d_ffn", 4 * self.d_model)
@@ -124,7 +125,7 @@ class TokenBatch:
         if self.ids.ndim != 2:
             raise ValueError(f"token ids must be (B, T), got shape {self.ids.shape}")
         span, t = self.image_span, self.ids.shape[1]
-        if not isinstance(span, numbers.Integral) or not 0 <= span <= t:
+        if not is_int(span) or not 0 <= span <= t:
             raise ValueError(f"image_span must be an integer in [0, {t}], got {span!r}")
         self.image_span = int(span)
 
@@ -135,15 +136,14 @@ class BlockBinding:
 
     ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
     matrix name to a full replacement weight applied at image positions.
-    Every matrix is one product node of ``autograd._product``: the
-    attention matrices one node each, with the residual add in ``attn.wo``,
-    and ``ffn.w1`` with its GELU inside the ``ffn.w2`` node, which adds the
-    residual. Unrouted adapters apply as the merged weight ``w + up @ down``
-    through ``linear``. ``route_adapters`` confines the merged weight to the
-    image prefix through ``routed_linear``, which is how the visual-expert
-    baseline keeps text tokens on the exact base computation; experts are
-    always routed. A routed matrix takes an expert or an adapter, never
-    both.
+    ``block_forward`` runs the layer as two nodes: the attention half takes
+    every attention matrix and ``norm1.g``, the FFN half ``norm2.g``,
+    ``ffn.w1`` with its GELU and ``ffn.w2``, and each adds its residual.
+    Unrouted adapters apply as the merged weight ``w + up @ down`` to every
+    row. ``route_adapters`` confines the merged weight to the image prefix,
+    which is how the visual-expert baseline keeps text tokens on the exact
+    base computation; experts are always routed. A routed matrix takes an
+    expert or an adapter, never both.
     """
 
     weights: dict[str, Tensor]
@@ -153,7 +153,7 @@ class BlockBinding:
 
 
 def _matrix(binding: BlockBinding, mat: str, span: int) -> tuple:
-    """The binding's view of one matrix as a spec ``(w, expert, adapter, span)``.
+    """The binding's view of one matrix as a spec ``(w, expert, adapter, span)``, as the kernels take it.
 
     The span is None for an unrouted matrix, whose adapter, if any, serves
     every row. A routed one (an expert, or an adapter with
@@ -166,37 +166,26 @@ def _matrix(binding: BlockBinding, mat: str, span: int) -> tuple:
     return binding.weights[mat], expert, adapter, span if routed else None
 
 
-def _project(x: Tensor, binding: BlockBinding, mat: str, span: int, residual=None, inner=None) -> Tensor:
-    """``x @ W.T + residual`` for the binding's view of one matrix, behind an optional GELU hidden layer.
-
-    This is one product node of ``autograd._product``, which folds in the
-    residual add and, given an ``inner`` matrix spec, the hidden layer
-    ``gelu(x @ W_h.T)``. An unrouted matrix is a ``linear`` node, over the
-    merged weight when it has an adapter; a routed one is a
-    ``routed_linear`` node.
-    """
-    w, expert, adapter, routed_span = _matrix(binding, mat, span)
-    if routed_span is None:
-        return ag.linear(x, w, adapter, residual=residual, inner=inner)
-    return ag.routed_linear(x, w, expert, routed_span, adapter=adapter, residual=residual, inner=inner)
-
-
 def block_forward(x: Tensor, binding: BlockBinding, n_heads: int, causal: bool = True, span: int = 0) -> Tensor:
-    """Pre-norm block: attention then FFN, each with a residual.
+    """Pre-norm block: attention then FFN, each with a residual, as two tape nodes.
 
     ``span`` is the image prefix length that routed matrices serve. The
-    attention matrices are one product node each, and the whole FFN is one
-    more: the ``ffn.w2`` node takes ``ffn.w1`` as its inner matrix, so the
-    tape never holds the (B, T, d_ffn) hidden rows.
+    attention half, ``rms_norm``, the q, k and v products, attention and the
+    ``attn.wo`` product adding ``x``, is one ``attention`` node. The FFN half
+    is one product node over the mid-block stream: its norm, ``ffn.w1`` and
+    the GELU go in front of ``ffn.w2``, which adds the stream back. So the
+    tape keeps two (B, T, d) arrays per block, the block input and the
+    mid-block stream. The FFN node is ``linear`` over an unrouted ``ffn.w2``
+    (over the merged weight when it has an adapter) and ``routed_linear``
+    over a routed one.
     """
-    h = ag.rms_norm(x, binding.weights["norm1.g"])
-    q = _project(h, binding, "attn.wq", span)
-    k = _project(h, binding, "attn.wk", span)
-    v = _project(h, binding, "attn.wv", span)
-    a = ag.attention(q, k, v, n_heads, causal=causal)
-    x = _project(a, binding, "attn.wo", span, residual=x)
-    h = ag.rms_norm(x, binding.weights["norm2.g"])
-    return _project(h, binding, "ffn.w2", span, residual=x, inner=_matrix(binding, "ffn.w1", span))
+    q, k, v, o = (_matrix(binding, mat, span) for mat in BLOCK_MATRICES[:4])
+    x = ag.attention(q, k, v, n_heads, causal=causal, x=x, gain=binding.weights["norm1.g"], wo=o)
+    w, expert, adapter, routed_span = _matrix(binding, "ffn.w2", span)
+    inner, gain = _matrix(binding, "ffn.w1", span), binding.weights["norm2.g"]
+    if routed_span is None:
+        return ag.linear(x, w, adapter, residual=x, inner=inner, norm=gain)
+    return ag.routed_linear(x, w, expert, routed_span, adapter=adapter, residual=x, inner=inner, norm=gain)
 
 
 def block_param_shapes(d: int, d_ffn: int) -> dict[str, tuple[int, ...]]:

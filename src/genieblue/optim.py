@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import NonFiniteError, Tensor
+from .autograd import NonFiniteError, Tensor, is_int
 
 __all__ = ["AdamWState", "adamw_step", "LrSchedule", "lr_at"]
 
@@ -79,7 +79,7 @@ class LrSchedule:
         if not isinstance(self.peak, numbers.Real) or not math.isfinite(self.peak) or self.peak < 0:
             raise ValueError(f"peak must be a finite non-negative number, got {self.peak!r}")
         for name in ("warmup_steps", "total_steps"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 < self.warmup_steps < self.total_steps):
             raise ValueError(f"need 0 < warmup ({self.warmup_steps}) < total ({self.total_steps})")

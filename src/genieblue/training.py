@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .adaptation import freeze_mask
+from .autograd import is_int
 from .data import Dataset, collate
 from .model import VisionEncoder
 from .optim import AdamWState, LrSchedule, adamw_step, lr_at
@@ -62,7 +63,7 @@ class StageConfig:
     def __post_init__(self):
         for name in ("stage", "total_steps", "batch_size", "grad_accum"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("peak_lr", "warmup_frac", "weight_decay", "vit_lr_decay"):
             value = getattr(self, name)

@@ -82,6 +82,14 @@ def test_placement_rejects_bad_layer_count(n_layers):
         plan_placement(n_layers)
 
 
+def test_placement_rejects_bools():
+    for flag in (True, np.bool_(True)):  # True would be a fraction of 1: every layer replicated
+        with pytest.raises(ValueError, match="fraction must be in"):
+            plan_placement(8, flag)
+    with pytest.raises(ValueError, match="n_layers must be a positive integer, got True"):
+        plan_placement(True)
+
+
 def test_placement_full_fraction_replicates_everything(tiny_base):
     assert plan_placement(6, Fraction(1, 1), "skip") == tuple(range(6))
     hybrid = build_genieblue(tiny_base, plan_placement(4, Fraction(1, 1), "skip"), rank=4)
@@ -170,6 +178,14 @@ def test_degenerate_rank_rejected(tiny_base):
 def test_build_rejects_malformed_placement_or_rank(tiny_base, build, placement, rank, message):
     with pytest.raises(ValueError, match=message):
         build(tiny_base, placement, rank=rank)
+
+
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_build_rejects_bool_placement_or_rank(tiny_base, build):
+    with pytest.raises(ValueError, match="integer layer indices"):
+        build(tiny_base, (True,), rank=4)
+    with pytest.raises(ValueError, match="rank must be an integer, got True"):
+        build(tiny_base, (3,), rank=True)
 
 
 def test_adapter_zero_at_init(tiny_base):
@@ -399,12 +415,10 @@ def test_merged_bindings_rejects_routed_model(tiny_base):
 # stage-2 tapes: what each layer binding records
 # ----------------------------------------------------------------------------
 
-# the wo product carries the residual add; the FFN is one product over w2
-# with w1 and its GELU inside, and the residual add
-BLOCK_OPS = [
-    "rms_norm", "linear", "linear", "linear", "attention", "linear",
-    "rms_norm", "linear",
-]
+# each block is two nodes: the attention half (norm, q, k, v, attention and
+# the wo product adding the block input), then the FFN half, one product
+# over w2 with the norm, w1 and its GELU inside, adding the mid-block stream
+BLOCK_OPS = ["attention", "linear"]
 
 
 def _stage2_block_tapes(model, rng):
@@ -427,12 +441,13 @@ def test_adapted_block_tape_matches_replicated_block(tiny_base, rng):
     tapes = _stage2_block_tapes(hybrid, rng)
     for i, tape in enumerate(tapes):
         assert [n.op for n in tape.nodes] == BLOCK_OPS, i
-        n_inputs = [len(n.inputs) for n in tape.nodes if n.op == "linear"]
-        # an adapted matrix is one linear node over (x, w, down, up); the wo
-        # node also takes the residual stream as its last input, and the FFN
-        # node is over (x, w2[, down2, up2], w1[, down1, up1], residual)
-        k = 2 if i in sched else 4
-        assert n_inputs == [k, k, k, k + 1, 2 * k], i
+        # an adapted matrix has the operands (w, down, up), a replicated one
+        # (w): the attention node is over x, the operands of wo, wv, wk and
+        # wq, and norm1's gain; the FFN node over x, the operands of w2 and
+        # w1, norm2's gain and x again as the residual
+        k = 1 if i in sched else 3
+        assert [len(n.inputs) for n in tape.nodes] == [4 * k + 2, 2 * k + 3], i
+        assert tape.nodes[1].inputs[0] is tape.nodes[1].inputs[-1] is tape.nodes[0].out
 
 
 def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
@@ -441,12 +456,11 @@ def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
     routed_ops = ["routed_linear" if op == "linear" else op for op in BLOCK_OPS]
     for i, tape in enumerate(_stage2_block_tapes(expert, rng)):
         assert [n.op for n in tape.nodes] == routed_ops, i
-        n_inputs = [len(n.inputs) for n in tape.nodes if n.op == "routed_linear"]
-        # each matrix is one routed_linear node over (x, w, expert) or (x, w,
-        # down, up); the wo node also takes the residual stream, and the FFN
-        # node is over x, the operands of w2 and then of w1, and the residual
-        k = 3 if i in sched else 4
-        assert n_inputs == [k, k, k, k + 1, 2 * k], i
+        # each matrix has the operands (w, expert) or (w, down, up), in the
+        # attention node between x and norm1's gain, and in the FFN node
+        # between x and norm2's gain, then x again as the residual
+        k = 2 if i in sched else 3
+        assert [len(n.inputs) for n in tape.nodes] == [4 * k + 2, 2 * k + 3], i
 
 
 # ----------------------------------------------------------------------------

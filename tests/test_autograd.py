@@ -356,14 +356,16 @@ def test_linear_adapter_rejects_mismatched_factors(rng, down_shape, up_shape):
 
 
 # ----------------------------------------------------------------------------
-# linear with a folded residual or GELU: the bits of the unfused graph
+# linear with a folded residual or GELU hidden layer: the bits of the unfused graph
 # ----------------------------------------------------------------------------
 
 
-def _fold_arrays(rng, adapter, residual=True):
+def _fold_arrays(rng, adapter, residual=True, hidden=False):
     arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(10, 12))}
     if residual:
         arrays["r"] = rng.normal(size=(3, 7, 10))
+    if hidden:  # the weight of a GELU hidden layer in front of w
+        arrays["wh"] = rng.normal(size=(12, 12))
     if adapter:
         arrays["down"] = rng.normal(size=(4, 12))
         arrays["up"] = rng.normal(size=(10, 4))
@@ -374,14 +376,19 @@ def _adapter_of(t):
     return (t["down"], t["up"]) if "down" in t else None
 
 
+def _hidden(t):
+    """The unrouted GELU hidden layer over ``wh`` as an ``inner`` spec, or None without ``wh``."""
+    return (t["wh"], None, None, None) if "wh" in t else None
+
+
 FOLDS = {
     "residual": (
         lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), residual=t["r"]),
         lambda t: ag.add(t["r"], ag.linear(t["x"], t["w"], _adapter_of(t))),
     ),
     "gelu": (
-        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), gelu=True),
-        lambda t: ag.gelu(ag.linear(t["x"], t["w"], _adapter_of(t))),
+        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), inner=_hidden(t)),
+        lambda t: ag.linear(ag.gelu(ag.linear(t["x"], t["wh"])), t["w"], _adapter_of(t)),
     ),
 }
 
@@ -399,7 +406,8 @@ def _fold_and_grads(build, arrays, frozen, g):
 @pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
 @pytest.mark.parametrize("fold", sorted(FOLDS))
 def test_linear_fold_bits_equal_unfused_graph(rng, fold, adapter, frozen):
-    arrays, g = _fold_arrays(rng, adapter, residual=fold == "residual"), rng.normal(size=(3, 7, 10))
+    arrays = _fold_arrays(rng, adapter, residual=fold == "residual", hidden=fold == "gelu")
+    g = rng.normal(size=(3, 7, 10))
     fused_build, unfused_build = FOLDS[fold]
     fused, fused_grads, fused_ops = _fold_and_grads(fused_build, arrays, frozen, g)
     unfused, unfused_grads, _ = _fold_and_grads(unfused_build, arrays, frozen, g)
@@ -415,11 +423,11 @@ def test_linear_fold_bits_equal_unfused_graph(rng, fold, adapter, frozen):
 
 
 def test_linear_fold_records_residual_last(rng):
-    t = {k: Tensor(v, requires_grad=True) for k, v in _fold_arrays(rng, adapter=True).items()}
+    t = {k: Tensor(v, requires_grad=True) for k, v in _fold_arrays(rng, adapter=True, hidden=True).items()}
     with GradTape() as tape:
-        ag.linear(t["x"], t["w"], (t["down"], t["up"]), residual=t["r"], gelu=True)
+        ag.linear(t["x"], t["w"], (t["down"], t["up"]), residual=t["r"], inner=_hidden(t))
     (node,) = tape.nodes
-    assert node.op == "linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["r"])
+    assert node.op == "linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["wh"], t["r"])
     g = rng.normal(size=(3, 7, 10))
     assert node.vjp(g)[-1] is g  # the residual takes the incoming gradient unchanged
 
@@ -433,8 +441,12 @@ def test_grad_linear_fold(probe, adapter, residual, gelu):
         arrays.update(down=probe((2, 5)), up=probe((6, 2)))
     if residual:
         arrays["r"] = probe((2, 3, 6))
+    if gelu:  # a GELU hidden layer in front of w
+        arrays["wh"] = probe((5, 5))
     _check_grads(
-        lambda t: ag.sum_all(ag.mul(ag.linear(t["x"], t["w"], _adapter_of(t), residual=t.get("r"), gelu=gelu), c)),
+        lambda t: ag.sum_all(
+            ag.mul(ag.linear(t["x"], t["w"], _adapter_of(t), residual=t.get("r"), inner=_hidden(t)), c)
+        ),
         arrays,
     )
 
@@ -482,14 +494,16 @@ def test_masked_nll_rejects_bad_targets():
 
 
 # ----------------------------------------------------------------------------
-# routed_linear with a folded adapter, GELU and residual: one node per matrix
+# routed_linear with a folded adapter, GELU hidden layer and residual: one node per matrix
 # ----------------------------------------------------------------------------
 
 ROUTE_SPAN = 3  # image prefix of the (3, 7, k) inputs below
 
 
-def _routed_arrays(rng, kind, up_scale=1.0):
+def _routed_arrays(rng, kind, up_scale=1.0, hidden=False):
     arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(10, 12)), "r": rng.normal(size=(3, 7, 10))}
+    if hidden:  # the weight of a GELU hidden layer in front of the routed matrix
+        arrays["wh"] = rng.normal(size=(12, 12))
     if kind == "expert":
         arrays["e"] = rng.normal(size=(10, 12))
     else:
@@ -498,20 +512,21 @@ def _routed_arrays(rng, kind, up_scale=1.0):
     return arrays
 
 
-def _routed(t, span, gelu, residual=True):
+def _routed(t, span, residual=True):
+    """The routed product over ``x``, behind a GELU hidden layer when ``t`` has ``wh``."""
     return ag.routed_linear(
-        t["x"], t["w"], t.get("e"), span, adapter=_adapter_of(t), residual=t["r"] if residual else None, gelu=gelu
+        t["x"], t["w"], t.get("e"), span, adapter=_adapter_of(t), residual=t["r"] if residual else None,
+        inner=_hidden(t),
     )
 
 
-def _unfused_routed(t, span, gelu):
-    """The graph the routed path recorded before the fold: one node per step."""
+def _unfused_routed(t, span):
+    """The graph the routed path recorded before the folds: one node per step."""
+    x = t["x"] if "wh" not in t else ag.gelu(ag.linear(t["x"], t["wh"]))
     if "e" in t:
-        y = ag.routed_linear(t["x"], t["w"], t["e"], span)
+        y = ag.routed_linear(x, t["w"], t["e"], span)
     else:
-        y = ag.add(ag.linear(t["x"], t["w"]), ag.routed_lora(t["x"], t["down"], t["up"], span))
-    if gelu:
-        y = ag.gelu(y)
+        y = ag.add(ag.linear(x, t["w"]), ag.routed_lora(x, t["down"], t["up"], span))
     return ag.add(t["r"], y)
 
 
@@ -523,29 +538,31 @@ def test_grad_routed_linear_fold(probe, kind, gelu):
         arrays["e"] = probe((6, 5))
     else:
         arrays.update(down=probe((2, 5)), up=probe((6, 2)))
+    if gelu:
+        arrays["wh"] = probe((5, 5))
     c = probe((2, 4, 6))
-    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, 2, gelu), c)), arrays)
+    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, 2), c)), arrays)
 
 
 @pytest.mark.parametrize("span", [0, 4], ids=["no-row", "every-row"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_grad_routed_linear_at_span_edges(probe, kind, span):
-    arrays = {"x": probe((2, 4, 5)), "w": probe((6, 5)), "r": probe((2, 4, 6))}
+    arrays = {"x": probe((2, 4, 5)), "w": probe((6, 5)), "r": probe((2, 4, 6)), "wh": probe((5, 5))}
     if kind == "expert":
         arrays["e"] = probe((6, 5))
     else:
         arrays.update(down=probe((2, 5)), up=probe((6, 2)))
     c = probe((2, 4, 6))
-    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, span, gelu=True), c)), arrays)
+    _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, span), c)), arrays)
 
 
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_routes_every_row_at_full_span(rng, kind):
-    arrays, g = _routed_arrays(rng, kind), rng.normal(size=(3, 7, 10))
-    out, grads, _ = _fold_and_grads(lambda t: _routed(t, 7, gelu=True), arrays, None, g)
+    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 10))
+    out, grads, _ = _fold_and_grads(lambda t: _routed(t, 7), arrays, None, g)
     t = {k: Tensor(v) for k, v in arrays.items()}
     wm = t["e"] if kind == "expert" else ag.lora_weight(t["w"].data, t["down"].data, t["up"].data)
-    np.testing.assert_allclose(out, ag.linear(t["x"], wm, residual=t["r"], gelu=True).data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, ag.linear(t["x"], wm, residual=t["r"], inner=_hidden(t)).data, rtol=0, atol=1e-12)
     if kind == "expert":  # beside an expert, w_base serves no row
         assert grads["w"].shape == arrays["w"].shape and not grads["w"].any()
     else:  # the merged weight holds w_base, so every row reaches it
@@ -587,9 +604,9 @@ def test_routed_lora_touches_only_the_prefix(rng, span):
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_unmasked_rows_equal_linear(rng, kind, gelu):
-    t = {k: Tensor(v) for k, v in _routed_arrays(rng, kind).items()}
-    got = _routed(t, ROUTE_SPAN, gelu).data
-    want = ag.linear(t["x"], t["w"], residual=t["r"], gelu=gelu).data
+    t = {k: Tensor(v) for k, v in _routed_arrays(rng, kind, hidden=gelu).items()}
+    got = _routed(t, ROUTE_SPAN).data
+    want = ag.linear(t["x"], t["w"], residual=t["r"], inner=_hidden(t)).data
     assert got[:, ROUTE_SPAN:].tobytes() == want[:, ROUTE_SPAN:].tobytes()
     assert not np.array_equal(got[:, :ROUTE_SPAN], want[:, :ROUTE_SPAN])
 
@@ -597,7 +614,7 @@ def test_routed_linear_unmasked_rows_equal_linear(rng, kind, gelu):
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng, monkeypatch, kind, gelu):
-    arrays = _routed_arrays(rng, kind)
+    arrays = _routed_arrays(rng, kind, hidden=gelu)
     for name in ("e", "down", "up"):
         if name in arrays:
             arrays[name][:] = np.nan  # unreachable at span 0
@@ -607,10 +624,10 @@ def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng,
 
     monkeypatch.setattr(ag, "lora_weight", no_merge)
     g = rng.normal(size=(3, 7, 10))
-    out, grads, ops = _fold_and_grads(lambda t: _routed(t, 0, gelu), arrays, None, g)
-    plain = {k: arrays[k] for k in ("x", "w", "r")}
+    out, grads, ops = _fold_and_grads(lambda t: _routed(t, 0), arrays, None, g)
+    plain = {k: arrays[k] for k in ("x", "w", "r", "wh") if k in arrays}
     want, want_grads, _ = _fold_and_grads(
-        lambda t: ag.linear(t["x"], t["w"], residual=t["r"], gelu=gelu), plain, None, g
+        lambda t: ag.linear(t["x"], t["w"], residual=t["r"], inner=_hidden(t)), plain, None, g
     )
     assert ops == ["routed_linear", "mul", "sum_all"]
     assert out.tobytes() == want.tobytes()
@@ -623,13 +640,13 @@ def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng,
 @pytest.mark.parametrize("span", [0, ROUTE_SPAN], ids=["all-text", "mixed"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_never_calls_the_public_linear(rng, monkeypatch, kind, span):
-    arrays, g = _routed_arrays(rng, kind), rng.normal(size=(3, 7, 10))
+    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 10))
 
     def no_linear(*args, **kwargs):
         raise AssertionError("routed_linear went through the public linear")
 
     monkeypatch.setattr(ag, "linear", no_linear)
-    out, grads, ops = _fold_and_grads(lambda t: _routed(t, span, gelu=True), arrays, None, g)
+    out, grads, ops = _fold_and_grads(lambda t: _routed(t, span), arrays, None, g)
     assert ops == ["routed_linear", "mul", "sum_all"] and np.isfinite(out).all()
     assert all(grads[name] is not None for name in arrays)
 
@@ -638,11 +655,9 @@ def test_routed_linear_never_calls_the_public_linear(rng, monkeypatch, kind, spa
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):
     # with up = 0 the merged weight is w itself; an expert never had a delta
-    arrays, g = _routed_arrays(rng, kind, up_scale=0.0), rng.normal(size=(3, 7, 10))
-    fused, fused_grads, fused_ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN, gelu), arrays, None, g)
-    unfused, unfused_grads, unfused_ops = _fold_and_grads(
-        lambda t: _unfused_routed(t, ROUTE_SPAN, gelu), arrays, None, g
-    )
+    arrays, g = _routed_arrays(rng, kind, up_scale=0.0, hidden=gelu), rng.normal(size=(3, 7, 10))
+    fused, fused_grads, fused_ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN), arrays, None, g)
+    unfused, unfused_grads, unfused_ops = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_SPAN), arrays, None, g)
     assert fused_ops == ["routed_linear", "mul", "sum_all"] and len(unfused_ops) > len(fused_ops)
     assert fused.tobytes() == unfused.tobytes()
     for name in arrays:
@@ -651,9 +666,9 @@ def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):
 
 @pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
 def test_routed_adapter_matches_unfused_graph(rng, gelu):
-    arrays, g = _routed_arrays(rng, "adapter"), rng.normal(size=(3, 7, 10))
-    fused, fused_grads, _ = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN, gelu), arrays, None, g)
-    unfused, unfused_grads, _ = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_SPAN, gelu), arrays, None, g)
+    arrays, g = _routed_arrays(rng, "adapter", hidden=gelu), rng.normal(size=(3, 7, 10))
+    fused, fused_grads, _ = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN), arrays, None, g)
+    unfused, unfused_grads, _ = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_SPAN), arrays, None, g)
     assert fused[:, ROUTE_SPAN:].tobytes() == unfused[:, ROUTE_SPAN:].tobytes()
     np.testing.assert_allclose(fused[:, :ROUTE_SPAN], unfused[:, :ROUTE_SPAN], rtol=0, atol=1e-12)
     for name in arrays:
@@ -662,19 +677,19 @@ def test_routed_adapter_matches_unfused_graph(rng, gelu):
 
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_frozen_base_gets_no_gradient(rng, kind):
-    arrays, g = _routed_arrays(rng, kind), rng.normal(size=(3, 7, 10))
-    _, grads, ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN, gelu=True), arrays, "w", g)
+    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 10))
+    _, grads, ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN), arrays, "w", g)
     assert ops == ["routed_linear", "mul", "sum_all"]
     assert grads["w"] is None
     assert all(grads[name] is not None for name in arrays if name != "w")
 
 
 def test_routed_linear_records_inputs_in_order(rng):
-    t = {k: Tensor(v, requires_grad=True) for k, v in _routed_arrays(rng, "adapter").items()}
+    t = {k: Tensor(v, requires_grad=True) for k, v in _routed_arrays(rng, "adapter", hidden=True).items()}
     with GradTape() as tape:
-        _routed(t, ROUTE_SPAN, gelu=True)
+        _routed(t, ROUTE_SPAN)
     (node,) = tape.nodes
-    assert node.op == "routed_linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["r"])
+    assert node.op == "routed_linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["wh"], t["r"])
     g = rng.normal(size=(3, 7, 10))
     assert node.vjp(g)[-1] is g  # the residual takes the incoming gradient unchanged
 
@@ -701,7 +716,7 @@ def test_routed_linear_rejects_misshapen_factors_or_residual(rng, span):
 
 
 # ----------------------------------------------------------------------------
-# a whole FFN as one product node: the bits of the two-node composition
+# a whole FFN as one product node: the bits of the composition of product, gelu and product
 # ----------------------------------------------------------------------------
 
 FFN_SPAN = 30  # image prefix of the (4, 80, 12) input below, whose hidden rows fill two GELU tiles
@@ -765,7 +780,7 @@ def test_ffn_node_bits_equal_two_node_composition(rng, case, hidden_frozen):
         return _spec_product(t["x"], s2, residual=t["r"], inner=s1)
 
     def composed(t, s1, s2):
-        return _spec_product(_spec_product(t["x"], s1, gelu=True), s2, residual=t["r"])
+        return _spec_product(ag.gelu(_spec_product(t["x"], s1)), s2, residual=t["r"])
 
     out, grads, ops = run(fused)
     ref, ref_grads, _ = run(composed)
@@ -803,6 +818,121 @@ def test_ffn_node_rejects_an_inner_spec_without_one_routed_weight(rng, inner):
     spec = (t[w], t[e] if e else None, (t["down1"], t["up1"]) if a else None, span)
     with pytest.raises(ValueError, match="^linear: "):
         ag.linear(t["x"], t["w2"], inner=spec)
+
+
+# ----------------------------------------------------------------------------
+# the two block halves: the bits of the flat graph of one node per step
+# ----------------------------------------------------------------------------
+
+HALF_T = 6  # sequence length of the (2, 6, 8) block inputs below
+HALF_SPANS = {"span-0": 0, "partial": 2, "full": HALF_T}
+# the kind of each matrix (wq, wk, wv, wo, w1, w2); "mixed" gives every half several kinds
+HALF_KINDS = {kind: (kind,) * 6 for kind in ("plain", "adapter", "expert", "routed-adapter")}
+HALF_KINDS["mixed"] = ("plain", "expert", "adapter", "routed-adapter", "routed-adapter", "expert")
+# which leaves are frozen: the stream x, the norm gain, the matrix operands
+HALF_FROZEN = {
+    "all-trainable": set(),
+    "x-frozen": {"x"},
+    "stream-frozen": {"x", "gain"},
+    "weights-frozen": {"weights"},
+}
+
+
+def _half_arrays(rng, shapes):
+    """``x``, a norm ``gain`` and, per matrix name and its (out, in) shape, a weight, an expert and LoRA factors."""
+    arrays = {"x": rng.normal(size=(2, HALF_T, 8)), "gain": rng.normal(1.0, 0.3, size=8)}
+    arrays["g"] = rng.normal(size=(2, HALF_T, 8))  # the loss probe, never trained
+    for name, (n, k) in shapes.items():
+        arrays.update({
+            name: rng.normal(scale=0.5, size=(n, k)),
+            f"{name}.e": rng.normal(scale=0.5, size=(n, k)),
+            f"{name}.down": rng.normal(scale=0.5, size=(2, k)),
+            f"{name}.up": rng.normal(scale=0.5, size=(n, 2)),
+        })
+    return arrays
+
+
+def _half_tensors(arrays, frozen, tape_on):
+    def trains(name):
+        return tape_on and name != "g" and ("weights" if "." in name or name.startswith("w") else name) not in frozen
+
+    return {k: Tensor(v, requires_grad=trains(k)) for k, v in arrays.items()}
+
+
+def _half_spec(t, name, kind, span):
+    """Matrix ``name`` of a half as ``(w, expert, adapter, span)``, as ``_ffn_spec`` makes them."""
+    operands = {"w": t[name], "e": t[f"{name}.e"], "down": t[f"{name}.down"], "up": t[f"{name}.up"]}
+    return _ffn_spec(operands, "", kind, span)
+
+
+def _run_half(build, arrays, frozen, tape_on):
+    """The output, the gradient of every leaf for the loss ``sum(out * g)``, and the recorded ops."""
+    t = _half_tensors(arrays, frozen, tape_on)
+    with GradTape() as tape:
+        out = build(t)
+        loss = ag.sum_all(ag.mul(out, t["g"]))
+    grads = backward(tape, loss) if tape_on else {}
+    return out.data, {k: grads.get(v) for k, v in t.items()}, [n.op for n in tape.nodes]
+
+
+def _check_half(fused_build, flat_build, arrays, frozen):
+    """The half is one node whose output and leaf gradients have the flat graph's bits, tape on and off."""
+    out, grads, ops = _run_half(fused_build, arrays, frozen, tape_on=True)
+    ref, ref_grads, ref_ops = _run_half(flat_build, arrays, frozen, tape_on=True)
+    assert len(ops) == 3 and len(ref_ops) > 3  # the half, or the flat graph, then mul and sum_all
+    assert out.tobytes() == ref.tobytes()
+    for name in grads:
+        assert (grads[name] is None) == (ref_grads[name] is None), name
+        if grads[name] is not None:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    assert (grads["x"] is None) == ("x" in frozen) and (grads["gain"] is None) == ("gain" in frozen)
+    # with the tape off nothing is recorded and the output keeps its bytes
+    plain, _, plain_ops = _run_half(fused_build, arrays, frozen, tape_on=False)
+    assert plain_ops == [] and plain.tobytes() == _run_half(flat_build, arrays, frozen, tape_on=False)[0].tobytes()
+    assert plain.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("frozen", sorted(HALF_FROZEN))
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
+@pytest.mark.parametrize("span", sorted(HALF_SPANS))
+@pytest.mark.parametrize("kind", sorted(HALF_KINDS))
+def test_attention_half_bits_equal_flat_graph(rng, kind, span, causal, frozen):
+    arrays = _half_arrays(rng, {w: (8, 8) for w in ("wq", "wk", "wv", "wo")})
+    kinds, s = HALF_KINDS[kind], HALF_SPANS[span]
+
+    def specs(t):
+        return [_half_spec(t, name, k, s) for name, k in zip(("wq", "wk", "wv", "wo"), kinds)]
+
+    def fused(t):
+        q, k, v, o = specs(t)
+        return ag.attention(q, k, v, 2, causal=causal, x=t["x"], gain=t["gain"], wo=o)
+
+    def flat(t):
+        q, k, v, o = specs(t)
+        h = ag.rms_norm(t["x"], t["gain"])
+        a = ag.attention(*(_spec_product(h, m) for m in (q, k, v)), 2, causal=causal)
+        return _spec_product(a, o, residual=t["x"])
+
+    _check_half(fused, flat, arrays, HALF_FROZEN[frozen])
+
+
+@pytest.mark.parametrize("frozen", sorted(HALF_FROZEN))
+@pytest.mark.parametrize("span", sorted(HALF_SPANS))
+@pytest.mark.parametrize("kind", sorted(HALF_KINDS))
+def test_ffn_half_bits_equal_flat_graph(rng, kind, span, frozen):
+    arrays = _half_arrays(rng, {"w1": (32, 8), "w2": (8, 32)})
+    kinds, s = HALF_KINDS[kind][4:], HALF_SPANS[span]
+
+    def fused(t):
+        s1, s2 = _half_spec(t, "w1", kinds[0], s), _half_spec(t, "w2", kinds[1], s)
+        return _spec_product(t["x"], s2, residual=t["x"], inner=s1, norm=t["gain"])
+
+    def flat(t):
+        s1, s2 = _half_spec(t, "w1", kinds[0], s), _half_spec(t, "w2", kinds[1], s)
+        h = ag.gelu(_spec_product(ag.rms_norm(t["x"], t["gain"]), s1))
+        return _spec_product(h, s2, residual=t["x"])
+
+    _check_half(fused, flat, arrays, HALF_FROZEN[frozen])
 
 
 # ----------------------------------------------------------------------------
@@ -1097,7 +1227,7 @@ def _kept(node) -> list[np.ndarray]:
 def test_stage2_tape_keeps_no_derivative_merged_weight_or_probabilities(build):
     tape = _stage2_tape(build)[0]
     ops = {node.op for node in tape.nodes}
-    assert {"linear", "gelu", "masked_nll"} <= ops and ("routed_linear" in ops) == (build is build_cogvlm)
+    assert {"linear", "attention", "gelu", "masked_nll"} <= ops and ("routed_linear" in ops) == (build is build_cogvlm)
     # the FFN hidden widths of the LM (4 * d_model) and of the vision encoder (4 * d_vision)
     ffn_widths = {4 * 16, 4 * 8}
     merged = attentions = 0
@@ -1111,9 +1241,9 @@ def test_stage2_tape_keeps_no_derivative_merged_weight_or_probabilities(build):
             (bsz, t, _) = node.inputs[0].shape
             probs = [a.shape for a in kept if a.ndim == 4 and (a.shape[0],) + a.shape[2:] == (bsz, t, t)]
             assert not probs, f"attention keeps the probabilities {probs}"
-        if node.op in ("linear", "routed_linear"):
+        if node.op in ("linear", "routed_linear", "attention"):  # the block halves hold products too
             weight_shapes = {t.shape for t in node.inputs[1:] if t.ndim == 2}
-            merged += sum(t.ndim == 2 for t in node.inputs) == 3  # w, down and up
+            merged += any(t.ndim == 2 and t.shape[0] == 4 for t in node.inputs)  # a rank-4 LoRA down factor
             assert not [a.shape for a in kept if a.shape == node.out.shape], f"{node.op} keeps a derivative"
             assert not [a.shape for a in kept if a.shape in weight_shapes], f"{node.op} keeps a merged weight"
         elif node.op == "gelu":
@@ -1123,6 +1253,35 @@ def test_stage2_tape_keeps_no_derivative_merged_weight_or_probabilities(build):
             assert not [a.shape for a in kept if a.shape == logits_shape], "masked_nll keeps the probabilities"
     assert merged  # some product node does run over a merged weight
     assert attentions == 4 + 2  # every LM and vision block was checked
+
+
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_stage2_tape_keeps_two_stream_arrays_per_block(build):
+    """Each block's input and mid-block stream are its only (B, T, d) arrays on a stage-2 tape.
+
+    Every block records two nodes, an attention half and a FFN half. No
+    normed rows, q, k, v or attention output stay: besides its inputs an
+    attention node keeps its (B, H, T, 1) row max and softmax denominator
+    only, and a FFN node nothing.
+    """
+    tape = _stage2_tape(build)[0]
+    arrays = {}
+    for node in tape.nodes:
+        for a in [node.out.data] + [t.data for t in node.inputs] + _closure_arrays(node.vjp):
+            arrays[id(_root(a))] = _root(a).shape
+        if node.op == "attention":
+            bsz, t, _ = node.inputs[0].shape
+            assert sorted(a.shape for a in _kept(node)) == [(bsz, 2, t, 1)] * 2  # 2 heads in LM and vision
+        elif node.op in ("linear", "routed_linear"):
+            assert _kept(node) == []
+    bsz, t, _ = tape.nodes[-1].inputs[0].shape  # the logits
+    # besides two per block, the LM stream has the concatenated embeddings, the
+    # stream with positions added and the final norm's rows; the vision stream
+    # the symbol embeddings, the stream with positions added and the final norm's rows
+    for shape, n_blocks in (((bsz, t, 16), 4), ((bsz, 9, 8), 2)):
+        streams = sum(s == shape for s in arrays.values())
+        assert streams <= 2 * n_blocks + 3, (shape, streams)
+    assert sum(node.op == "attention" for node in tape.nodes) == 4 + 2
 
 
 # ----------------------------------------------------------------------------

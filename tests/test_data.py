@@ -102,6 +102,16 @@ def test_task_spec_rejects_non_integer_counts(kwargs, field):
         TaskSpec("text-copy", **kwargs)
 
 
+@pytest.mark.parametrize("field", ["n_samples", "seq_len", "seed"])
+def test_task_spec_rejects_bool_counts(field):
+    kwargs = {"n_samples": 2, field: True}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+        TaskSpec("text-copy", **kwargs)
+    if field == "n_samples":  # positionally too
+        with pytest.raises(ValueError, match="n_samples must be an integer, got True"):
+            TaskSpec("text-copy", True)
+
+
 def test_task_spec_keeps_numpy_integer_counts():
     ds = synth_dataset(TaskSpec("text-copy", np.int64(2), seq_len=np.int32(3), seed=np.uint32(1)))
     assert len(ds) == 2
@@ -193,6 +203,19 @@ def test_collate_rejects_bad_pad_width(pad_to):
     ds = synth_dataset(TaskSpec("text-arith", n_samples=2, seed=0))
     with pytest.raises(ValueError, match="pad_to must be a positive integer"):
         collate(ds.samples, pad_to=pad_to)
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["true", "false"])
+def test_collate_rejects_bool_pad_width(flag):
+    ds = synth_dataset(TaskSpec("text-arith", n_samples=2, seed=0))
+    with pytest.raises(ValueError, match=f"pad_to must be a positive integer, got {flag}"):
+        collate(ds.samples, pad_to=flag)
+
+
+@pytest.mark.parametrize("size", ["max_seq", "grid_side", "grid_alphabet"])
+def test_synth_dataset_rejects_bool_sizes(size):
+    with pytest.raises(ValueError, match=f"{size} must be a positive integer, got True"):
+        synth_dataset(TaskSpec("grid-caption", 2), **{size: True})
 
 
 @pytest.mark.parametrize(

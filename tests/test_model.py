@@ -83,6 +83,13 @@ def test_config_rejects_non_integer_extents(kwargs, field):
         ModelConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["n_heads", "d_model", "n_vision_layers"])
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)], ids=["true", "false", "numpy-true"])
+def test_config_rejects_bool_extents(field, flag):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+        ModelConfig(**{field: flag})
+
+
 @pytest.mark.parametrize(
     "span",
     [1.5, np.float64(2.0), "2", None, np.array([True, True, False, False]), -1, 5],
@@ -91,6 +98,12 @@ def test_config_rejects_non_integer_extents(kwargs, field):
 def test_token_batch_rejects_bad_span(span):
     with pytest.raises(ValueError, match=r"image_span must be an integer in \[0, 4\]"):
         TokenBatch(np.zeros((2, 4), dtype=np.int64), span)
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["true", "false"])
+def test_token_batch_rejects_bool_span(flag):
+    with pytest.raises(ValueError, match=rf"image_span must be an integer in \[0, 4\], got {flag}"):
+        TokenBatch(np.zeros((2, 4), dtype=np.int64), image_span=flag)
 
 
 def test_token_batch_keeps_numpy_integer_span_as_int():

@@ -137,6 +137,12 @@ def test_schedule_rejects_bad_peak_and_step_counts(kw, message):
         LrSchedule(**{"peak": 1e-3, "warmup_steps": 1, "total_steps": 10, **kw})
 
 
+@pytest.mark.parametrize("field", ["warmup_steps", "total_steps"])
+def test_schedule_rejects_bool_step_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+        LrSchedule(**{"peak": 1e-3, "warmup_steps": 1, "total_steps": 10, field: True})
+
+
 def test_integer_lr_matches_float_lr():
     ints, floats = _single_param(0.5), _single_param(0.5)
     for _ in range(3):

@@ -267,3 +267,9 @@ def test_stage_config_rejects_negative_decay_and_warmup(field):
 def test_stage_config_rejects_non_integer_counts_and_non_finite_rates(kw, message):
     with pytest.raises(ValueError, match=message):
         StageConfig(**{"stage": 2, **kw})
+
+
+@pytest.mark.parametrize("field", ["stage", "total_steps", "batch_size", "grad_accum"])
+def test_stage_config_rejects_bool_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+        StageConfig(**{"stage": 2, field: True})
