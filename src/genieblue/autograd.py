@@ -18,7 +18,8 @@ derivatives and merged LoRA weights are all rebuilt. ``gelu`` keeps no
 derivative, and ``masked_nll`` keeps a row max and a denominator, not the
 probabilities. ``backward`` replays the list in reverse, which visits each
 node exactly once in reverse topological order because recording order is
-execution order.
+execution order, and spends the tape as it goes: a replayed node drops its
+arrays and keeps only its op name.
 """
 
 from __future__ import annotations
@@ -148,6 +149,13 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     Returns a dict keyed by the leaf Tensor objects themselves. Raises if the
     loss is not a scalar or if a non-finite gradient shows up mid-replay (the
     offending node's op name is included).
+
+    The replay spends the tape: once a node has been replayed, or skipped
+    because its output never reached the loss, it drops its output, inputs
+    and vjp and keeps only its ``op``. Every consumer of a node's output was
+    recorded after it and so replayed before it, so by then nothing needs
+    that output, and an array the tape alone held (the logits, a block's
+    stream) is freed as soon as backward has passed its producer.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"loss must be a scalar, got shape {loss.shape}")
@@ -158,12 +166,14 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     owned: set[Tensor] = set()
     for node in reversed(tape.nodes):
         g = grads.pop(node.out, None)
+        inputs, vjp = node.inputs, node.vjp
+        owned.discard(node.out)  # g may now be handed on by the vjp
+        node.out = node.inputs = node.vjp = None
         if g is None:
             continue  # output never contributed to the loss
-        owned.discard(node.out)  # g may now be handed on by the vjp
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient flowing into node '{node.op}'")
-        for inp, gi in zip(node.inputs, node.vjp(g)):
+        for inp, gi in zip(inputs, vjp(g)):
             if gi is None:
                 continue
             acc = grads.get(inp)
@@ -319,32 +329,42 @@ def _operands(w: Tensor, expert, adapter) -> tuple[Tensor, ...]:
     return (w,) + ((expert,) if expert is not None else ()) + (adapter or ())
 
 
+def _rows_grad(gp, wd: np.ndarray, wm, span) -> np.ndarray:
+    """The gradient ``gp @ W_m`` of a product's rows, ``gp`` that of its result; see ``_factored_grads``.
+
+    A routed product takes ``gp @ w`` with the prefix rows replaced by
+    their product with ``W_m``. Needing no rows, it can run before they are
+    rebuilt.
+    """
+    if span is None:
+        return gp @ wm
+    gx = gp @ wd
+    if span:
+        (n, k), bsz = wd.shape, gp.shape[0]
+        gx[:, :span] = (gp[:, :span].reshape(-1, n) @ wm).reshape(bsz, span, k)
+    return gx
+
+
 def _factored_grads(gp, xd, w, expert, adapter, span, wm, x_grad: bool) -> tuple:
     """The gradients of one product over rows ``xd``, ``gp`` being the gradient of its result.
 
     Returns ``(gx, gw[, g_expert][, g_down, g_up])``, with None for a frozen
     operand, and for ``gx`` unless ``x_grad``. With ``gs``, ``xs`` the
-    routed rows of ``gp`` and ``xd`` as 2-D arrays, ``gx`` is ``gp @ W_m``,
-    or for a routed product ``gp @ w`` with the prefix replaced by
-    ``gs @ W_m``. ``w`` gets a gradient only when it is trainable itself,
+    routed rows of ``gp`` and ``xd`` as 2-D arrays, ``gx`` is
+    ``_rows_grad``. ``w`` gets a gradient only when it is trainable itself,
     from the rows after the prefix beside an expert and from every row
     otherwise. The expert gets ``gs.T @ xs`` and the factors
     ``(gs @ up).T @ xs`` and ``gs.T @ (xs @ down.T)``.
     """
     wd = w.data
-    (n, k), bsz = wd.shape, xd.shape[0]
+    n, k = wd.shape
     # the routed rows as 2-D arrays; empty at span 0, so the routed gradients are zero
     if span is None:
         gs, xs = gp.reshape(-1, n), xd.reshape(-1, k)
     else:
         gs, xs = gp[:, :span].reshape(-1, n), xd[:, :span].reshape(-1, k)
-    gx = gw = None
-    if x_grad and span is None:
-        gx = gp @ wm
-    elif x_grad:
-        gx = gp @ wd
-        if span:
-            gx[:, :span] = (gs @ wm).reshape(bsz, span, k)
+    gx = _rows_grad(gp, wd, wm, span) if x_grad else None
+    gw = None
     if w.requires_grad and expert is not None:  # beside an expert, w serves the rows after the prefix only
         gw = gp[:, span:].reshape(-1, n).T @ xd[:, span:].reshape(-1, k)
     elif w.requires_grad:  # w itself or inside the merged weight: every row reaches it
@@ -401,12 +421,16 @@ def _product(op: str, x, w, expert, adapter, span, residual, inner=None, norm=No
     derivative and no merged weight. Its vjp forms the merged weights again
     and rebuilds the normed and hidden rows with the forward's own
     ``_rms_rows`` and ``_pre_activation``, so the gradients have the bits of
-    kept arrays. One tiled pass gives the hidden rows and their GELU slope
-    from one ``tanh`` per element. The outer product's gradients are taken
-    over the hidden rows; the hidden gradient, times the slope in place,
-    then gives the inner product's. Both use ``_factored_grads``. The normed
-    rows' gradient gives those of ``x`` and the gain through ``_rms_grads``,
-    and the residual's gradient is the incoming one. The node is recorded as
+    kept arrays. With ``inner``, it takes the hidden rows' gradient
+    (``_rows_grad``) before it rebuilds them; one tiled pass then turns the
+    rebuilt pre-activations into their GELU and multiplies that gradient by
+    the GELU slope in place, from one ``tanh`` per element, so no slope
+    array is built. The outer product's weight gradients are taken over the
+    hidden rows, and the hidden gradient gives the inner product's; both use
+    ``_factored_grads``, and each rebuilt array is dropped after its last
+    use. The normed rows' gradient gives those of ``x`` and the gain
+    through ``_rms_grads``, and the residual's gradient is the incoming
+    one. The node is recorded as
     ``op`` over ``(x, w[, expert][, down, up][, w_h[, expert_h][, down_h,
     up_h]][, gain][, residual])``.
     """
@@ -447,20 +471,21 @@ def _product(op: str, x, w, expert, adapter, span, residual, inner=None, norm=No
             xn = xd
         else:  # the normed rows, rebuilt
             xn, inv = _rms_rows(xd, gain.data)
+        wm = _routed_weight(wd, expert, adapter, span)
         if inner is None:
-            hd = xn
-        else:  # the hidden rows, rebuilt, and their GELU slope
+            grads = _factored_grads(g, xn, w, expert, adapter, span, wm, xn_grad)
+        else:  # the hidden rows' gradient first, then the rows, rebuilt, and both through GELU
             wh, eh, ah, sh = inner
             wmh = _routed_weight(wh.data, eh, ah, sh)
+            gh = _rows_grad(g, wd, wm, span)
             hd = _pre_activation(xn, wh.data, wmh, sh)
-            slope = _gelu_with_slope_(hd)
-        wm = _routed_weight(wd, expert, adapter, span)
-        grads = _factored_grads(g, hd, w, expert, adapter, span, wm, inner is not None or xn_grad)
-        if inner is not None:
-            gh = grads[0]
-            gh *= slope
+            _gelu_and_grad_(hd, gh)
+            grads = _factored_grads(g, hd, w, expert, adapter, span, wm, False)
+            del hd
             inner_grads = _factored_grads(gh, xn, wh, eh, ah, sh, wmh, xn_grad)
+            del gh
             grads = inner_grads[:1] + grads[1:] + inner_grads[1:]
+        del xn
         if gain is not None:
             gx, ggain = _rms_grads(grads[0], xd, gain.data, inv, x.requires_grad, gain.requires_grad)
             grads = (gx,) + grads[1:] + (ggain,)
@@ -636,22 +661,22 @@ def _gelu_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p
 
 
-def _gelu_with_slope_(p: np.ndarray) -> np.ndarray:
-    """Overwrite ``p`` with its GELU and return GELU'(p) in a new array, from one tanh per element.
+def _gelu_and_grad_(p: np.ndarray, g: np.ndarray) -> None:
+    """Overwrite ``p`` with its GELU and ``g`` with GELU'(p) * g, from one tanh per element.
 
-    ``p`` is as for ``_gelu_``. Each tile runs the operations of ``_gelu_``
-    and of ``_gelu_grad`` on one shared tanh, so ``p`` gets ``_gelu_``'s
-    bits and the slope times a gradient ``_gelu_grad``'s.
+    ``p`` and ``g`` are alike in shape and, when larger than a tile,
+    C-contiguous. Each tile runs the operations of ``_gelu_`` and of
+    ``_gelu_grad`` on one shared tanh, so ``p`` gets ``_gelu_``'s bits and
+    ``g`` ``_gelu_grad``'s, and no slope array is built.
     """
-    slope = np.empty_like(p)
-    for q, sq in zip(_tiles(p), _tiles(slope)):
+    for q, gq in zip(_tiles(p), _tiles(g)):
         t = _gelu_tanh(q)
         d = _gelu_slope(q, t)
         t += 1.0
-        np.multiply(d, t, out=sq)
+        d *= t
+        gq *= d
         q *= t
         q *= 0.5
-    return slope
 
 
 def gelu(x) -> Tensor:
@@ -828,27 +853,58 @@ def _attention_scale(shape: tuple[int, ...], n_heads) -> float:
     return 1.0 / math.sqrt(d // n_heads)
 
 
-def _attention_grads(g, qh, kh, vh, p, scale: float, wanted) -> tuple:
-    """``(gq, gk, gv)`` as (B, T, d) rows for the gradient ``g`` of the output rows; None where not ``wanted``.
+# score elements per chunk of samples in an attention backward, so that the chunk's
+# (b, H, T, T) probabilities and score gradient stay small: at the default LM shape
+# (H 4, T 62) that is 4 of 16 samples, and the vision encoder's 16 samples fit in one
+_ATTENTION_TILE = 65536
 
-    ``qh``, ``kh``, ``vh`` are the heads and ``p`` the probabilities.
+
+def _attention_grads(gh, qh, kh, vh, p, scale: float, out) -> None:
+    """Write the gradients of q, k and v for the gradient ``gh`` of the output heads into ``out``.
+
+    ``qh``, ``kh``, ``vh`` and ``gh`` are heads, ``p`` the probabilities,
+    and ``out = (gq, gk, gv)`` head views to write into, None where not
+    wanted.
     """
-    q_grad, k_grad, v_grad = wanted
-    gh = _heads(g, qh.shape[1])
-    gq = gk = gv = None
-    if v_grad:
-        gv = _merge(np.matmul(p.swapaxes(-1, -2), gh))
-    if q_grad or k_grad:
+    gq, gk, gv = out
+    if gv is not None:
+        gv[...] = np.matmul(p.swapaxes(-1, -2), gh)
+    if gq is not None or gk is not None:
         # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
         gs = np.matmul(gh, vh.swapaxes(-1, -2))
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        if q_grad:
-            gq = _merge(np.matmul(gs, kh))
-        if k_grad:
-            gk = _merge(np.matmul(gs.swapaxes(-1, -2), qh))
-    return gq, gk, gv
+        if gq is not None:
+            gq[...] = np.matmul(gs, kh)
+        if gk is not None:
+            gk[...] = np.matmul(gs.swapaxes(-1, -2), qh)
+
+
+def _attention_backward(ga, qh, kh, vh, mx, denom, scale: float, causal: bool, wanted, ao=None) -> list:
+    """``[gq, gk, gv]`` as (B, T, d) rows for the gradient ``ga`` of the output rows, a few samples at a time.
+
+    None where not ``wanted``, and all None when ``ga`` is. The heads
+    ``qh``, ``kh``, ``vh`` and the row max and denominator of the forward
+    rebuild each chunk's probabilities through ``_attention_probs``; when
+    given, ``ao`` receives the attention output rows. A stacked matmul is
+    one product per (sample, head) and the softmax works row by row, so
+    the chunks give the bits of one whole-batch pass without ever holding
+    the (B, H, T, T) probabilities.
+    """
+    bsz, n_heads, t, hd = qh.shape
+    grads = [np.empty((bsz, t, n_heads * hd)) if w and ga is not None else None for w in wanted]
+    step = max(1, _ATTENTION_TILE // (n_heads * t * t))
+    for b in range(0, bsz, step):
+        c = slice(b, b + step)
+        p = _attention_probs(qh[c], kh[c], scale, causal, mx[c], denom[c])[0]
+        if ao is not None:
+            _heads(ao[c], n_heads)[...] = np.matmul(p, vh[c])
+        if ga is not None:
+            out = [None if a is None else _heads(a[c], n_heads) for a in grads]
+            _attention_grads(_heads(ga[c], n_heads), qh[c], kh[c], vh[c], p, scale, out)
+        del p  # before the next chunk's probabilities are built
+    return grads
 
 
 def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, wo=None) -> Tensor:
@@ -856,7 +912,8 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, 
 
     A recorded node keeps the row max and the softmax denominator, (B, H,
     T, 1) each, not the (B, H, T, T) probabilities: its vjp rebuilds them
-    from q and k through ``_attention_probs``, as the forward made them.
+    from q and k through ``_attention_probs``, as the forward made them, a
+    few samples at a time (``_attention_backward``).
 
     Given the block input ``x``, a norm ``gain`` and an output matrix
     ``wo``, the node is instead the attention half of a pre-norm block (see
@@ -878,8 +935,8 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, 
         return out
 
     def vjp(g):
-        p = _attention_probs(qh, kh, scale, causal, mx, denom)[0]
-        return _attention_grads(g, qh, kh, vh, p, scale, (q.requires_grad, k.requires_grad, v.requires_grad))
+        wanted = [t.requires_grad for t in (q, k, v)]
+        return tuple(_attention_backward(g, qh, kh, vh, mx, denom, scale, causal, wanted))
 
     return _maybe_record("attention", out, (q, k, v), vjp)
 
@@ -898,15 +955,21 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
     ``rms_norm``, a product node per matrix (the ``wo`` one adding ``x``)
     and ``attention``. The node keeps its inputs and attention's (B, H, T,
     1) row max and softmax denominator, nothing of (B, T, d) size besides
-    ``x``. Its vjp rebuilds the normed rows, q, k, v, the probabilities and
-    the attention output with the forward's own ``_rms_rows``,
-    ``_pre_activation`` and ``_attention_probs``, then takes the flat
-    graph's gradients in its order: ``wo``, attention, then v, k and q,
-    whose row gradients sum as ``(gx_v + gx_k) + gx_q``, then the norm,
-    and ``x`` gets ``g + gx_norm``. It computes only the gradients the flat
-    graph would have. The node is recorded as ``attention`` over ``(x, wo,
-    v, k and q operands, gain)``, the matrices in the flat graph's reverse
-    order, so a tensor shared by two of them sums its gradients as before.
+    ``x``. The forward drops the probabilities, q, k and v before the
+    ``wo`` product. The vjp rebuilds the normed rows, q, k and v with the
+    forward's own ``_rms_rows`` and ``_pre_activation`` and takes the flat
+    graph's gradients: the attention output's through ``wo`` first, which
+    needs no rows; then ``_attention_backward``, a few samples at a time,
+    rebuilds the probabilities with ``_attention_probs``, writes the
+    attention output rows and takes q, k and v's gradients, so the (B, H,
+    T, T) probabilities never exist whole; then ``wo``'s own gradients over
+    the whole attention output; then v, k and q, whose row gradients sum as
+    ``(gx_v + gx_k) + gx_q``; then the norm, and ``x`` gets ``g +
+    gx_norm``. Each rebuilt array is dropped after its last use, and only
+    the gradients the flat graph would have are computed. The node is
+    recorded as ``attention`` over ``(x, wo, v, k and q operands, gain)``,
+    the matrices in the flat graph's reverse order, so a tensor shared by
+    two of them sums its gradients as before.
     """
     op = "attention"
     x = _as_tensor(x)
@@ -928,8 +991,10 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
     hn = _rms_rows(xd, gd)[0]
     qh, kh, vh = _qkv_heads(hn, mats, n_heads)[1]
     p, mx, denom = _attention_probs(qh, kh, scale, causal)
+    ao = _merge(np.matmul(p, vh))
+    del hn, qh, kh, vh, p  # not alive through the output product
     w, e, a, s = wo
-    y = _pre_activation(_merge(np.matmul(p, vh)), w.data, _routed_weight(w.data, e, a, s), s)
+    y = _pre_activation(ao, w.data, _routed_weight(w.data, e, a, s), s)
     y += xd
     out = Tensor(y)
     if not _will_record(inputs):  # the tape-off path builds no vjp closure
@@ -941,24 +1006,34 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
 
     def vjp(g):
         hn, inv = _rms_rows(xd, gd)
-        wms, (qh, kh, vh) = _qkv_heads(hn, mats, n_heads)
-        p = _attention_probs(qh, kh, scale, causal, mx, denom)[0]
+        wms, heads = _qkv_heads(hn, mats, n_heads)
         w, e, a, s = wo
-        wo_grads = _factored_grads(g, _merge(np.matmul(p, vh)), w, e, a, s, _routed_weight(w.data, e, a, s), a_grad)
-        gqkv = _attention_grads(wo_grads[0], qh, kh, vh, p, scale, qkv_grad) if a_grad else (None,) * 3
-        grads, row_grads = wo_grads[1:], []
-        for m, wm, gm in reversed(list(zip(mats, wms, gqkv))):  # v, k, q: the flat graph's replay order
+        wmo = _routed_weight(w.data, e, a, s)
+        # the attention output's gradient needs no rows, so it comes first; then the
+        # chunks rebuild the output and take q, k and v's gradients from it
+        ga = _rows_grad(g, w.data, wmo, s) if a_grad else None
+        ao = np.empty(rows)
+        gqkv = _attention_backward(ga, *heads, mx, denom, scale, causal, qkv_grad, ao)
+        del ga, heads
+        grads = _factored_grads(g, ao, w, e, a, s, wmo, False)[1:]
+        del ao
+        gh = None
+        for i in (2, 1, 0):  # v, k, q: the flat graph's replay order
+            m, gm = mats[i], gqkv[i]
+            gqkv[i] = None  # gm is then the last reference, dropped after its use
             if gm is None:  # nothing under this matrix trains
                 grads += (None,) * len(_operands(*m[:3]))
-            else:
-                gx_m, *g_ops = _factored_grads(gm, hn, *m, wm, hn_grad)
-                grads += tuple(g_ops)
-                row_grads.append(gx_m)
-        gh = None
-        if hn_grad:  # summed as the flat graph's backward summed them
-            gx_v, gx_k, gx_q = row_grads
-            gh = gx_v + gx_k
-            gh += gx_q
+                continue
+            gx_m, *g_ops = _factored_grads(gm, hn, *m, wms[i], hn_grad)
+            del gm
+            grads += tuple(g_ops)
+            # the row gradients sum as the flat graph's backward summed them: (v + k) + q
+            if gh is None:
+                gh = gx_m
+            elif gx_m is not None:
+                gh += gx_m
+            del gx_m
+        del hn
         gx, ggain = _rms_grads(gh, xd, gd, inv, x.requires_grad, gain.requires_grad)
         if gx is not None:
             gx = g + gx

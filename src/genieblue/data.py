@@ -109,46 +109,34 @@ def _text_sample(kind: str, rng: np.random.Generator, payload_len: int) -> Sampl
     return Sample(tokens=tokens, image_mask=np.zeros(len(tokens), dtype=bool))
 
 
-def _caption_runs(rng: np.random.Generator, cells: int, alphabet: int, max_runs: int) -> list[tuple[int, int]]:
-    """Adjacent-distinct (symbol, length) runs covering the grid exactly."""
+def _caption_runs(rng: np.random.Generator, cells: int, alphabet: int, max_runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacent-distinct runs covering the grid exactly: (symbols, lengths)."""
     n_runs = int(rng.integers(2, max_runs + 1))
-    cuts = np.sort(rng.choice(np.arange(1, cells), size=n_runs - 1, replace=False))
-    lengths = np.diff(np.concatenate([[0], cuts, [cells]]))
-    runs = []
+    cuts = np.sort(rng.choice(cells - 1, size=n_runs - 1, replace=False) + 1)
+    lengths = np.diff(cuts, prepend=0, append=cells)
+    syms = np.empty(n_runs, dtype=np.int64)
     prev = -1
-    for ln in lengths:
+    for i in range(n_runs):
         sym = int(rng.integers(0, alphabet - 1))
         if sym >= prev and prev >= 0:
             sym += 1  # skip the previous symbol so runs never merge
-        runs.append((sym, int(ln)))
-        prev = sym
-    return runs
-
-
-def rle_caption(grid: np.ndarray) -> list[int]:
-    """Caption tokens: the run-length encoding of the row-major cell sequence."""
-    flat = np.asarray(grid).reshape(-1)
-    caption: list[int] = []
-    run_sym, run_len = int(flat[0]), 0
-    for sym in flat:
-        if int(sym) == run_sym:
-            run_len += 1
-        else:
-            caption.extend([GRID_TOKEN_BASE + run_sym, COUNT_BASE + run_len])
-            run_sym, run_len = int(sym), 1
-    caption.extend([GRID_TOKEN_BASE + run_sym, COUNT_BASE + run_len])
-    return caption
+        syms[i] = prev = sym
+    return syms, lengths
 
 
 def _grid_caption_sample(rng: np.random.Generator, side: int, alphabet: int, max_runs: int) -> Sample:
     cells = side * side
-    runs = _caption_runs(rng, cells, alphabet, max_runs)
-    flat = np.concatenate([np.full(ln, sym, dtype=np.int64) for sym, ln in runs])
-    caption = rle_caption(flat)
-    tokens = np.array([IMG] * cells + [SEP] + caption + [EOS], dtype=np.int64)
+    syms, lengths = _caption_runs(rng, cells, alphabet, max_runs)
+    # the runs are maximal, so the caption, the grid's run-length encoding, is the runs themselves
+    tokens = np.empty(cells + 2 * len(syms) + 2, dtype=np.int64)
+    tokens[:cells] = IMG
+    tokens[cells] = SEP
+    tokens[cells + 1 : -1 : 2] = GRID_TOKEN_BASE + syms
+    tokens[cells + 2 : -1 : 2] = COUNT_BASE + lengths
+    tokens[-1] = EOS
     mask = np.zeros(len(tokens), dtype=bool)
     mask[:cells] = True
-    return Sample(tokens=tokens, image_mask=mask, grid=flat.reshape(side, side))
+    return Sample(tokens=tokens, image_mask=mask, grid=np.repeat(syms, lengths).reshape(side, side))
 
 
 def _grid_count_sample(rng: np.random.Generator, side: int, alphabet: int) -> Sample:

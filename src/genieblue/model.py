@@ -15,13 +15,15 @@ a product node of ``autograd._product`` behind ``linear`` or
 ``routed_linear``, runs the second norm, ``gelu(x @ w1.T)`` and the
 ``ffn.w2`` product with the residual add. So the tape keeps two (B, T, d)
 arrays per block, the block input and the mid-block stream; the vjps
-rebuild everything else. Unrouted adapter factors apply as a merged weight
-for every token. Routed experts and adapters serve the image prefix
-``[:, :span]`` with the expert or merged weight and every other position
-with the base weight. A batch's image positions are one integer span
-shared by every row, from ``collate`` down to the kernels.
-``MultimodalBase`` binds the LM's own blocks; each adapted model of the
-adaptation module is the same stack with its own bindings.
+rebuild everything else, the attention half's a few samples at a time, and
+``backward`` frees each block's arrays once it has replayed the block.
+Unrouted adapter factors apply as a merged weight for every token. Routed
+experts and adapters serve the image prefix ``[:, :span]`` with the expert
+or merged weight and every other position with the base weight. A batch's
+image positions are one integer span shared by every row, from ``collate``
+down to the kernels. ``MultimodalBase`` binds the LM's own blocks; each
+adapted model of the adaptation module is the same stack with its own
+bindings.
 """
 
 from __future__ import annotations

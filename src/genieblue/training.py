@@ -197,9 +197,8 @@ def run_stage(
                 idx = [next(stream) for _ in range(cfg.batch_size)]
                 batch, targets, predict, grids = collate([dataset[i] for i in idx], pad_to)
                 weights = _per_sample_weights(predict)
-                with ag.GradTape() as tape:
-                    logits = model.forward(batch, grids)
-                    loss = ag.masked_nll(logits, targets, weights)
+                with ag.GradTape() as tape:  # the logits stay on the tape only, which backward spends
+                    loss = ag.masked_nll(model.forward(batch, grids), targets, weights)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise TrainingDiverged(step, loss_val)

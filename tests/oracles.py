@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from genieblue.data import COUNT_BASE, GRID_TOKEN_BASE
+
 
 def central_diff_grad(loss_fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function w.r.t. one array.
@@ -44,6 +46,21 @@ def ref_rms_norm(x: np.ndarray, gain: np.ndarray | None) -> np.ndarray:
 def ref_gelu(x: np.ndarray) -> np.ndarray:
     c = math.sqrt(2.0 / math.pi)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def rle_caption(grid: np.ndarray) -> list[int]:
+    """Caption tokens: the run-length encoding of the row-major cell sequence."""
+    flat = np.asarray(grid).reshape(-1)
+    caption: list[int] = []
+    run_sym, run_len = int(flat[0]), 0
+    for sym in flat:
+        if int(sym) == run_sym:
+            run_len += 1
+        else:
+            caption.extend([GRID_TOKEN_BASE + run_sym, COUNT_BASE + run_len])
+            run_sym, run_len = int(sym), 1
+    caption.extend([GRID_TOKEN_BASE + run_sym, COUNT_BASE + run_len])
+    return caption
 
 
 def _position_weight(layer: dict, mat: str, is_image: bool) -> np.ndarray:

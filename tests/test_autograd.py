@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -1171,10 +1173,37 @@ def _stage2_tape(build):
 @pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
 def test_backward_matches_out_of_place_replay_on_stage2_tape(build):
     tape, loss, trainable = _stage2_tape(build)
-    got, ref = backward(tape, loss), _replay_out_of_place(tape, loss)
+    ref = _replay_out_of_place(tape, loss)  # first: backward spends the tape
+    got = backward(tape, loss)
     assert got.keys() == ref.keys() and len(got) == len(trainable)
     for t, g in got.items():
         assert g.tobytes() == ref[t].tobytes(), t.shape
+
+
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_backward_spends_the_tape_as_it_goes(build):
+    """Backward frees what it has replayed: the logits die, and its transient stays near one logits gradient.
+
+    Kept to the end, the tape holds the logits through every block's vjp,
+    and the backward peak above the tape then reached 1.8 logits' bytes.
+    """
+    _stage2_tape(build)  # the causal masks and numpy's caches, made before tracing
+    tracemalloc.start()
+    try:
+        tape, loss, _ = _stage2_tape(build)
+        ops = [node.op for node in tape.nodes]
+        logits = weakref.ref(tape.nodes[-1].inputs[0].data)
+        nbytes = logits().nbytes
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [node.op for node in tape.nodes] == ops
+    assert all(node.out is node.inputs is node.vjp is None for node in tape.nodes)
+    assert logits() is None, "the logits outlived backward"
+    assert peak - held < 1.5 * nbytes, (peak - held) / nbytes
 
 
 # ----------------------------------------------------------------------------

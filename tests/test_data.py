@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from oracles import rle_caption
 
 from genieblue.data import (
     BOS,
@@ -13,7 +16,6 @@ from genieblue.data import (
     TaskSpec,
     answer_start,
     collate,
-    rle_caption,
     synth_dataset,
 )
 
@@ -25,6 +27,44 @@ def test_same_spec_gives_identical_datasets():
     for sa, sb in zip(a.samples, b.samples):
         assert sa.tokens.tobytes() == sb.tokens.tobytes()
         assert sa.grid.tobytes() == sb.grid.tobytes()
+
+
+def _dataset_digest(ds) -> str:
+    """sha256 over every sample's tokens, image mask and grid, with their dtypes and shapes."""
+    h = hashlib.sha256()
+    for s in ds.samples:
+        for a in (s.tokens, s.image_mask) + (() if s.grid is None else (s.grid,)):
+            h.update(str((a.dtype.str, a.shape)).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, seed, sizes, digest",
+    [
+        ("text-copy", 0, {}, "24f09c189aa638d34b36f5453f2349062fe3ec61577beafc6ab17944f7fc5160"),
+        ("text-copy", 7, {}, "f72b93558ed80d2da88ee791dbcb3334569d697bdd1cadba1a85f9e286a9c580"),
+        ("text-reverse", 0, {}, "1dc0634c05ce5db2e3b6aec769c0d3025c9ddb02d75d9e8ce0cb01766b175ad7"),
+        ("text-reverse", 7, {}, "9fee8447cadd96c14a659a8a0b5ec751fb4f685fec2bfdd457babdb78deb32bb"),
+        ("text-arith", 0, {}, "872d1da4358512a6bf7544867301ea1b677d985e07e34dc9cf2540dc51bb3704"),
+        ("text-arith", 7, {}, "8eb389eafb0fb8a6e7a4543540b6f7b3d1ee3c64aa9abf6caa589dee3893ae9a"),
+        ("grid-caption", 0, {}, "e711808d1f8d0e0353e15da4696c15bba9a0b401e28e37d1dae61a88c8962982"),
+        ("grid-caption", 7, {}, "5bb21dc8b6d29c5558f34e9234fa0ce0e6802663f254b049c66cfa0ac881ccde"),
+        (
+            "grid-caption", 3, {"max_seq": 48, "grid_side": 3, "grid_alphabet": 4},
+            "57be78dd73e841b955d9d3e1103836bfd807f76b4598f294872cad0762ea435e",
+        ),
+        (
+            "grid-caption", 5, {"grid_side": 4, "grid_alphabet": 2},
+            "c6dbc310c43940df57c121c7f44b714be9727cba10f1a9a56ef826b063cea168",
+        ),
+        ("grid-count", 0, {}, "ab3a7fb22aa1b86acf3ae7afd23f49d43b1d4f5f01646b1be5d3a52f4be54d1a"),
+        ("grid-count", 7, {}, "9ee1d0a1ca2cd606daca3d9b33ce87203f4e0e13b07cd3d6e37a6f6e7d9c0439"),
+    ],
+)
+def test_synth_dataset_bytes_are_pinned(kind, seed, sizes, digest):
+    """Every kind keeps the exact samples it generated when these digests were taken."""
+    assert _dataset_digest(synth_dataset(TaskSpec(kind, n_samples=50, seq_len=12, seed=seed), **sizes)) == digest
 
 
 def test_reverse_task_reverses_payload():
