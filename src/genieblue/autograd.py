@@ -8,18 +8,10 @@ Gradients are recorded on an explicit tape (a Wengert list): while a
 ``GradTape`` is active, every kernel whose inputs are tracked appends one
 node holding its inputs and output and the values its backward pass needs
 that are not cheap to rebuild. What is cheap is rebuilt from the inputs with
-the forward's own operations, so the gradients keep their bits. A pre-norm
-transformer block is two nodes: the attention half, entered through
-``attention``, and the FFN half, a product node with a norm prologue. They
-keep the block input and the mid-block stream, their operands and
-attention's (B, H, T, 1) row max and softmax denominator; the normed rows,
-q, k, v, the attention probabilities and output, the FFN hidden rows, GELU
-derivatives and merged LoRA weights are all rebuilt. ``gelu`` keeps no
-derivative, and ``masked_nll`` keeps a row max and a denominator, not the
-probabilities. ``backward`` replays the list in reverse, which visits each
-node exactly once in reverse topological order because recording order is
-execution order, and spends the tape as it goes: a replayed node drops its
-arrays and keeps only its op name.
+the forward's own operations, so the gradients keep their bits; each
+kernel's docstring says what its node keeps. A pre-norm transformer block is
+two nodes: the attention half, entered through ``attention``, and the FFN
+half, a product node with a norm prologue (``linear`` or ``routed_linear``).
 """
 
 from __future__ import annotations
@@ -150,41 +142,36 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     loss is not a scalar or if a non-finite gradient shows up mid-replay (the
     offending node's op name is included).
 
-    The replay spends the tape: once a node has been replayed, or skipped
+    The replay walks the list in reverse, which visits each node exactly
+    once in reverse topological order because recording order is execution
+    order. It spends the tape: once a node has been replayed, or skipped
     because its output never reached the loss, it drops its output, inputs
     and vjp and keeps only its ``op``. Every consumer of a node's output was
     recorded after it and so replayed before it, so by then nothing needs
     that output, and an array the tape alone held (the logits, a block's
-    stream) is freed as soon as backward has passed its producer.
+    stream) is freed as soon as backward has passed its producer. A tape is
+    replayed once: ``RuntimeError`` when a node was spent by an earlier
+    ``backward``, also one that stopped partway.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"loss must be a scalar, got shape {loss.shape}")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
-    # Tensors whose gradient is a sum allocated here, so safe to add into in
-    # place. A first contribution is stored as the vjp returned it and may be
-    # shared (add hands one g to both inputs, concat_seq returns views of g).
-    owned: set[Tensor] = set()
     for node in reversed(tape.nodes):
-        g = grads.pop(node.out, None)
         inputs, vjp = node.inputs, node.vjp
-        owned.discard(node.out)  # g may now be handed on by the vjp
+        if vjp is None:
+            raise RuntimeError(f"backward: node '{node.op}' was spent by an earlier backward; record a new tape")
+        g = grads.pop(node.out, None)
         node.out = node.inputs = node.vjp = None
         if g is None:
             continue  # output never contributed to the loss
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient flowing into node '{node.op}'")
         for inp, gi in zip(inputs, vjp(g)):
-            if gi is None:
-                continue
-            acc = grads.get(inp)
-            if acc is None:
-                grads[inp] = gi
-            elif inp in owned:
-                np.add(acc, gi, out=acc)
-            else:
-                # out= keeps a 0-d sum an array; a + b would give a numpy scalar
-                grads[inp] = np.add(acc, gi, out=np.empty(np.shape(acc)))
-                owned.add(inp)
+            if gi is not None:
+                acc = grads.get(inp)
+                # a sum is a new array, since a contribution may be shared (add hands one g to
+                # both inputs, concat_seq returns views of g); out= keeps a 0-d sum an array
+                grads[inp] = gi if acc is None else np.add(acc, gi, out=np.empty(np.shape(acc)))
     return {t: g for t, g in grads.items() if t.requires_grad}
 
 
@@ -276,22 +263,24 @@ def _check_span(op: str, span, t: int) -> None:
         raise ShapeMismatch(f"{op}: span must be an integer in [0, {t}], got {span!r}")
 
 
-def _routed_weight(w: np.ndarray, expert, adapter, span) -> np.ndarray | None:
-    """``W_m``: the expert, else the merged weight of ``adapter=(down, up)``, else ``w``; None at span 0."""
+def _routed_weight(spec) -> np.ndarray | None:
+    """``W_m`` of a checked spec: the expert, else the merged weight of the adapter, else ``w``; None at span 0."""
+    w, expert, adapter, span = spec
     if span == 0:
         return None
     if expert is not None:
         return expert.data
-    return w if adapter is None else lora_weight(w, adapter[0].data, adapter[1].data)
+    return w.data if adapter is None else lora_weight(w.data, adapter[0].data, adapter[1].data)
 
 
-def _pre_activation(xd: np.ndarray, wd: np.ndarray, wm, span) -> np.ndarray:
-    """A product node's result before GELU and residual; its forward and its vjp both call this.
+def _pre_activation(xd: np.ndarray, spec, wm) -> np.ndarray:
+    """A product's result over rows ``xd``, ``wm`` being ``_routed_weight(spec)``; forwards and vjps both call this.
 
-    ``xd @ wm.T`` when every row is routed (span None), else ``xd @ wd.T``
+    ``xd @ wm.T`` when every row is routed (span None), else ``xd @ w.T``
     with the prefix rows ``[:, :span]`` overwritten by their product with
     ``wm``.
     """
+    wd, span = spec[0].data, spec[3]
     if span is None:
         return xd @ wm.T
     y = xd @ wd.T
@@ -300,18 +289,25 @@ def _pre_activation(xd: np.ndarray, wd: np.ndarray, wm, span) -> np.ndarray:
     return y
 
 
-def _checked_matrix(op: str, rows: tuple[int, ...], w, expert, adapter, span, routed: bool):
-    """One matrix of a product node as Tensors ``(w, expert, adapter)``, checked against its rows.
+def _checked_spec(op: str, rows: tuple[int, ...], spec, routed: bool = False) -> tuple:
+    """A matrix spec ``(w, expert, adapter, span)`` as Tensors, checked against the rows it multiplies.
 
-    ``rows`` is the shape of the array the matrix multiplies. ``w`` must be
+    ``rows`` is the shape of the array the matrix multiplies; ``w`` must be
     2-D and as wide as a row, an ``expert`` shaped like ``w`` and an
-    ``adapter`` LoRA factors of ``w``. A ``routed`` matrix needs (B, T, k)
-    rows and an integer ``span`` in [0, T].
+    ``adapter`` LoRA factors of ``w``. A span None routes every row and
+    takes no expert. A routed matrix (``routed``, or any span but None)
+    routes the image prefix of (B, T, k) rows, needs an integer span in
+    [0, T] and takes exactly one of an expert and an adapter.
     """
+    w, expert, adapter, span = spec
+    routed = routed or span is not None
+    if (expert is not None and not routed) or (routed and (expert is None) == (adapter is None)):
+        raise ValueError(
+            f"{op}: a routed matrix takes exactly one of an expert and an adapter, an unrouted one no expert"
+        )
     w = _as_tensor(w)
-    ws = w.data.shape
-    if not rows or (routed and len(rows) != 3) or len(ws) != 2 or rows[-1] != ws[1]:
-        raise ShapeMismatch(f"{op}: x {rows} incompatible with weight {ws}")
+    if not rows or (routed and len(rows) != 3) or w.ndim != 2 or rows[-1] != w.shape[1]:
+        raise ShapeMismatch(f"{op}: x {rows} incompatible with weight {w.shape}")
     if expert is not None:
         expert = _as_tensor(expert)
         if expert.shape != w.shape:
@@ -321,21 +317,23 @@ def _checked_matrix(op: str, rows: tuple[int, ...], w, expert, adapter, span, ro
         _check_lora(w.data, adapter[0].data, adapter[1].data)
     if routed:
         _check_span(op, span, rows[1])
-    return w, expert, adapter
+    return w, expert, adapter, span
 
 
-def _operands(w: Tensor, expert, adapter) -> tuple[Tensor, ...]:
-    """A matrix's inputs in node order: ``(w[, expert][, down, up])``."""
+def _operands(spec) -> tuple[Tensor, ...]:
+    """A checked spec's inputs in node order: ``(w[, expert][, down, up])``."""
+    w, expert, adapter, _ = spec
     return (w,) + ((expert,) if expert is not None else ()) + (adapter or ())
 
 
-def _rows_grad(gp, wd: np.ndarray, wm, span) -> np.ndarray:
+def _rows_grad(gp, spec, wm) -> np.ndarray:
     """The gradient ``gp @ W_m`` of a product's rows, ``gp`` that of its result; see ``_factored_grads``.
 
     A routed product takes ``gp @ w`` with the prefix rows replaced by
     their product with ``W_m``. Needing no rows, it can run before they are
     rebuilt.
     """
+    wd, span = spec[0].data, spec[3]
     if span is None:
         return gp @ wm
     gx = gp @ wd
@@ -345,7 +343,7 @@ def _rows_grad(gp, wd: np.ndarray, wm, span) -> np.ndarray:
     return gx
 
 
-def _factored_grads(gp, xd, w, expert, adapter, span, wm, x_grad: bool) -> tuple:
+def _factored_grads(gp, xd, spec, wm, x_grad: bool) -> tuple:
     """The gradients of one product over rows ``xd``, ``gp`` being the gradient of its result.
 
     Returns ``(gx, gw[, g_expert][, g_down, g_up])``, with None for a frozen
@@ -356,14 +354,14 @@ def _factored_grads(gp, xd, w, expert, adapter, span, wm, x_grad: bool) -> tuple
     otherwise. The expert gets ``gs.T @ xs`` and the factors
     ``(gs @ up).T @ xs`` and ``gs.T @ (xs @ down.T)``.
     """
-    wd = w.data
-    n, k = wd.shape
+    w, expert, adapter, span = spec
+    n, k = w.shape
     # the routed rows as 2-D arrays; empty at span 0, so the routed gradients are zero
     if span is None:
         gs, xs = gp.reshape(-1, n), xd.reshape(-1, k)
     else:
         gs, xs = gp[:, :span].reshape(-1, n), xd[:, :span].reshape(-1, k)
-    gx = _rows_grad(gp, wd, wm, span) if x_grad else None
+    gx = _rows_grad(gp, spec, wm) if x_grad else None
     gw = None
     if w.requires_grad and expert is not None:  # beside an expert, w serves the rows after the prefix only
         gw = gp[:, span:].reshape(-1, n).T @ xd[:, span:].reshape(-1, k)
@@ -381,58 +379,41 @@ def _factored_grads(gp, xd, w, expert, adapter, span, wm, x_grad: bool) -> tuple
     return grads
 
 
-def _checked_spec(op: str, rows: tuple[int, ...], spec) -> tuple:
-    """A matrix spec ``(w, expert, adapter, span)`` as Tensors, checked against the rows it multiplies.
+def _product(op: str, x, mat, residual, inner=None, norm=None) -> Tensor:
+    """The one product node behind ``linear`` and ``routed_linear``: ``x @ W.T + residual``.
 
-    A span None routes every row and takes no expert; an integer span routes
-    the image prefix and takes exactly one of an expert and an adapter.
-    """
-    w, expert, adapter, span = spec
-    if (expert is not None and span is None) or (span is not None and (expert is None) == (adapter is None)):
-        raise ValueError(
-            f"{op}: a routed matrix takes exactly one of an expert and an adapter, an unrouted one no expert"
-        )
-    return _checked_matrix(op, rows, w, expert, adapter, span, span is not None) + (span,)
+    ``mat`` and ``inner`` are matrix specs (``_checked_spec``). The routed
+    rows, every row at span None and the image prefix ``[:, :span]`` of a
+    (B, T, k) ``x`` otherwise, take the routed weight ``W_m``: the expert,
+    else ``lora_weight(w, down, up)`` of a LoRA ``adapter=(down, up)``, else
+    ``w`` itself. ``W_m`` is formed only when ``span != 0``, so an all-text
+    batch never reads the expert or the factors. A routed product runs
+    ``x @ w.T`` over every row, then overwrites the prefix with its
+    ``x @ W_m.T`` rows.
 
-
-def _product(op: str, x, w, expert, adapter, span, residual, inner=None, norm=None) -> Tensor:
-    """The one product node behind ``linear`` and ``routed_linear``.
-
-    The routed rows are every row when ``span`` is None (``linear``) and the
-    image prefix ``[:, :span]`` of a (B, T, k) ``x`` otherwise. They take
-    the routed weight ``W_m``: the ``expert``, else ``lora_weight(w, down,
-    up)`` of a LoRA ``adapter=(down, up)``, else ``w`` itself. ``W_m`` is
-    formed only when ``span != 0``, so an all-text batch never reads the
-    expert or the factors. A routed product runs ``x @ w.T`` over every row,
-    then overwrites the prefix with its ``x @ W_m.T`` rows.
-
-    ``inner``, a matrix spec ``(w_h, expert_h, adapter_h, span_h)`` whose
-    span None means every row, puts a hidden layer in front: the product
-    then runs over ``gelu(x @ W_h.T)`` instead of ``x``, with ``W_h`` routed
-    as above. That is a whole FFN in one node, with the bits of the inner
-    product, ``gelu`` and the outer product as three nodes. ``norm``, a gain
-    as wide as a row of ``x``, puts ``rms_norm(x, norm)`` in front of
-    everything, with ``rms_norm``'s own arithmetic (``_rms_rows``). The
-    residual, shaped like the output, is added last, so the result has the
-    bits of ``add(residual, product)``. With ``norm``, ``inner`` and the
-    residual ``x``, the node is the FFN half of a pre-norm block.
+    ``inner`` puts a hidden layer in front: the product then runs over
+    ``gelu(x @ W_h.T)`` instead of ``x``, with ``W_h`` routed as above.
+    That is a whole FFN in one node, with the bits of the inner product,
+    ``gelu`` and the outer product as three nodes. ``norm``, a gain as wide
+    as a row of ``x``, puts ``rms_norm(x, norm)`` in front of everything,
+    with ``rms_norm``'s own arithmetic (``_rms_rows``). The residual, shaped
+    like the output, is added last, so the result has the bits of
+    ``add(residual, product)``. With ``norm``, ``inner`` and the residual
+    ``x``, the node is the FFN half of a pre-norm block.
 
     The node keeps only its inputs: no normed rows, no hidden rows, no GELU
     derivative and no merged weight. Its vjp forms the merged weights again
     and rebuilds the normed and hidden rows with the forward's own
     ``_rms_rows`` and ``_pre_activation``, so the gradients have the bits of
     kept arrays. With ``inner``, it takes the hidden rows' gradient
-    (``_rows_grad``) before it rebuilds them; one tiled pass then turns the
-    rebuilt pre-activations into their GELU and multiplies that gradient by
-    the GELU slope in place, from one ``tanh`` per element, so no slope
-    array is built. The outer product's weight gradients are taken over the
-    hidden rows, and the hidden gradient gives the inner product's; both use
-    ``_factored_grads``, and each rebuilt array is dropped after its last
-    use. The normed rows' gradient gives those of ``x`` and the gain
-    through ``_rms_grads``, and the residual's gradient is the incoming
-    one. The node is recorded as
-    ``op`` over ``(x, w[, expert][, down, up][, w_h[, expert_h][, down_h,
-    up_h]][, gain][, residual])``.
+    (``_rows_grad``) before it rebuilds them, and ``_gelu_and_grad_`` turns
+    the rebuilt pre-activations into their GELU and that gradient into the
+    pre-activations' own. Both products' gradients come from
+    ``_factored_grads``, the normed rows' gradient gives those of ``x`` and
+    the gain through ``_rms_grads``, and the residual's gradient is the
+    incoming one. Each rebuilt array is dropped after its last use. The
+    node is recorded as ``op`` over ``(x, w[, expert][, down, up][, w_h[,
+    expert_h][, down_h, up_h]][, gain][, residual])``.
     """
     x = _as_tensor(x)
     rows = x.data.shape
@@ -440,24 +421,23 @@ def _product(op: str, x, w, expert, adapter, span, residual, inner=None, norm=No
     if inner is not None:
         inner = _checked_spec(op, rows, inner)
         rows = rows[:-1] + (inner[0].shape[0],)
-    w, expert, adapter = _checked_matrix(op, rows, w, expert, adapter, span, op == "routed_linear")
-    inputs = (x,) + _operands(w, expert, adapter)
+    mat = _checked_spec(op, rows, mat, op == "routed_linear")
+    inputs = (x,) + _operands(mat)
     if inner is not None:
-        inputs += _operands(*inner[:3])
+        inputs += _operands(inner)
     if gain is not None:
         inputs += (gain,)
     if residual is not None:
-        residual, out_shape = _as_tensor(residual), rows[:-1] + (w.shape[0],)
+        residual, out_shape = _as_tensor(residual), rows[:-1] + (mat[0].shape[0],)
         if residual.shape != out_shape:
             raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
         inputs += (residual,)
-    xd, wd = x.data, w.data
+    xd = x.data
     h = xd if gain is None else _rms_rows(xd, gain.data)[0]
     if inner is not None:
-        wh, eh, ah, sh = inner
-        h = _pre_activation(h, wh.data, _routed_weight(wh.data, eh, ah, sh), sh)
+        h = _pre_activation(h, inner, _routed_weight(inner))
         _gelu_(h)
-    y = _pre_activation(h, wd, _routed_weight(wd, expert, adapter, span), span)
+    y = _pre_activation(h, mat, _routed_weight(mat))
     if residual is not None:
         y += residual.data
     out = Tensor(y)
@@ -471,18 +451,17 @@ def _product(op: str, x, w, expert, adapter, span, residual, inner=None, norm=No
             xn = xd
         else:  # the normed rows, rebuilt
             xn, inv = _rms_rows(xd, gain.data)
-        wm = _routed_weight(wd, expert, adapter, span)
+        wm = _routed_weight(mat)
         if inner is None:
-            grads = _factored_grads(g, xn, w, expert, adapter, span, wm, xn_grad)
+            grads = _factored_grads(g, xn, mat, wm, xn_grad)
         else:  # the hidden rows' gradient first, then the rows, rebuilt, and both through GELU
-            wh, eh, ah, sh = inner
-            wmh = _routed_weight(wh.data, eh, ah, sh)
-            gh = _rows_grad(g, wd, wm, span)
-            hd = _pre_activation(xn, wh.data, wmh, sh)
+            wmh = _routed_weight(inner)
+            gh = _rows_grad(g, mat, wm)
+            hd = _pre_activation(xn, inner, wmh)
             _gelu_and_grad_(hd, gh)
-            grads = _factored_grads(g, hd, w, expert, adapter, span, wm, False)
+            grads = _factored_grads(g, hd, mat, wm, False)
             del hd
-            inner_grads = _factored_grads(gh, xn, wh, eh, ah, sh, wmh, xn_grad)
+            inner_grads = _factored_grads(gh, xn, inner, wmh, xn_grad)
             del gh
             grads = inner_grads[:1] + grads[1:] + inner_grads[1:]
         del xn
@@ -500,11 +479,10 @@ def linear(x, w, adapter=None, *, residual=None, inner=None, norm=None) -> Tenso
     """``x @ W.T + residual`` for x (..., k) and a weight stored (out, k).
 
     ``W`` is ``w``, or the merged weight ``lora_weight(w, down, up)`` of a
-    LoRA ``adapter=(down, up)``. This is ``_product`` with every row routed:
-    the result has the bits of ``add(residual, linear(x, w, adapter))``, the
-    backward stays factored, and the node is recorded as ``linear`` over
-    ``(x, w[, down, up][, residual])``. The node keeps only those inputs; its
-    vjp rebuilds the merged weight.
+    LoRA ``adapter=(down, up)``, for every row. This is ``_product`` over
+    the spec ``(w, None, adapter, None)``: the result has the bits of
+    ``add(residual, linear(x, w, adapter))``, and the node is recorded as
+    ``linear`` over ``(x, w[, down, up][, residual])``.
 
     ``inner=(w_h, expert_h, adapter_h, span_h)`` makes the node a whole FFN:
     ``x`` first goes through ``gelu(x @ W_h.T)``, with ``W_h`` routed as in
@@ -512,11 +490,10 @@ def linear(x, w, adapter=None, *, residual=None, inner=None, norm=None) -> Tenso
     row when it is None. ``norm=gain`` puts ``rms_norm(x, gain)`` in front
     of that. The result has the bits of ``linear(gelu(linear(rms_norm(x,
     gain), w_h, adapter_h)), w, adapter, residual=)`` (or ``routed_linear``
-    inside), the operands of ``inner`` and then the gain join the node's
-    inputs before the residual, and the vjp rebuilds the normed and hidden
-    rows, which the node does not keep.
+    inside), and the operands of ``inner`` and then the gain join the
+    node's inputs before the residual.
     """
-    return _product("linear", x, w, None, adapter, None, residual, inner, norm)
+    return _product("linear", x, (w, None, adapter, None), residual, inner, norm)
 
 
 def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, inner=None, norm=None) -> Tensor:
@@ -527,15 +504,13 @@ def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None
     ``w_base``, or the merged weight of a LoRA ``adapter=(down, up)``;
     exactly one of the two is given. Rows from ``span`` on have the bits of
     ``linear(x, w_base, residual=)``, and at span 0 neither the expert nor
-    the factors are read. This is ``_product`` over the prefix, recorded as
-    ``routed_linear`` over ``(x, w_base, w_expert | down, up[, residual])``.
-    The node keeps only those inputs; its vjp rebuilds the merged weight.
-    ``inner`` puts a GELU hidden layer in front and ``norm`` an RMS norm in
-    front of that, as in ``linear``.
+    the factors are read. This is ``_product`` over the spec ``(w_base,
+    w_expert, adapter, span)``, recorded as ``routed_linear`` over
+    ``(x, w_base, w_expert | down, up[, residual])``. ``inner`` puts a GELU
+    hidden layer in front and ``norm`` an RMS norm in front of that, as in
+    ``linear``.
     """
-    if (w_expert is None) == (adapter is None):
-        raise ValueError("routed_linear: give exactly one of w_expert and adapter")
-    return _product("routed_linear", x, w_base, w_expert, adapter, span, residual, inner, norm)
+    return _product("routed_linear", x, (w_base, w_expert, adapter, span), residual, inner, norm)
 
 
 def routed_lora(x, down, up, span: int) -> Tensor:
@@ -584,7 +559,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 # elements per pass, so a tile and its temporaries stay in L2: at (16, 62, 256) on a
 # Xeon with 2 MiB of L2 per core, 16384-32768 were fastest, and one whole-array pass
-# took _gelu_grad over twice as long
+# took the GELU backward over twice as long
 _GELU_TILE = 16384
 
 
@@ -621,8 +596,8 @@ def _gelu_(p: np.ndarray) -> None:
     in tiles of ``_GELU_TILE`` elements, each with the same elementwise
     operations as one whole-array pass, so the bits do not depend on the
     tiling. The standalone ``gelu`` and the hidden layer of a product node
-    both run this, so they give the same bits; neither keeps the derivative,
-    which their vjps rebuild with ``_gelu_grad`` or ``_gelu_with_slope_``.
+    both run this, so they give the same bits; neither keeps the
+    derivative, which their vjps rebuild with ``_gelu_and_grad_``.
     """
     for q in _tiles(p):
         t = _gelu_tanh(q)
@@ -631,47 +606,24 @@ def _gelu_(p: np.ndarray) -> None:
         q *= 0.5
 
 
-def _gelu_slope(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """0.5 + u*(1 - t) in a new array, u = 0.5*c*q*(1 + 3*0.044715*q^2), ``t`` the tanh of ``q``.
-
-    GELU'(q) = 0.5*(1 + t) + u*(1 - t^2) is this times (1 + t).
-    """
-    d = q * q
-    d *= 3 * 0.044715
-    d += 1.0
-    d *= q
-    d *= 0.5 * _GELU_C
-    d *= np.subtract(1.0, t)
-    d += 0.5
-    return d
-
-
-def _gelu_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Overwrite ``p`` with GELU'(p) * g and return it; ``p`` as for ``_gelu_``, ``g`` of any layout.
-
-    The derivative of ``_gelu_``'s arithmetic, tile by tile with the same
-    tiles: (1 + t) * ``_gelu_slope``, then multiplied by ``g``.
-    """
-    for q, gq in zip(_tiles(p), _tiles(np.ascontiguousarray(g))):
-        t = _gelu_tanh(q)
-        d = _gelu_slope(q, t)
-        t += 1.0
-        d *= t
-        np.multiply(d, gq, out=q)
-    return p
-
-
 def _gelu_and_grad_(p: np.ndarray, g: np.ndarray) -> None:
     """Overwrite ``p`` with its GELU and ``g`` with GELU'(p) * g, from one tanh per element.
 
     ``p`` and ``g`` are alike in shape and, when larger than a tile,
-    C-contiguous. Each tile runs the operations of ``_gelu_`` and of
-    ``_gelu_grad`` on one shared tanh, so ``p`` gets ``_gelu_``'s bits and
-    ``g`` ``_gelu_grad``'s, and no slope array is built.
+    C-contiguous. Each tile runs ``_gelu_``'s operations on ``p``, so ``p``
+    gets its bits, and builds the slope (1 + t) * (0.5 + u*(1 - t)), u =
+    0.5*c*q*(1 + 3*0.044715*q^2), which is GELU'(q) = 0.5*(1 + t) +
+    u*(1 - t^2); no slope array of ``p``'s size is built.
     """
     for q, gq in zip(_tiles(p), _tiles(g)):
         t = _gelu_tanh(q)
-        d = _gelu_slope(q, t)
+        d = q * q
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= q
+        d *= 0.5 * _GELU_C
+        d *= np.subtract(1.0, t)
+        d += 0.5
         t += 1.0
         d *= t
         gq *= d
@@ -688,7 +640,9 @@ def gelu(x) -> Tensor:
     out = Tensor(y)
 
     def vjp(g):
-        return (_gelu_grad(xd.copy(), g),)
+        gx = np.array(g, order="C")  # a new array: g may be shared, and is written in place
+        _gelu_and_grad_(xd.copy(), gx)
+        return (gx,)
 
     return _maybe_record("gelu", out, (x,), vjp)
 
@@ -943,8 +897,8 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, 
 
 def _qkv_heads(hn: np.ndarray, mats, n_heads: int) -> tuple[list, list]:
     """The routed weights of the q, k, v specs ``mats`` and the heads of their products over ``hn``."""
-    wms = [_routed_weight(w.data, e, a, s) for w, e, a, s in mats]
-    return wms, [_heads(_pre_activation(hn, m[0].data, wm, m[3]), n_heads) for m, wm in zip(mats, wms)]
+    wms = [_routed_weight(m) for m in mats]
+    return wms, [_heads(_pre_activation(hn, m, wm), n_heads) for m, wm in zip(mats, wms)]
 
 
 def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
@@ -986,45 +940,43 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
     if wo[0].shape[0] != x.shape[-1]:
         raise ShapeMismatch(f"{op}: output width {wo[0].shape[0]} vs residual {x.shape}")
     replay = (wo,) + tuple(reversed(mats))  # the flat graph's replay order
-    inputs = (x,) + tuple(t for m in replay for t in _operands(*m[:3])) + (gain,)
+    inputs = (x,) + tuple(t for m in replay for t in _operands(m)) + (gain,)
     xd, gd = x.data, gain.data
     hn = _rms_rows(xd, gd)[0]
     qh, kh, vh = _qkv_heads(hn, mats, n_heads)[1]
     p, mx, denom = _attention_probs(qh, kh, scale, causal)
     ao = _merge(np.matmul(p, vh))
     del hn, qh, kh, vh, p  # not alive through the output product
-    w, e, a, s = wo
-    y = _pre_activation(ao, w.data, _routed_weight(w.data, e, a, s), s)
+    y = _pre_activation(ao, wo, _routed_weight(wo))
     y += xd
     out = Tensor(y)
     if not _will_record(inputs):  # the tape-off path builds no vjp closure
         return out
     # which arrays of the flat graph needed a gradient: the normed rows, q, k and v, the attention output
     hn_grad = x.requires_grad or gain.requires_grad
-    qkv_grad = [hn_grad or any(t.requires_grad for t in _operands(*m[:3])) for m in mats]
+    qkv_grad = [hn_grad or any(t.requires_grad for t in _operands(m)) for m in mats]
     a_grad = any(qkv_grad)
 
     def vjp(g):
         hn, inv = _rms_rows(xd, gd)
         wms, heads = _qkv_heads(hn, mats, n_heads)
-        w, e, a, s = wo
-        wmo = _routed_weight(w.data, e, a, s)
+        wmo = _routed_weight(wo)
         # the attention output's gradient needs no rows, so it comes first; then the
         # chunks rebuild the output and take q, k and v's gradients from it
-        ga = _rows_grad(g, w.data, wmo, s) if a_grad else None
+        ga = _rows_grad(g, wo, wmo) if a_grad else None
         ao = np.empty(rows)
         gqkv = _attention_backward(ga, *heads, mx, denom, scale, causal, qkv_grad, ao)
         del ga, heads
-        grads = _factored_grads(g, ao, w, e, a, s, wmo, False)[1:]
+        grads = _factored_grads(g, ao, wo, wmo, False)[1:]
         del ao
         gh = None
         for i in (2, 1, 0):  # v, k, q: the flat graph's replay order
             m, gm = mats[i], gqkv[i]
             gqkv[i] = None  # gm is then the last reference, dropped after its use
             if gm is None:  # nothing under this matrix trains
-                grads += (None,) * len(_operands(*m[:3]))
+                grads += (None,) * len(_operands(m))
                 continue
-            gx_m, *g_ops = _factored_grads(gm, hn, *m, wms[i], hn_grad)
+            gx_m, *g_ops = _factored_grads(gm, hn, m, wms[i], hn_grad)
             del gm
             grads += tuple(g_ops)
             # the row gradients sum as the flat graph's backward summed them: (v + k) + q

@@ -8,22 +8,11 @@ per cell (single-patch regime) and the projector maps them into the LM width.
 Every forward pass runs through ``decode`` against a list of per-layer
 ``BlockBinding``s. A binding is a view: plain base weights, base weights plus
 low-rank adapter factors, or base weights paired with per-token expert
-copies. A block records two tape nodes. The attention half, entered through
-``autograd.attention``, runs the first norm, the q, k and v products,
-attention and the ``attn.wo`` product with the residual add. The FFN half,
-a product node of ``autograd._product`` behind ``linear`` or
-``routed_linear``, runs the second norm, ``gelu(x @ w1.T)`` and the
-``ffn.w2`` product with the residual add. So the tape keeps two (B, T, d)
-arrays per block, the block input and the mid-block stream; the vjps
-rebuild everything else, the attention half's a few samples at a time, and
-``backward`` frees each block's arrays once it has replayed the block.
-Unrouted adapter factors apply as a merged weight for every token. Routed
-experts and adapters serve the image prefix ``[:, :span]`` with the expert
-or merged weight and every other position with the base weight. A batch's
-image positions are one integer span shared by every row, from ``collate``
-down to the kernels. ``MultimodalBase`` binds the LM's own blocks; each
-adapted model of the adaptation module is the same stack with its own
-bindings.
+copies; ``block_forward`` runs a layer's binding as two tape nodes. A
+batch's image positions are one integer span shared by every row, from
+``collate`` down to the kernels. ``MultimodalBase`` binds the LM's own
+blocks; each adapted model of the adaptation module is the same stack with
+its own bindings.
 """
 
 from __future__ import annotations
@@ -138,9 +127,6 @@ class BlockBinding:
 
     ``adapters`` maps a matrix name to its (down, up) factors; ``experts`` maps a
     matrix name to a full replacement weight applied at image positions.
-    ``block_forward`` runs the layer as two nodes: the attention half takes
-    every attention matrix and ``norm1.g``, the FFN half ``norm2.g``,
-    ``ffn.w1`` with its GELU and ``ffn.w2``, and each adds its residual.
     Unrouted adapters apply as the merged weight ``w + up @ down`` to every
     row. ``route_adapters`` confines the merged weight to the image prefix,
     which is how the visual-expert baseline keeps text tokens on the exact
@@ -157,10 +143,8 @@ class BlockBinding:
 def _matrix(binding: BlockBinding, mat: str, span: int) -> tuple:
     """The binding's view of one matrix as a spec ``(w, expert, adapter, span)``, as the kernels take it.
 
-    The span is None for an unrouted matrix, whose adapter, if any, serves
-    every row. A routed one (an expert, or an adapter with
-    ``route_adapters``) keeps ``span``: the image prefix ``[:, :span]`` takes
-    the expert or merged weight and every other row the base weight.
+    A routed matrix (an expert, or an adapter with ``route_adapters``) keeps
+    ``span``; an unrouted one gets span None, so its adapter serves every row.
     """
     expert = binding.experts.get(mat)
     adapter = binding.adapters.get(mat)
@@ -175,11 +159,8 @@ def block_forward(x: Tensor, binding: BlockBinding, n_heads: int, causal: bool =
     attention half, ``rms_norm``, the q, k and v products, attention and the
     ``attn.wo`` product adding ``x``, is one ``attention`` node. The FFN half
     is one product node over the mid-block stream: its norm, ``ffn.w1`` and
-    the GELU go in front of ``ffn.w2``, which adds the stream back. So the
-    tape keeps two (B, T, d) arrays per block, the block input and the
-    mid-block stream. The FFN node is ``linear`` over an unrouted ``ffn.w2``
-    (over the merged weight when it has an adapter) and ``routed_linear``
-    over a routed one.
+    the GELU go in front of ``ffn.w2``, which adds the stream back: ``linear``
+    over an unrouted ``ffn.w2`` and ``routed_linear`` over a routed one.
     """
     q, k, v, o = (_matrix(binding, mat, span) for mat in BLOCK_MATRICES[:4])
     x = ag.attention(q, k, v, n_heads, causal=causal, x=x, gain=binding.weights["norm1.g"], wo=o)
@@ -390,6 +371,8 @@ class MultimodalBase:
             if grids is None:
                 raise ValueError("batch has image positions but no grids were supplied")
             injected = self.projector.project(self.vision.encode(grids))
+        elif grids is not None:
+            raise ValueError("grids supplied for an all-text batch")
         return decode(self.config, self.lm.params, self.bindings(), batch, injected)
 
 

@@ -39,21 +39,28 @@ def adamw_step(
     Decoupled weight decay is applied multiplicatively (p <- p - lr*wd*p)
     before the adaptive term. Only trainable parameters may be passed;
     ``lr`` is either a scalar or a per-name mapping covering every name.
+    Every input is checked before anything is written, so a refused step
+    leaves the parameters and the state as they were.
     """
     if params.keys() != state.m.keys():
         raise ValueError("adamw_step: params do not match optimizer state")
     missing = params.keys() - grads.keys()
     if missing:
         raise ValueError(f"adamw_step: missing gradients for {sorted(missing)[:3]}")
-    t = state.t + 1
-    bc1 = 1.0 - BETA1**t
-    bc2 = 1.0 - BETA2**t
+    missing = params.keys() - lr.keys() if isinstance(lr, Mapping) else ()
+    if missing:
+        raise ValueError(f"adamw_step: no learning rate for {sorted(missing)[:3]}")
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"adamw_step: grad shape {g.shape} != param shape {p.shape} ({name})")
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"adamw_step: non-finite gradient for '{name}'")
+    t = state.t + 1
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    for name, p in params.items():
+        g = grads[name]
         step_lr = lr[name] if isinstance(lr, Mapping) else lr
         if weight_decay:
             p.data *= 1.0 - step_lr * weight_decay

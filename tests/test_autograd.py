@@ -115,6 +115,24 @@ def test_backward_rejects_non_finite_with_node_name():
         backward(tape, loss)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_backward_refuses_a_spent_tape():
+    w = Tensor(np.array([[1.0, 1.5]]), requires_grad=True)
+    with GradTape() as tape:
+        loss = ag.sum_all(ag.mul(w, 3.0))
+    backward(tape, loss)
+    with pytest.raises(RuntimeError, match="spent by an earlier backward"):
+        backward(tape, loss)
+    with GradTape() as tape:
+        big = ag.mul(ag.mul(w, 1.0), 1e308)
+        loss = ag.sum_all(ag.mul(big, big))  # big's gradient, 2 * big, overflows
+    with pytest.raises(NonFiniteError, match="mul"):
+        backward(tape, loss)
+    assert tape.nodes[0].vjp is not None  # the replay stopped partway
+    with pytest.raises(RuntimeError, match="spent by an earlier backward"):
+        backward(tape, loss)
+
+
 def test_tape_visits_each_node_once_in_reverse():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with GradTape() as tape:
@@ -209,10 +227,12 @@ def test_grad_gelu(probe):
 
 
 def test_gelu_tiles_need_a_contiguous_target_and_read_any_gradient(rng):
-    x = rng.normal(scale=3.0, size=(3, ag._GELU_TILE + 5))  # several tiles, the last one short
+    x = Tensor(rng.normal(scale=3.0, size=(3, ag._GELU_TILE + 5)), requires_grad=True)  # the last tile short
     g = rng.normal(size=x.shape[::-1]).T  # an upstream gradient that is not C-contiguous
-    got = ag._gelu_grad(x.copy(), g)
-    assert got.tobytes() == ag._gelu_grad(x.copy(), np.ascontiguousarray(g)).tobytes()
+    with GradTape() as tape:
+        ag.gelu(x)
+    vjp = tape.nodes[-1].vjp
+    assert vjp(g)[0].tobytes() == vjp(np.ascontiguousarray(g))[0].tobytes()
     with pytest.raises(ValueError, match="C-contiguous"):  # its tiles would be copies, the writes lost
         ag._gelu_(np.zeros((2, 2 * ag._GELU_TILE))[:, ::2])
 
@@ -1103,6 +1123,19 @@ def test_gelu_does_not_mutate_inputs(rng):
     np.testing.assert_array_equal(g, g_before)
 
 
+def test_gelu_vjp_leaves_a_shared_upstream_gradient_untouched(rng):
+    x = Tensor(rng.normal(scale=3.0, size=(2, ag._GELU_TILE + 5)), requires_grad=True)
+    other = Tensor(rng.normal(size=x.shape), requires_grad=True)
+    with GradTape() as tape:
+        ag.add(ag.gelu(x), other)
+    g = rng.normal(size=x.shape)
+    g_gelu, g_other = tape.nodes[-1].vjp(g)
+    assert g_gelu is g_other is g  # add hands one g to the gelu output and to the other consumer
+    before = g.tobytes()
+    tape.nodes[0].vjp(g_gelu)
+    assert g.tobytes() == before
+
+
 # ----------------------------------------------------------------------------
 # backward accumulation: shared first contributions, 0-d sums
 # ----------------------------------------------------------------------------
@@ -1115,7 +1148,7 @@ def test_backward_shared_gradient_does_not_leak(probe):
     with GradTape() as tape:
         a = ag.mul(x, 2.0)
         b = ag.mul(y, 3.0)
-        r = ag.mul(a, cr)  # a third contribution to a, added in place
+        r = ag.mul(a, cr)  # a third contribution to a, summed into a new array
         p = ag.mul(a, ca)
         q = ag.mul(b, cb)
         s = ag.add(a, b)  # replayed first: a and b both receive the same g
@@ -1133,7 +1166,7 @@ def test_backward_reused_scalar_sums_exactly(rng):
     np.testing.assert_array_equal(backward(tape, loss)[x], np.full((3, 5), 2.0))
     with GradTape() as tape:
         s = ag.sum_all(x)
-        loss = ag.add(ag.add(s, s), s)  # the third use adds into the 0-d sum
+        loss = ag.add(ag.add(s, s), s)  # the third use sums into a new 0-d array
     np.testing.assert_array_equal(backward(tape, loss)[x], np.full((3, 5), 3.0))
 
 

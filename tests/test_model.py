@@ -170,6 +170,12 @@ def test_image_positions_require_injection(tiny_base, rng):
         tiny_base.lm.forward(batch)
 
 
+def test_all_text_batch_refuses_grids(tiny_base, rng):
+    batch, grids = _mixed_batch(rng, tiny_base.config, span=0)
+    with pytest.raises(ValueError, match="grids supplied for an all-text batch"):
+        tiny_base.forward(batch, grids)
+
+
 def test_rejects_overlong_sequence(tiny_base, rng):
     cfg = tiny_base.config
     ids = rng.integers(0, cfg.vocab_size, size=(1, cfg.max_seq + 1))

@@ -57,6 +57,29 @@ def test_rejects_missing_grad():
         adamw_step(params, {}, state, lr=0.1)
 
 
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ({"grads": {"b": np.array([np.inf, 0.0])}}, NonFiniteError, "non-finite gradient for 'b'"),
+        ({"grads": {"b": np.zeros(3)}}, ValueError, r"shape .*\(b\)"),
+        ({"lr": {"a": 0.1}}, ValueError, r"no learning rate for \['b'\]"),
+    ],
+    ids=["non-finite-later-grad", "later-grad-misshapen", "lr-map-lacks-a-name"],
+)
+def test_refused_step_writes_nothing(bad, error, message):
+    params = {"a": Tensor(np.array([1.0, -2.0])), "b": Tensor(np.array([0.5, 3.0]))}
+    state = AdamWState(params)
+    good = {"a": np.array([0.3, -0.1]), "b": np.array([0.2, 0.4])}
+    adamw_step(params, good, state, lr=0.1, weight_decay=0.1)  # nonzero moments to compare against
+    before = [p.data.copy() for p in params.values()] + [a.copy() for a in (*state.m.values(), *state.v.values())]
+    grads, lr = {**good, **bad.get("grads", {})}, bad.get("lr", {"a": 0.1, "b": 0.2})
+    with pytest.raises(error, match=message):
+        adamw_step(params, grads, state, lr, weight_decay=0.1)
+    after = [p.data for p in params.values()] + [*state.m.values(), *state.v.values()]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
+    assert state.t == 1
+
+
 def test_per_name_learning_rates():
     params = {"a": Tensor(np.array([1.0])), "b": Tensor(np.array([1.0]))}
     state = AdamWState(params)
