@@ -151,7 +151,9 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     that output, and an array the tape alone held (the logits, a block's
     stream) is freed as soon as backward has passed its producer. A tape is
     replayed once: ``RuntimeError`` when a node was spent by an earlier
-    ``backward``, also one that stopped partway.
+    ``backward``, also one that stopped partway. No gradient outlives its
+    use: while a vjp runs, backward holds only the gradients of the nodes
+    it has still to replay and of the leaves.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"loss must be a scalar, got shape {loss.shape}")
@@ -160,19 +162,28 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         inputs, vjp = node.inputs, node.vjp
         if vjp is None:
             raise RuntimeError(f"backward: node '{node.op}' was spent by an earlier backward; record a new tape")
-        g = grads.pop(node.out, None)
+        g = grads.pop(node.out, None)  # the last node's g goes here, before the next vjp runs
         node.out = node.inputs = node.vjp = None
         if g is None:
             continue  # output never contributed to the loss
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient flowing into node '{node.op}'")
-        for inp, gi in zip(inputs, vjp(g)):
-            if gi is not None:
-                acc = grads.get(inp)
-                # a sum is a new array, since a contribution may be shared (add hands one g to
-                # both inputs, concat_seq returns views of g); out= keeps a 0-d sum an array
-                grads[inp] = gi if acc is None else np.add(acc, gi, out=np.empty(np.shape(acc)))
+        _accumulate(grads, inputs, vjp(g))
     return {t: g for t, g in grads.items() if t.requires_grad}
+
+
+def _accumulate(grads: dict, inputs: tuple[Tensor, ...], contributions) -> None:
+    """Add a vjp's ``contributions`` into the ``grads`` of its ``inputs``, skipping None.
+
+    A sum is a new array, since a contribution may be shared (``add`` hands
+    one g to both inputs, ``concat_seq`` returns views of g);
+    ``out=`` keeps a 0-d sum an array. Its own frame holds the summands, so
+    they are dropped on return, not kept through the next vjp.
+    """
+    for inp, gi in zip(inputs, contributions):
+        if gi is not None:
+            acc = grads.get(inp)
+            grads[inp] = gi if acc is None else np.add(acc, gi, out=np.empty(np.shape(acc)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -194,6 +205,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
+    """Broadcasting ``a + b``.
+
+    The package itself no longer calls this: biases run inside ``linear``
+    and positions inside ``embed``. It stays because
+    ``benchmarks/tracing.py`` wraps it by name, as ``routed_lora`` does.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = Tensor(a.data + b.data)
@@ -379,8 +396,8 @@ def _factored_grads(gp, xd, spec, wm, x_grad: bool) -> tuple:
     return grads
 
 
-def _product(op: str, x, mat, residual, inner=None, norm=None) -> Tensor:
-    """The one product node behind ``linear`` and ``routed_linear``: ``x @ W.T + residual``.
+def _product(op: str, x, mat, residual, inner=None, norm=None, bias=None) -> Tensor:
+    """The one product node behind ``linear`` and ``routed_linear``: ``x @ W.T (+ bias) + residual``.
 
     ``mat`` and ``inner`` are matrix specs (``_checked_spec``). The routed
     rows, every row at span None and the image prefix ``[:, :span]`` of a
@@ -396,24 +413,28 @@ def _product(op: str, x, mat, residual, inner=None, norm=None) -> Tensor:
     That is a whole FFN in one node, with the bits of the inner product,
     ``gelu`` and the outer product as three nodes. ``norm``, a gain as wide
     as a row of ``x``, puts ``rms_norm(x, norm)`` in front of everything,
-    with ``rms_norm``'s own arithmetic (``_rms_rows``). The residual, shaped
-    like the output, is added last, so the result has the bits of
-    ``add(residual, product)``. With ``norm``, ``inner`` and the residual
-    ``x``, the node is the FFN half of a pre-norm block.
+    with ``rms_norm``'s own arithmetic (``_rms_rows``). A ``bias``, shaped
+    ``(out,)``, is added to the product and the residual, shaped like the
+    output, last, so the result has the bits of ``add(residual,
+    add(product, bias))``. With ``norm``, ``inner`` and the residual ``x``,
+    the node is the FFN half of a pre-norm block.
 
     The node keeps only its inputs: no normed rows, no hidden rows, no GELU
     derivative and no merged weight. Its vjp forms the merged weights again
     and rebuilds the normed and hidden rows with the forward's own
     ``_rms_rows`` and ``_pre_activation``, so the gradients have the bits of
-    kept arrays. With ``inner``, it takes the hidden rows' gradient
-    (``_rows_grad``) before it rebuilds them, and ``_gelu_and_grad_`` turns
-    the rebuilt pre-activations into their GELU and that gradient into the
-    pre-activations' own. Both products' gradients come from
-    ``_factored_grads``, the normed rows' gradient gives those of ``x`` and
-    the gain through ``_rms_grads``, and the residual's gradient is the
-    incoming one. Each rebuilt array is dropped after its last use. The
-    node is recorded as ``op`` over ``(x, w[, expert][, down, up][, w_h[,
-    expert_h][, down_h, up_h]][, gain][, residual])``.
+    kept arrays. With ``inner``, it rebuilds the hidden pre-activations and
+    drops the normed rows before it takes the hidden rows' gradient
+    (``_rows_grad``), so that no normed rows live beside the two hidden-size
+    arrays; ``_gelu_and_grad_`` turns the pre-activations into their GELU
+    and that gradient into the pre-activations' own, and the normed rows
+    are rebuilt once more for the inner product's gradients. Both products'
+    gradients come from ``_factored_grads``, the normed rows' gradient gives
+    those of ``x`` and the gain through ``_rms_grads``, and the bias and the
+    residual get the incoming gradient, summed to ``(out,)`` for the bias.
+    Each rebuilt array is dropped after its last use. The node is recorded
+    as ``op`` over ``(x, w[, expert][, down, up][, w_h[, expert_h][,
+    down_h, up_h]][, gain][, bias][, residual])``.
     """
     x = _as_tensor(x)
     rows = x.data.shape
@@ -422,13 +443,19 @@ def _product(op: str, x, mat, residual, inner=None, norm=None) -> Tensor:
         inner = _checked_spec(op, rows, inner)
         rows = rows[:-1] + (inner[0].shape[0],)
     mat = _checked_spec(op, rows, mat, op == "routed_linear")
+    out_shape = rows[:-1] + (mat[0].shape[0],)
     inputs = (x,) + _operands(mat)
     if inner is not None:
         inputs += _operands(inner)
     if gain is not None:
         inputs += (gain,)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != out_shape[-1:]:
+            raise ShapeMismatch(f"{op}: bias {bias.shape} vs output {out_shape}")
+        inputs += (bias,)
     if residual is not None:
-        residual, out_shape = _as_tensor(residual), rows[:-1] + (mat[0].shape[0],)
+        residual = _as_tensor(residual)
         if residual.shape != out_shape:
             raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
         inputs += (residual,)
@@ -438,6 +465,8 @@ def _product(op: str, x, mat, residual, inner=None, norm=None) -> Tensor:
         h = _pre_activation(h, inner, _routed_weight(inner))
         _gelu_(h)
     y = _pre_activation(h, mat, _routed_weight(mat))
+    if bias is not None:
+        y += bias.data
     if residual is not None:
         y += residual.data
     out = Tensor(y)
@@ -446,28 +475,31 @@ def _product(op: str, x, mat, residual, inner=None, norm=None) -> Tensor:
     # whether the rows the products run over, x or its normed rows, need a gradient
     xn_grad = x.requires_grad or (gain is not None and gain.requires_grad)
 
+    def normed():
+        return (xd, None) if gain is None else _rms_rows(xd, gain.data)
+
     def vjp(g):
-        if gain is None:
-            xn = xd
-        else:  # the normed rows, rebuilt
-            xn, inv = _rms_rows(xd, gain.data)
+        xn, inv = normed()
         wm = _routed_weight(mat)
         if inner is None:
             grads = _factored_grads(g, xn, mat, wm, xn_grad)
-        else:  # the hidden rows' gradient first, then the rows, rebuilt, and both through GELU
+            del xn
+        else:  # the hidden rows, rebuilt, and their gradient, both through GELU
             wmh = _routed_weight(inner)
-            gh = _rows_grad(g, mat, wm)
             hd = _pre_activation(xn, inner, wmh)
+            del xn
+            gh = _rows_grad(g, mat, wm)
             _gelu_and_grad_(hd, gh)
             grads = _factored_grads(g, hd, mat, wm, False)
             del hd
-            inner_grads = _factored_grads(gh, xn, inner, wmh, xn_grad)
+            inner_grads = _factored_grads(gh, normed()[0], inner, wmh, xn_grad)
             del gh
             grads = inner_grads[:1] + grads[1:] + inner_grads[1:]
-        del xn
         if gain is not None:
             gx, ggain = _rms_grads(grads[0], xd, gain.data, inv, x.requires_grad, gain.requires_grad)
             grads = (gx,) + grads[1:] + (ggain,)
+        if bias is not None:
+            grads += (_unbroadcast(g, bias.shape) if bias.requires_grad else None,)
         if residual is not None:
             grads += (g if residual.requires_grad else None,)
         return grads
@@ -475,14 +507,15 @@ def _product(op: str, x, mat, residual, inner=None, norm=None) -> Tensor:
     return _maybe_record(op, out, inputs, vjp)
 
 
-def linear(x, w, adapter=None, *, residual=None, inner=None, norm=None) -> Tensor:
-    """``x @ W.T + residual`` for x (..., k) and a weight stored (out, k).
+def linear(x, w, adapter=None, *, bias=None, residual=None, inner=None, norm=None) -> Tensor:
+    """``x @ W.T + bias + residual`` for x (..., k) and a weight stored (out, k).
 
     ``W`` is ``w``, or the merged weight ``lora_weight(w, down, up)`` of a
     LoRA ``adapter=(down, up)``, for every row. This is ``_product`` over
     the spec ``(w, None, adapter, None)``: the result has the bits of
-    ``add(residual, linear(x, w, adapter))``, and the node is recorded as
-    ``linear`` over ``(x, w[, down, up][, residual])``.
+    ``add(residual, add(linear(x, w, adapter), bias))``, and the node is
+    recorded as ``linear`` over ``(x, w[, down, up][, bias][, residual])``;
+    a ``bias`` must be shaped ``(out,)``.
 
     ``inner=(w_h, expert_h, adapter_h, span_h)`` makes the node a whole FFN:
     ``x`` first goes through ``gelu(x @ W_h.T)``, with ``W_h`` routed as in
@@ -491,9 +524,9 @@ def linear(x, w, adapter=None, *, residual=None, inner=None, norm=None) -> Tenso
     of that. The result has the bits of ``linear(gelu(linear(rms_norm(x,
     gain), w_h, adapter_h)), w, adapter, residual=)`` (or ``routed_linear``
     inside), and the operands of ``inner`` and then the gain join the
-    node's inputs before the residual.
+    node's inputs before the bias.
     """
-    return _product("linear", x, (w, None, adapter, None), residual, inner, norm)
+    return _product("linear", x, (w, None, adapter, None), residual, inner, norm, bias)
 
 
 def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, inner=None, norm=None) -> Tensor:
@@ -712,26 +745,64 @@ def rms_norm(x, gain) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def embed(table, ids: np.ndarray) -> Tensor:
-    """Gather rows of an embedding table; ids are a constant int array."""
+def embed(table, ids: np.ndarray, *, prefix=None, pos=None) -> Tensor:
+    """Gather rows of an embedding table; ids are a constant int array.
+
+    ``prefix``, (B, S, d) rows, goes in front of the gathered (B, T', d)
+    rows along the sequence axis, and ``pos``, which must broadcast to the
+    output without growing it, is added last. The result has the bits of
+    ``add(concat_seq(prefix, embed(table, ids)), pos)`` from one node, so
+    no concatenated rows wait on the tape for a vjp that never reads them.
+    The node keeps its inputs and the ids, and is recorded over ``(table[,
+    prefix][, pos])``. The prefix's gradient is a copy of the incoming
+    gradient's prefix rows, not a view, so that it does not keep the whole
+    incoming gradient alive through the vjps of the prefix's producers.
+    """
     table = _as_tensor(table)
     ids = np.asarray(ids)
     if table.ndim == 0 or ids.dtype.kind not in "iu":  # bool ids would select rows as a mask
         raise ShapeMismatch(f"embed: needs a table and integer ids, got table {table.shape} and ids {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"embed: id out of range for table with {table.shape[0]} rows")
-    out = Tensor(table.data[ids])
+    y = np.take(table.data, ids, axis=0)  # a new array, also for 0-d ids, since pos is added in place
+    inputs, span = (table,), 0
+    if prefix is not None:
+        prefix = _as_tensor(prefix)
+        if prefix.ndim != 3 or y.ndim != 3 or prefix.shape[::2] != y.shape[::2]:
+            raise ShapeMismatch(f"embed: prefix {prefix.shape} vs gathered rows {y.shape}")
+        span = prefix.shape[1]
+        y = np.concatenate([prefix.data, y], axis=1)
+        inputs += (prefix,)
+    if pos is not None:
+        pos = _as_tensor(pos)
+        if pos.ndim > y.ndim or any(p not in (1, n) for p, n in zip(pos.shape[::-1], y.shape[::-1])):
+            raise ShapeMismatch(f"embed: pos {pos.shape} does not broadcast to the output {y.shape}")
+        y += pos.data
+        inputs += (pos,)
+    out = Tensor(y)
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        gt = None
+        if table.requires_grad:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids, g if prefix is None else g[:, span:])
+        grads = (gt,)
+        if prefix is not None:
+            grads += (g[:, :span].copy() if prefix.requires_grad else None,)
+        if pos is not None:
+            grads += (_unbroadcast(g, pos.shape) if pos.requires_grad else None,)
+        return grads
 
-    return _maybe_record("embed", out, (table,), vjp)
+    return _maybe_record("embed", out, inputs, vjp)
 
 
 def concat_seq(a, b) -> Tensor:
-    """Concatenate two (B, T, d) tensors along the sequence axis."""
+    """Concatenate two (B, T, d) tensors along the sequence axis.
+
+    The package itself no longer calls this: the LM's injected image rows
+    go in front of the token rows inside ``embed``. It stays because
+    ``benchmarks/tracing.py`` wraps it by name, as ``routed_lora`` does.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ShapeMismatch(f"concat_seq: shapes {a.shape} and {b.shape}")
@@ -813,52 +884,58 @@ def _attention_scale(shape: tuple[int, ...], n_heads) -> float:
 _ATTENTION_TILE = 65536
 
 
-def _attention_grads(gh, qh, kh, vh, p, scale: float, out) -> None:
-    """Write the gradients of q, k and v for the gradient ``gh`` of the output heads into ``out``.
+def _attention_grads(gh, qh, kh, vh, p, scale: float, wanted) -> list:
+    """``[gq, gk, gv]`` for the gradient ``gh`` of the output heads, None where not ``wanted``.
 
-    ``qh``, ``kh``, ``vh`` and ``gh`` are heads, ``p`` the probabilities,
-    and ``out = (gq, gk, gv)`` head views to write into, None where not
-    wanted.
+    ``qh``, ``kh``, ``vh`` and ``gh`` are heads and ``p`` the
+    probabilities. The gradients are new arrays, so the caller may write
+    them over the heads they were taken from.
     """
-    gq, gk, gv = out
-    if gv is not None:
-        gv[...] = np.matmul(p.swapaxes(-1, -2), gh)
-    if gq is not None or gk is not None:
+    gq = gk = gv = None
+    if wanted[2]:
+        gv = np.matmul(p.swapaxes(-1, -2), gh)
+    if wanted[0] or wanted[1]:
         # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
         gs = np.matmul(gh, vh.swapaxes(-1, -2))
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        if gq is not None:
-            gq[...] = np.matmul(gs, kh)
-        if gk is not None:
-            gk[...] = np.matmul(gs.swapaxes(-1, -2), qh)
+        if wanted[0]:
+            gq = np.matmul(gs, kh)
+        if wanted[1]:
+            gk = np.matmul(gs.swapaxes(-1, -2), qh)
+    return [gq, gk, gv]
 
 
-def _attention_backward(ga, qh, kh, vh, mx, denom, scale: float, causal: bool, wanted, ao=None) -> list:
-    """``[gq, gk, gv]`` as (B, T, d) rows for the gradient ``ga`` of the output rows, a few samples at a time.
+def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads: int, out, ao=None) -> None:
+    """Write q, k and v's gradients, for the gradient ``ga`` of the output rows, into ``out``, a few samples at a time.
 
-    None where not ``wanted``, and all None when ``ga`` is. The heads
-    ``qh``, ``kh``, ``vh`` and the row max and denominator of the forward
-    rebuild each chunk's probabilities through ``_attention_probs``; when
-    given, ``ao`` receives the attention output rows. A stacked matmul is
-    one product per (sample, head) and the softmax works row by row, so
-    the chunks give the bits of one whole-batch pass without ever holding
-    the (B, H, T, T) probabilities.
+    ``qkv`` are the (B, T, d) q, k and v rows and ``out`` three (B, T, d)
+    arrays, None where no gradient is wanted; with the forward's row max
+    and denominator they rebuild each chunk's probabilities through
+    ``_attention_probs``. When given, ``ao`` receives the attention output
+    rows; ``ga`` may be None then, and nothing is written to ``out``. A
+    chunk reads only its own samples and forms its gradients and output
+    whole before it writes any, so ``out`` may be ``qkv`` itself and ``ao``
+    may be ``ga``. A stacked matmul is one product per (sample, head) and
+    the softmax works row by row, so the chunks give the bits of one
+    whole-batch pass without ever holding the (B, H, T, T) probabilities.
     """
-    bsz, n_heads, t, hd = qh.shape
-    grads = [np.empty((bsz, t, n_heads * hd)) if w and ga is not None else None for w in wanted]
+    bsz, t, _ = qkv[0].shape
+    wanted = [o is not None for o in out]
+    targets = list(out) + [ao]
     step = max(1, _ATTENTION_TILE // (n_heads * t * t))
     for b in range(0, bsz, step):
         c = slice(b, b + step)
-        p = _attention_probs(qh[c], kh[c], scale, causal, mx[c], denom[c])[0]
-        if ao is not None:
-            _heads(ao[c], n_heads)[...] = np.matmul(p, vh[c])
-        if ga is not None:
-            out = [None if a is None else _heads(a[c], n_heads) for a in grads]
-            _attention_grads(_heads(ga[c], n_heads), qh[c], kh[c], vh[c], p, scale, out)
+        qh, kh, vh = (_heads(a[c], n_heads) for a in qkv)
+        p = _attention_probs(qh, kh, scale, causal, mx[c], denom[c])[0]
+        chunk = [None] * 3 if ga is None else _attention_grads(_heads(ga[c], n_heads), qh, kh, vh, p, scale, wanted)
+        chunk.append(None if ao is None else np.matmul(p, vh))
         del p  # before the next chunk's probabilities are built
-    return grads
+        for o, gm in zip(targets, chunk):
+            if gm is not None:
+                _heads(o[c], n_heads)[...] = gm
+        del chunk
 
 
 def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, wo=None) -> Tensor:
@@ -889,16 +966,11 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, 
         return out
 
     def vjp(g):
-        wanted = [t.requires_grad for t in (q, k, v)]
-        return tuple(_attention_backward(g, qh, kh, vh, mx, denom, scale, causal, wanted))
+        grads = tuple(np.empty(q.shape) if t.requires_grad else None for t in (q, k, v))
+        _attention_backward(g, (q.data, k.data, v.data), mx, denom, scale, causal, n_heads, grads)
+        return grads
 
     return _maybe_record("attention", out, (q, k, v), vjp)
-
-
-def _qkv_heads(hn: np.ndarray, mats, n_heads: int) -> tuple[list, list]:
-    """The routed weights of the q, k, v specs ``mats`` and the heads of their products over ``hn``."""
-    wms = [_routed_weight(m) for m in mats]
-    return wms, [_heads(_pre_activation(hn, m, wm), n_heads) for m, wm in zip(mats, wms)]
 
 
 def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
@@ -914,13 +986,16 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
     forward's own ``_rms_rows`` and ``_pre_activation`` and takes the flat
     graph's gradients: the attention output's through ``wo`` first, which
     needs no rows; then ``_attention_backward``, a few samples at a time,
-    rebuilds the probabilities with ``_attention_probs``, writes the
-    attention output rows and takes q, k and v's gradients, so the (B, H,
-    T, T) probabilities never exist whole; then ``wo``'s own gradients over
-    the whole attention output; then v, k and q, whose row gradients sum as
-    ``(gx_v + gx_k) + gx_q``; then the norm, and ``x`` gets ``g +
-    gx_norm``. Each rebuilt array is dropped after its last use, and only
-    the gradients the flat graph would have are computed. The node is
+    rebuilds the probabilities with ``_attention_probs`` and takes q, k and
+    v's gradients, which it writes over the chunk's q, k and v rows, and
+    the attention output, which it writes over the chunk's rows of its
+    gradient; so the (B, H, T, T) probabilities never exist whole and no
+    (B, T, d) array is made for the gradients or the output. Then come
+    ``wo``'s own gradients over the whole attention output; then v, k and
+    q, whose row gradients sum as ``(gx_v + gx_k) + gx_q``; then the norm,
+    and ``x`` gets ``g + gx_norm``. Each rebuilt array is dropped after its
+    last use, and only the gradients the flat graph would have are
+    computed. The node is
     recorded as ``attention`` over ``(x, wo, v, k and q operands, gain)``,
     the matrices in the flat graph's reverse order, so a tensor shared by
     two of them sums its gradients as before.
@@ -943,7 +1018,7 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
     inputs = (x,) + tuple(t for m in replay for t in _operands(m)) + (gain,)
     xd, gd = x.data, gain.data
     hn = _rms_rows(xd, gd)[0]
-    qh, kh, vh = _qkv_heads(hn, mats, n_heads)[1]
+    qh, kh, vh = (_heads(_pre_activation(hn, m, _routed_weight(m)), n_heads) for m in mats)
     p, mx, denom = _attention_probs(qh, kh, scale, causal)
     ao = _merge(np.matmul(p, vh))
     del hn, qh, kh, vh, p  # not alive through the output product
@@ -959,14 +1034,16 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
 
     def vjp(g):
         hn, inv = _rms_rows(xd, gd)
-        wms, heads = _qkv_heads(hn, mats, n_heads)
+        wms = [_routed_weight(m) for m in mats]
+        qkv = [_pre_activation(hn, m, wm) for m, wm in zip(mats, wms)]
         wmo = _routed_weight(wo)
-        # the attention output's gradient needs no rows, so it comes first; then the
-        # chunks rebuild the output and take q, k and v's gradients from it
+        # the attention output's gradient needs no rows, so it comes first; then the chunks
+        # take q, k and v's gradients from it into their rows, and the output into its rows
         ga = _rows_grad(g, wo, wmo) if a_grad else None
-        ao = np.empty(rows)
-        gqkv = _attention_backward(ga, *heads, mx, denom, scale, causal, qkv_grad, ao)
-        del ga, heads
+        ao = np.empty(rows) if ga is None else ga
+        gqkv = [r if w else None for r, w in zip(qkv, qkv_grad)]
+        _attention_backward(ga, qkv, mx, denom, scale, causal, n_heads, gqkv, ao)
+        del ga, qkv
         grads = _factored_grads(g, ao, wo, wmo, False)[1:]
         del ao
         gh = None

@@ -260,14 +260,11 @@ def decode(
             raise ValueError("batch has image positions but no injected embeddings")
         if injected.shape != (bsz, span, c.d_model):
             raise ValueError(f"injected shape {injected.shape} != {(bsz, span, c.d_model)}")
-        tok = ag.embed(lm_params["embed.tokens"], batch.ids[:, span:])
-        x = ag.concat_seq(injected, tok)
-    else:
-        x = ag.embed(lm_params["embed.tokens"], batch.ids)
-        if injected is not None and injected.size:
-            raise ValueError("injected embeddings supplied for an all-text batch")
+    elif injected is not None and injected.size:
+        raise ValueError("injected embeddings supplied for an all-text batch")
     # position table is frozen base state, so slicing the raw array is safe
-    x = ag.add(x, lm_params["embed.pos"].data[:t])
+    pos = lm_params["embed.pos"].data[:t]
+    x = ag.embed(lm_params["embed.tokens"], batch.ids[:, span:], prefix=injected if span else None, pos=pos)
     for binding in bindings:
         x = block_forward(x, binding, c.n_heads, causal=True, span=span)
     x = ag.rms_norm(x, lm_params["final_norm.g"])
@@ -309,8 +306,7 @@ class VisionEncoder:
         if grids.min() < 0 or grids.max() >= c.grid_alphabet:
             raise ValueError(f"grid symbol out of alphabet range [0, {c.grid_alphabet})")
         flat = grids.reshape(grids.shape[0], -1)
-        x = ag.embed(self.params["sym_embed"], flat)
-        x = ag.add(x, self.params["pos_embed"])
+        x = ag.embed(self.params["sym_embed"], flat, pos=self.params["pos_embed"])
         for i in range(c.n_vision_layers):
             x = block_forward(x, BlockBinding(_block_weights(self.params, i)), c.n_vision_heads, causal=False)
         return ag.rms_norm(x, self.params["final_norm.g"])
@@ -336,9 +332,8 @@ class Projector:
         return cls(config, params)
 
     def project(self, x: Tensor) -> Tensor:
-        h = ag.add(ag.linear(x, self.params["p1.w"]), self.params["p1.b"])
-        h = ag.gelu(h)
-        return ag.add(ag.linear(h, self.params["p2.w"]), self.params["p2.b"])
+        h = ag.gelu(ag.linear(x, self.params["p1.w"], bias=self.params["p1.b"]))
+        return ag.linear(h, self.params["p2.w"], bias=self.params["p2.b"])
 
 
 @dataclass

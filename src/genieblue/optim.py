@@ -93,7 +93,9 @@ class LrSchedule:
 
 
 def lr_at(step: int, schedule: LrSchedule) -> float:
-    """Learning rate at an integer step in [0, total]."""
+    """Learning rate at an integer step in [0, total]; a bool, a float or a nan step is refused."""
+    if not is_int(step):
+        raise ValueError(f"step must be an integer, got {step!r}")
     if step < 0 or step > schedule.total_steps:
         raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
     if step < schedule.warmup_steps:

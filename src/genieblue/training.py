@@ -109,7 +109,9 @@ class TrainReport:
 
 
 def layerwise_lr(vision: VisionEncoder, base_lr: float, decay: float = 0.9) -> list[float]:
-    """Per-block learning rates, bottom to top; the top block gets base_lr."""
+    """Per-block learning rates, bottom to top; the top block gets base_lr, a finite non-negative number."""
+    if not isinstance(base_lr, numbers.Real) or not math.isfinite(base_lr) or base_lr < 0:
+        raise ValueError(f"base_lr must be a finite non-negative number, got {base_lr!r}")
     if not (0 < decay <= 1):
         raise ValueError(f"decay must be in (0, 1], got {decay}")
     n = vision.config.n_vision_layers

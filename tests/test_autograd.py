@@ -12,6 +12,7 @@ from genieblue.autograd import GradTape, NonFiniteError, ShapeMismatch, Tensor, 
 from genieblue.data import TaskSpec, collate, synth_dataset
 from genieblue.model import ModelConfig, build_model
 
+from memtrace import vjp_peaks
 from oracles import central_diff_grad, ref_gelu, ref_softmax
 
 
@@ -262,6 +263,55 @@ def test_grad_concat_seq(probe):
     )
 
 
+def test_grad_embed_with_prefix_and_positions(probe):
+    ids = np.array([[0, 2, 1], [2, 2, 0]])
+    c = probe((2, 5, 4))
+    _check_grads(
+        lambda t: ag.sum_all(ag.mul(ag.embed(t["tab"], ids, prefix=t["pre"], pos=t["pos"]), c)),
+        {"tab": probe((3, 4)), "pre": probe((2, 2, 4)), "pos": probe((5, 4))},
+    )
+
+
+@pytest.mark.parametrize("frozen", [None, "table", "prefix", "pos"])
+@pytest.mark.parametrize("pos", [None, "rows", "batch"])
+@pytest.mark.parametrize("prefix", [False, True], ids=["no-prefix", "prefix"])
+def test_embed_fold_bits_equal_unfused_graph(rng, prefix, pos, frozen):
+    """One embed node gives the bits of embed, concat_seq and add: output and every gradient."""
+    ids = rng.integers(0, 6, size=(3, 5))
+    t = 5 + 2 * prefix
+    arrays = {"table": rng.normal(size=(6, 4))}
+    if prefix:
+        arrays["prefix"] = rng.normal(size=(3, 2, 4))
+    if pos is not None:  # one row per position, or a whole (B, T, d) array
+        arrays["pos"] = rng.normal(size=(t, 4) if pos == "rows" else (3, t, 4))
+    g = rng.normal(size=(3, t, 4))
+
+    def fused(a):
+        return ag.embed(a["table"], ids, prefix=a.get("prefix"), pos=a.get("pos"))
+
+    def unfused(a):
+        x = ag.embed(a["table"], ids)
+        x = ag.concat_seq(a["prefix"], x) if "prefix" in a else x
+        return ag.add(x, a["pos"]) if "pos" in a else x
+
+    (out, grads, ops), (ref, ref_grads, _) = (_fold_and_grads(f, arrays, frozen, g) for f in (fused, unfused))
+    trains = set(arrays) != {frozen}  # with nothing trainable no node is recorded
+    assert ops == (["embed", "mul", "sum_all"] if trains else [])
+    assert out.tobytes() == ref.tobytes()
+    for name in arrays:
+        assert (grads[name] is None) == (name == frozen), name
+        if name != frozen:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    plain = {k: Tensor(v) for k, v in arrays.items()}
+    assert fused(plain).data.tobytes() == unfused(plain).data.tobytes() == out.tobytes()
+
+
+def test_embed_adds_positions_to_a_copy_of_the_table_rows():
+    table = Tensor(np.eye(3))
+    out = ag.embed(table, np.array(1), pos=np.ones(3))  # 0-d ids select one row
+    assert out.data.tolist() == [1.0, 2.0, 1.0] and table.data.tolist() == np.eye(3).tolist()
+
+
 @pytest.mark.parametrize("causal", [True, False])
 def test_grad_attention(probe, causal):
     c = probe((2, 4, 8))
@@ -382,10 +432,12 @@ def test_linear_adapter_rejects_mismatched_factors(rng, down_shape, up_shape):
 # ----------------------------------------------------------------------------
 
 
-def _fold_arrays(rng, adapter, residual=True, hidden=False):
+def _fold_arrays(rng, adapter, residual=True, hidden=False, bias=False):
     arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(10, 12))}
     if residual:
         arrays["r"] = rng.normal(size=(3, 7, 10))
+    if bias:
+        arrays["b"] = rng.normal(size=(10,))
     if hidden:  # the weight of a GELU hidden layer in front of w
         arrays["wh"] = rng.normal(size=(12, 12))
     if adapter:
@@ -404,6 +456,10 @@ def _hidden(t):
 
 
 FOLDS = {
+    "bias": (
+        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), bias=t["b"], residual=t["r"]),
+        lambda t: ag.add(t["r"], ag.add(ag.linear(t["x"], t["w"], _adapter_of(t)), t["b"])),
+    ),
     "residual": (
         lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), residual=t["r"]),
         lambda t: ag.add(t["r"], ag.linear(t["x"], t["w"], _adapter_of(t))),
@@ -428,7 +484,7 @@ def _fold_and_grads(build, arrays, frozen, g):
 @pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
 @pytest.mark.parametrize("fold", sorted(FOLDS))
 def test_linear_fold_bits_equal_unfused_graph(rng, fold, adapter, frozen):
-    arrays = _fold_arrays(rng, adapter, residual=fold == "residual", hidden=fold == "gelu")
+    arrays = _fold_arrays(rng, adapter, residual=fold != "gelu", hidden=fold == "gelu", bias=fold == "bias")
     g = rng.normal(size=(3, 7, 10))
     fused_build, unfused_build = FOLDS[fold]
     fused, fused_grads, fused_ops = _fold_and_grads(fused_build, arrays, frozen, g)
@@ -445,18 +501,25 @@ def test_linear_fold_bits_equal_unfused_graph(rng, fold, adapter, frozen):
 
 
 def test_linear_fold_records_residual_last(rng):
-    t = {k: Tensor(v, requires_grad=True) for k, v in _fold_arrays(rng, adapter=True, hidden=True).items()}
+    arrays = _fold_arrays(rng, adapter=True, hidden=True, bias=True)
+    t = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     with GradTape() as tape:
-        ag.linear(t["x"], t["w"], (t["down"], t["up"]), residual=t["r"], inner=_hidden(t))
+        ag.linear(t["x"], t["w"], (t["down"], t["up"]), bias=t["b"], residual=t["r"], inner=_hidden(t))
     (node,) = tape.nodes
-    assert node.op == "linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["wh"], t["r"])
+    assert node.op == "linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["wh"], t["b"], t["r"])
     g = rng.normal(size=(3, 7, 10))
-    assert node.vjp(g)[-1] is g  # the residual takes the incoming gradient unchanged
+    grads = node.vjp(g)
+    assert grads[-1] is g  # the residual takes the incoming gradient unchanged
+    assert grads[-2].tobytes() == g.sum(axis=(0, 1)).tobytes()  # the bias its sum over the rows
 
 
-@pytest.mark.parametrize("residual, gelu", [(True, False), (False, True), (True, True)], ids=["res", "gelu", "both"])
+@pytest.mark.parametrize(
+    "residual, gelu, bias",
+    [(True, False, False), (False, True, False), (True, True, False), (False, False, True)],
+    ids=["res", "gelu", "both", "bias"],
+)
 @pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
-def test_grad_linear_fold(probe, adapter, residual, gelu):
+def test_grad_linear_fold(probe, adapter, residual, gelu, bias):
     c = probe((2, 3, 6))
     arrays = {"x": probe((2, 3, 5)), "w": probe((6, 5))}
     if adapter:
@@ -465,9 +528,13 @@ def test_grad_linear_fold(probe, adapter, residual, gelu):
         arrays["r"] = probe((2, 3, 6))
     if gelu:  # a GELU hidden layer in front of w
         arrays["wh"] = probe((5, 5))
+    if bias:
+        arrays["b"] = probe((6,))
     _check_grads(
         lambda t: ag.sum_all(
-            ag.mul(ag.linear(t["x"], t["w"], _adapter_of(t), residual=t.get("r"), inner=_hidden(t)), c)
+            ag.mul(
+                ag.linear(t["x"], t["w"], _adapter_of(t), bias=t.get("b"), residual=t.get("r"), inner=_hidden(t)), c
+            )
         ),
         arrays,
     )
@@ -1239,6 +1306,90 @@ def test_backward_spends_the_tape_as_it_goes(build):
     assert peak - held < 1.5 * nbytes, (peak - held) / nbytes
 
 
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_backward_holds_no_spent_gradient_through_a_vjp(build):
+    """While a vjp runs, a gradient an earlier vjp returned is alive only if backward still holds it.
+
+    Backward holds one gradient per tensor whose producer it has still to
+    replay, and one per leaf: the only contribution that tensor has had so
+    far. Any other returned array still alive is stale: a summand of a
+    gradient sum, or the gradient of a node already replayed. Held
+    through the next vjp, the summands of a block's mid-stream gradient and
+    the spent stream itself cost three (B, T, d) arrays.
+    """
+    tape, loss, _ = _stage2_tape(build)
+    producer = {id(node.out): i for i, node in enumerate(tape.nodes)}
+    returned = []  # (weakref to a returned gradient, the input tensor it is for)
+    contributions = {}  # id(tensor) -> how many gradients vjps returned for it
+    stale, checked = [], []
+
+    def watched(i, op, inputs, vjp):
+        def run(g):
+            held = {
+                id(a)
+                for ref, t in returned
+                if (a := ref()) is not None and contributions[id(t)] == 1 and producer.get(id(t), -1) <= i
+            }
+            alive = [a for ref, _ in returned if (a := ref()) is not None]
+            stale.extend((i, op, a.shape) for a in alive if id(a) not in held)
+            del alive
+            checked.append(i)
+            out = vjp(g)
+            for t, gi in zip(inputs, out):
+                if gi is not None:
+                    returned.append((weakref.ref(gi), t))
+                    contributions[id(t)] = contributions.get(id(t), 0) + 1
+            return out
+
+        return run
+
+    for i, node in enumerate(tape.nodes):
+        node.vjp = watched(i, node.op, node.inputs, node.vjp)
+    backward(tape, loss)
+    assert len(checked) == len(tape.nodes)
+    assert not stale, stale[:6]
+
+
+@pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
+def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, monkeypatch):
+    """Each block half's vjp transient, bounded in its block's array bytes.
+
+    ``a`` is a (B, T, d) array's bytes and ``f`` a (B, T, d_ffn) one's; the
+    attention runs one sample per chunk, and ``p`` is one sample's (H, T,
+    T) probabilities. The attention half rebuilds the normed rows, q, k and
+    v and takes the output's gradient, 5a, and writes the q, k and v
+    gradients and the attention output over them; one chunk adds its
+    probability-sized arrays, 3p, and its gradients and output, 4a / B.
+    The FFN half holds the hidden pre-activations and their gradient, 2f,
+    and GELU's three tile temporaries, but no normed rows beside them. Both
+    may form merged weights, at most the bytes of the node's 2-D inputs,
+    and 4 KiB of small arrays. New arrays for the q, k and v gradients and
+    the output would add 4a, and normed rows kept through the FFN half's
+    GELU a.
+    """
+    monkeypatch.setattr(ag, "_ATTENTION_TILE", 1)  # one sample per chunk
+    n_heads = 2  # in the LM and the vision encoder alike
+    _stage2_tape(build)  # the causal masks and numpy's caches, made before tracing
+    tape, loss, _ = _stage2_tape(build)
+    nodes = [(node.op, node.inputs) for node in tape.nodes]
+    halves = 0
+    for peak in vjp_peaks(tape, loss)[1]:
+        op, inputs = nodes[peak.index]
+        x = inputs[0]
+        if op != "attention" and not (op in ("linear", "routed_linear") and inputs[-1] is x):
+            continue  # not a block half: the FFN half is the product node with the residual x
+        halves += 1
+        a, (bsz, t, d) = x.data.nbytes, x.shape
+        small = sum(w.data.nbytes for w in inputs if w.ndim == 2) + 4096
+        if op == "attention":
+            bound = 5 * a + 3 * n_heads * t * t * 8 + 4 * a // bsz + small
+        else:
+            f = a // d * inputs[1].shape[1]
+            bound = 2 * f + 3 * min(f, 8 * ag._GELU_TILE) + small
+        assert peak.transient <= bound, (peak.index, op, peak.transient / a, bound / a)
+    assert halves == 2 * (4 + 2)
+
+
 # ----------------------------------------------------------------------------
 # what the tape keeps: inputs, plus only what is dear to rebuild
 # ----------------------------------------------------------------------------
@@ -1327,6 +1478,7 @@ def test_stage2_tape_keeps_two_stream_arrays_per_block(build):
     only, and a FFN node nothing.
     """
     tape = _stage2_tape(build)[0]
+    assert "concat_seq" not in {node.op for node in tape.nodes} and "add" not in {node.op for node in tape.nodes}
     arrays = {}
     for node in tape.nodes:
         for a in [node.out.data] + [t.data for t in node.inputs] + _closure_arrays(node.vjp):
@@ -1337,12 +1489,12 @@ def test_stage2_tape_keeps_two_stream_arrays_per_block(build):
         elif node.op in ("linear", "routed_linear"):
             assert _kept(node) == []
     bsz, t, _ = tape.nodes[-1].inputs[0].shape  # the logits
-    # besides two per block, the LM stream has the concatenated embeddings, the
-    # stream with positions added and the final norm's rows; the vision stream
-    # the symbol embeddings, the stream with positions added and the final norm's rows
+    # besides two per block, each stream has its embedding node's output (the LM's
+    # with the injected rows and positions, the vision encoder's with positions) and
+    # the final norm's rows
     for shape, n_blocks in (((bsz, t, 16), 4), ((bsz, 9, 8), 2)):
         streams = sum(s == shape for s in arrays.values())
-        assert streams <= 2 * n_blocks + 3, (shape, streams)
+        assert streams <= 2 * n_blocks + 2, (shape, streams)
     assert sum(node.op == "attention" for node in tape.nodes) == 4 + 2
 
 
@@ -1363,10 +1515,19 @@ def test_stage2_tape_keeps_two_stream_arrays_per_block(build):
         ("attention", lambda: ag.attention(*(np.zeros((1, 2, 4)),) * 3, n_heads=0)),
         ("attention", lambda: ag.attention(*(np.zeros((1, 0, 4)),) * 3, n_heads=2)),
         ("embed", lambda: ag.embed(np.eye(3), np.array([0.5]))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((3, 1, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((2, 1, 4)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros(2, int), prefix=np.zeros((2, 1, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), pos=np.zeros((3, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), pos=np.zeros((2, 2, 2, 3)))),
+        ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 3)), bias=np.zeros(3))),
+        ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 3)), bias=np.zeros((1, 4)))),
     ],
     ids=[
         "routed_linear-bool-span", "routed_lora-bool-span", "linear-0d", "linear-inner-width", "rms_norm-0d",
-        "rms_norm-zero-width", "attention-0-heads", "attention-empty", "embed-float-ids",
+        "rms_norm-zero-width", "attention-0-heads", "attention-empty", "embed-float-ids", "embed-prefix-batch",
+        "embed-prefix-width", "embed-prefix-2d-rows", "embed-pos-not-broadcast", "embed-pos-grows-output",
+        "linear-bias-width", "linear-bias-2d",
     ],
 )
 def test_kernels_reject_malformed_operands(op, call):

@@ -137,6 +137,19 @@ def test_rejects_step_beyond_total():
         lr_at(-1, sched)
 
 
+@pytest.mark.parametrize("step", [float("nan"), True, 2.5, 2.0], ids=["nan", "bool", "fractional", "float"])
+def test_lr_at_refuses_a_step_that_is_not_an_integer(step):
+    """A nan step would give a nan rate, which AdamW writes into every parameter; True is not step 1."""
+    sched = LrSchedule(peak=1.0, warmup_steps=2, total_steps=10)
+    with pytest.raises(ValueError, match="step must be an integer"):
+        lr_at(step, sched)
+
+
+def test_lr_at_takes_numpy_integers():
+    sched = LrSchedule(peak=1.0, warmup_steps=4, total_steps=100)
+    assert lr_at(np.int64(2), sched) == lr_at(2, sched) == 0.75
+
+
 def test_schedule_invariants():
     with pytest.raises(ValueError):
         LrSchedule(peak=1.0, warmup_steps=0, total_steps=10)

@@ -109,6 +109,13 @@ def test_layerwise_rejects_bad_decay():
         layerwise_lr(base.vision, 1e-4, 0.0)
 
 
+@pytest.mark.parametrize("base_lr", [float("nan"), float("inf"), -1e-3], ids=["nan", "inf", "negative"])
+def test_layerwise_rejects_a_base_lr_that_is_not_finite_and_non_negative(base_lr):
+    base = build_model(ModelConfig(), seed=0)
+    with pytest.raises(ValueError, match="base_lr must be a finite non-negative number"):
+        layerwise_lr(base.vision, base_lr, 0.9)
+
+
 # ----------------------------------------------------------------------------
 # run_stage
 # ----------------------------------------------------------------------------
