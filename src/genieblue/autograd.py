@@ -12,6 +12,12 @@ the forward's own operations, so the gradients keep their bits; each
 kernel's docstring says what its node keeps. A pre-norm transformer block is
 two nodes: the attention half, entered through ``attention``, and the FFN
 half, a product node with a norm prologue (``linear`` or ``routed_linear``).
+
+Causal attention skips its masked upper triangle in the forward, the
+backward's rebuild and the gradients: a block of query rows reads only the
+keys up to its last row. The skipped entries are exact zeros of the whole
+matrix's sums, and ``_row_blocks`` places the edges so the rest keep their
+order.
 """
 
 from __future__ import annotations
@@ -272,6 +278,16 @@ def is_int(v) -> bool:
     count, a size or a span tests it with this, so ``True`` is never 1.
     """
     return type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))
+
+
+def is_rate(v) -> bool:
+    """Whether ``v`` is a finite real number and not a bool.
+
+    This is the package's one rate check, the counterpart of ``is_int``:
+    every learning rate, decay and fraction is tested with this, so
+    ``True`` is never a rate of 1.0.
+    """
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _check_span(op: str, span, t: int) -> None:
@@ -763,7 +779,7 @@ def embed(table, ids: np.ndarray, *, prefix=None, pos=None) -> Tensor:
     if table.ndim == 0 or ids.dtype.kind not in "iu":  # bool ids would select rows as a mask
         raise ShapeMismatch(f"embed: needs a table and integer ids, got table {table.shape} and ids {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"embed: id out of range for table with {table.shape[0]} rows")
+        raise ValueError(f"embed: id out of range for table with {table.shape[0]} rows")
     y = np.take(table.data, ids, axis=0)  # a new array, also for 0-d ids, since pos is added in place
     inputs, span = (table,), 0
     if prefix is not None:
@@ -833,37 +849,34 @@ def _causal_mask(t: int) -> np.ndarray:
     return m
 
 
-def _attention_probs(qh, kh, scale: float, causal: bool, mx=None, denom=None):
-    """Softmax rows of the scaled, masked scores ``qh @ kh.T``: ``(p, row max, denominator)``.
+def _attention_probs(qh, kh, scale: float, causal: bool, mx, denom, rebuild: bool) -> np.ndarray:
+    """Softmax rows of the scaled, masked scores ``qh @ kh.T``, the probabilities.
 
-    The forward lets this find the row max and the denominator, (B, H, T, 1)
-    each; the vjp passes them back in and so rebuilds the probabilities
-    with the forward's own operations.
+    ``qh`` are the last query rows of ``kh``'s sequence: a row block [r0,
+    r1) passes the key rows [0, r1). ``mx`` and ``denom`` hold the row max
+    and the denominator, one per query row: the forward finds them into
+    these arrays, and the vjp passes them back in with ``rebuild`` and so
+    rebuilds the probabilities with the forward's own operations.
     """
     p = np.matmul(qh, kh.swapaxes(-1, -2))
     p *= scale
     if causal:
-        p += _causal_mask(p.shape[-1])
-    if mx is None:
-        mx = p.max(axis=-1, keepdims=True)
+        n, t = p.shape[-2:]
+        p += _causal_mask(t)[t - n :]
+    if not rebuild:
+        p.max(axis=-1, keepdims=True, out=mx)
     p -= mx
     np.exp(p, out=p)
-    if denom is None:
-        denom = p.sum(axis=-1, keepdims=True)
+    if not rebuild:
+        p.sum(axis=-1, keepdims=True, out=denom)
     p /= denom
-    return p, mx, denom
+    return p
 
 
 def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
     """(B, T, d) rows as a (B, H, T, d / H) view of heads."""
     bsz, t, d = a.shape
     return a.reshape(bsz, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge(a: np.ndarray) -> np.ndarray:
-    """(B, H, T, hd) heads as new contiguous (B, T, H * hd) rows."""
-    bsz, n_heads, t, hd = a.shape
-    return a.transpose(0, 2, 1, 3).reshape(bsz, t, n_heads * hd)
 
 
 def _attention_scale(shape: tuple[int, ...], n_heads) -> float:
@@ -883,28 +896,49 @@ def _attention_scale(shape: tuple[int, ...], n_heads) -> float:
 # (H 4, T 62) that is 4 of 16 samples, and the vision encoder's 16 samples fit in one
 _ATTENTION_TILE = 65536
 
+# score elements (B * H * T * T) from which causal attention works in row blocks. Below it
+# the blocks' extra numpy calls cost more than the masked entries they skip; on one BLAS
+# thread at H 4 the forward gained from ~9k (B 1, T 62: 0.87x the whole-matrix time) and
+# the backward only from ~25k (B 2: T 52 1.10x, T 56 0.65x), and one threshold serves both
+_BLOCKED_SCORES = 24576
 
-def _attention_grads(gh, qh, kh, vh, p, scale: float, wanted) -> list:
-    """``[gq, gk, gv]`` for the gradient ``gh`` of the output heads, None where not ``wanted``.
 
-    ``qh``, ``kh``, ``vh`` and ``gh`` are heads and ``p`` the
-    probabilities. The gradients are new arrays, so the caller may write
-    them over the heads they were taken from.
+def _row_blocks(n: int, t: int, causal: bool) -> list[tuple[int, int]]:
+    """The query-row blocks ``[(r0, r1), ...]`` that tile [0, t) for ``n`` (t, t) score matrices.
+
+    Block [r0, r1) of causal scores reads only the key columns [0, r1);
+    the later ones are masked, so only exact zeros of the row sums and
+    products are skipped. Inner edges are multiples of 16: a block's rows
+    then span a multiple of 8 columns or all t, and numpy's 8-lane row sum
+    adds the kept entries in the whole row's order (rows past 128, which
+    numpy sums in halves, stay one block). No block has one row, which
+    numpy would multiply as a vector on another BLAS path. The products
+    keep their bits where BLAS gives an element the same bits whatever the
+    matrix sizes: OpenBLAS 0.3.31's x86-64 kernels do for head widths up to
+    24; wider heads move in the last bits from T 35 on. Non-causal scores,
+    and fewer than ``_BLOCKED_SCORES``, are one block.
     """
-    gq = gk = gv = None
-    if wanted[2]:
-        gv = np.matmul(p.swapaxes(-1, -2), gh)
-    if wanted[0] or wanted[1]:
-        # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
-        gs = np.matmul(gh, vh.swapaxes(-1, -2))
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        if wanted[0]:
-            gq = np.matmul(gs, kh)
-        if wanted[1]:
-            gk = np.matmul(gs.swapaxes(-1, -2), qh)
-    return [gq, gk, gv]
+    if not causal or t > 128 or n * t * t < _BLOCKED_SCORES:
+        return [(0, t)]
+    edges = [0, *range(16, t - 1, 16), t]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _attention_forward(q, k, v, scale: float, causal: bool, n_heads: int) -> tuple:
+    """Attention output rows of (B, T, d) q, k and v rows, with the softmax's row max and denominator.
+
+    Row block by row block (``_row_blocks``), the scores, the masked
+    softmax and the output rows read only the block's key columns; each
+    block's output is written straight into its rows.
+    """
+    ao = np.empty(v.shape)
+    qh, kh, vh, oh = (_heads(a, n_heads) for a in (q, k, v, ao))
+    mx, denom = np.empty(qh.shape[:-1] + (1,)), np.empty(qh.shape[:-1] + (1,))
+    for r0, r1 in _row_blocks(qh.shape[0] * n_heads, qh.shape[2], causal):
+        rows = np.s_[..., r0:r1, :]
+        p = _attention_probs(qh[rows], kh[..., :r1, :], scale, causal, mx[rows], denom[rows], False)
+        np.matmul(p, vh[..., :r1, :], out=oh[rows])
+    return ao, mx, denom
 
 
 def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads: int, out, ao=None) -> None:
@@ -920,22 +954,62 @@ def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads:
     may be ``ga``. A stacked matmul is one product per (sample, head) and
     the softmax works row by row, so the chunks give the bits of one
     whole-batch pass without ever holding the (B, H, T, T) probabilities.
+
+    In a chunk, each row block [r0, r1) of ``_row_blocks`` rebuilds its
+    probabilities, output rows, score gradient ``gs`` and q gradient from
+    the keys [0, r1) and stores p and ``gs`` in chunk-sized buffers; then
+    each key-column block [c0, c1) takes k and v's gradients from rows c0:
+    of the buffers, the only rows that see its keys. No pass reads the
+    masked triangle above the blocks, exact zeros of the whole sums.
     """
-    bsz, t, _ = qkv[0].shape
-    wanted = [o is not None for o in out]
-    targets = list(out) + [ao]
-    step = max(1, _ATTENTION_TILE // (n_heads * t * t))
+    bsz, t, d = qkv[0].shape
+    step = min(bsz, max(1, _ATTENTION_TILE // (n_heads * t * t)))
+    blocks = _row_blocks(step * n_heads, t, causal)
+    gs_wanted = out[0] is not None or out[1] is not None
+    # the key-column passes read the row blocks back from chunk buffers, and a lone block is
+    # its own; a block works in new contiguous arrays, since numpy runs elementwise loops
+    # over a strided block view row by row
+    p_buf = np.empty((step, n_heads, t, t)) if len(blocks) > 1 else None
+    gs_buf = np.empty(p_buf.shape) if len(blocks) > 1 and gs_wanted else None
     for b in range(0, bsz, step):
         c = slice(b, b + step)
         qh, kh, vh = (_heads(a[c], n_heads) for a in qkv)
-        p = _attention_probs(qh, kh, scale, causal, mx[c], denom[c])[0]
-        chunk = [None] * 3 if ga is None else _attention_grads(_heads(ga[c], n_heads), qh, kh, vh, p, scale, wanted)
-        chunk.append(None if ao is None else np.matmul(p, vh))
-        del p  # before the next chunk's probabilities are built
-        for o, gm in zip(targets, chunk):
-            if gm is not None:
-                _heads(o[c], n_heads)[...] = gm
-        del chunk
+        gh = None if ga is None else _heads(ga[c], n_heads)
+        n = qh.shape[0]
+        p, gs = (None if a is None else a[:n] for a in (p_buf, gs_buf))
+        gq, oh = (None if o is None else np.empty((n, t, d)) for o in (out[0], ao))
+        for r0, r1 in blocks:
+            rows, keys, block = np.s_[..., r0:r1, :], np.s_[..., :r1, :], np.s_[..., r0:r1, :r1]
+            pb = _attention_probs(qh[rows], kh[keys], scale, causal, mx[c][rows], denom[c][rows], True)
+            if oh is not None:
+                np.matmul(pb, vh[keys], out=_heads(oh, n_heads)[rows])
+            gsb = None
+            if gs_wanted:
+                # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
+                gsb = np.matmul(gh[rows], vh[keys].swapaxes(-1, -2))
+                gsb -= (gsb * pb).sum(axis=-1, keepdims=True)
+                gsb *= pb
+                gsb *= scale
+                if gq is not None:
+                    np.matmul(gsb, kh[keys], out=_heads(gq, n_heads)[rows])
+            if len(blocks) == 1:
+                p, gs = pb, gsb
+            else:
+                p[block] = pb
+                if gs_wanted:
+                    gs[block] = gsb
+            del pb, gsb  # before the next block's arrays, or the column passes'
+        gk, gv = (None if o is None else np.empty((n, t, d)) for o in out[1:])
+        for c0, c1 in blocks:
+            cols, later = np.s_[..., c0:, c0:c1], np.s_[..., c0:, :]
+            if gk is not None:
+                np.matmul(gs[cols].swapaxes(-1, -2), qh[later], out=_heads(gk, n_heads)[..., c0:c1, :])
+            if gv is not None:
+                np.matmul(p[cols].swapaxes(-1, -2), gh[later], out=_heads(gv, n_heads)[..., c0:c1, :])
+        for o, a in zip((*out, ao), (gq, gk, gv, oh)):
+            if a is not None:
+                o[c] = a
+        del gq, gk, gv, oh, a  # before the next chunk's arrays are made
 
 
 def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, wo=None) -> Tensor:
@@ -944,7 +1018,10 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, 
     A recorded node keeps the row max and the softmax denominator, (B, H,
     T, 1) each, not the (B, H, T, T) probabilities: its vjp rebuilds them
     from q and k through ``_attention_probs``, as the forward made them, a
-    few samples at a time (``_attention_backward``).
+    few samples at a time (``_attention_backward``). Causal scores go in
+    row blocks that read only the keys up to their last row, so no masked
+    score past it is made, exponentiated or multiplied; edges at multiples
+    of 16 and no one-row block keep the bits (``_row_blocks``).
 
     Given the block input ``x``, a norm ``gain`` and an output matrix
     ``wo``, the node is instead the attention half of a pre-norm block (see
@@ -959,9 +1036,8 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, 
     if not (q.shape == k.shape == v.shape) or q.ndim != 3:
         raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
     scale = _attention_scale(q.shape, n_heads)
-    qh, kh, vh = _heads(q.data, n_heads), _heads(k.data, n_heads), _heads(v.data, n_heads)
-    p, mx, denom = _attention_probs(qh, kh, scale, causal)
-    out = Tensor(_merge(np.matmul(p, vh)))
+    ao, mx, denom = _attention_forward(q.data, k.data, v.data, scale, causal, n_heads)
+    out = Tensor(ao)
     if not _will_record((q, k, v)):  # the tape-off path builds no vjp closure
         return out
 
@@ -981,24 +1057,25 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
     ``rms_norm``, a product node per matrix (the ``wo`` one adding ``x``)
     and ``attention``. The node keeps its inputs and attention's (B, H, T,
     1) row max and softmax denominator, nothing of (B, T, d) size besides
-    ``x``. The forward drops the probabilities, q, k and v before the
-    ``wo`` product. The vjp rebuilds the normed rows, q, k and v with the
+    ``x``. The forward (``_attention_forward``, in causal row blocks as in
+    ``attention``) drops the probabilities, q, k and v before the ``wo``
+    product. The vjp rebuilds the normed rows, q, k and v with the
     forward's own ``_rms_rows`` and ``_pre_activation`` and takes the flat
     graph's gradients: the attention output's through ``wo`` first, which
-    needs no rows; then ``_attention_backward``, a few samples at a time,
-    rebuilds the probabilities with ``_attention_probs`` and takes q, k and
-    v's gradients, which it writes over the chunk's q, k and v rows, and
-    the attention output, which it writes over the chunk's rows of its
-    gradient; so the (B, H, T, T) probabilities never exist whole and no
-    (B, T, d) array is made for the gradients or the output. Then come
-    ``wo``'s own gradients over the whole attention output; then v, k and
-    q, whose row gradients sum as ``(gx_v + gx_k) + gx_q``; then the norm,
-    and ``x`` gets ``g + gx_norm``. Each rebuilt array is dropped after its
-    last use, and only the gradients the flat graph would have are
-    computed. The node is
-    recorded as ``attention`` over ``(x, wo, v, k and q operands, gain)``,
-    the matrices in the flat graph's reverse order, so a tensor shared by
-    two of them sums its gradients as before.
+    needs no rows; then ``_attention_backward``, a few samples at a time
+    and in the forward's row blocks, rebuilds the probabilities with
+    ``_attention_probs`` and takes q, k and v's gradients, which it writes
+    over the chunk's q, k and v rows, and the attention output, which it
+    writes over the chunk's rows of its gradient; so the (B, H, T, T)
+    probabilities never exist whole and no (B, T, d) array is made for the
+    gradients or the output. Then come ``wo``'s own gradients over the
+    whole attention output; then v, k and q, whose row gradients sum as
+    ``(gx_v + gx_k) + gx_q``; then the norm, and ``x`` gets ``g +
+    gx_norm``. Each rebuilt array is dropped after its last use, and only
+    the gradients the flat graph would have are computed. The node is
+    recorded as ``attention`` over ``(x, wo, v, k and q operands,
+    gain)``, the matrices in the flat graph's reverse order, so a tensor
+    shared by two of them sums its gradients as before.
     """
     op = "attention"
     x = _as_tensor(x)
@@ -1018,10 +1095,9 @@ def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
     inputs = (x,) + tuple(t for m in replay for t in _operands(m)) + (gain,)
     xd, gd = x.data, gain.data
     hn = _rms_rows(xd, gd)[0]
-    qh, kh, vh = (_heads(_pre_activation(hn, m, _routed_weight(m)), n_heads) for m in mats)
-    p, mx, denom = _attention_probs(qh, kh, scale, causal)
-    ao = _merge(np.matmul(p, vh))
-    del hn, qh, kh, vh, p  # not alive through the output product
+    qkv = [_pre_activation(hn, m, _routed_weight(m)) for m in mats]
+    ao, mx, denom = _attention_forward(*qkv, scale, causal, n_heads)
+    del hn, qkv  # not alive through the output product
     y = _pre_activation(ao, wo, _routed_weight(wo))
     y += xd
     out = Tensor(y)
@@ -1099,7 +1175,7 @@ def masked_nll(logits, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     if not np.issubdtype(targets.dtype, np.integer):  # bool is not an integer dtype here
         raise ValueError(f"masked_nll: targets must be integers, got dtype {targets.dtype}")
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
-        raise IndexError(
+        raise ValueError(
             f"masked_nll: targets span [{targets.min()}, {targets.max()}], outside vocabulary of {vocab}"
         )
     ld = logits.data

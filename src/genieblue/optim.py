@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import NonFiniteError, Tensor, is_int
+from .autograd import NonFiniteError, Tensor, is_int, is_rate
 
 __all__ = ["AdamWState", "adamw_step", "LrSchedule", "lr_at"]
 
@@ -50,6 +49,10 @@ def adamw_step(
     missing = params.keys() - lr.keys() if isinstance(lr, Mapping) else ()
     if missing:
         raise ValueError(f"adamw_step: no learning rate for {sorted(missing)[:3]}")
+    rates = [(f"lr for '{n}'", lr[n]) for n in params] if isinstance(lr, Mapping) else [("lr", lr)]
+    for what, rate in rates + [("weight_decay", weight_decay)]:
+        if not is_rate(rate):
+            raise ValueError(f"adamw_step: {what} must be a finite number, got {rate!r}")
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -83,7 +86,7 @@ class LrSchedule:
     total_steps: int
 
     def __post_init__(self):
-        if not isinstance(self.peak, numbers.Real) or not math.isfinite(self.peak) or self.peak < 0:
+        if not is_rate(self.peak) or self.peak < 0:
             raise ValueError(f"peak must be a finite non-negative number, got {self.peak!r}")
         for name in ("warmup_steps", "total_steps"):
             if not is_int(getattr(self, name)):

@@ -9,8 +9,6 @@ that divides by the factor, and one AdamW step per accumulation window.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .adaptation import freeze_mask
-from .autograd import is_int
+from .autograd import is_int, is_rate
 from .data import Dataset, collate
 from .model import VisionEncoder
 from .optim import AdamWState, LrSchedule, adamw_step, lr_at
@@ -67,7 +65,7 @@ class StageConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("peak_lr", "warmup_frac", "weight_decay", "vit_lr_decay"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not is_rate(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.stage not in (1, 2):
             raise ValueError(f"stage must be 1 or 2, got {self.stage}")
@@ -110,10 +108,10 @@ class TrainReport:
 
 def layerwise_lr(vision: VisionEncoder, base_lr: float, decay: float = 0.9) -> list[float]:
     """Per-block learning rates, bottom to top; the top block gets base_lr, a finite non-negative number."""
-    if not isinstance(base_lr, numbers.Real) or not math.isfinite(base_lr) or base_lr < 0:
+    if not is_rate(base_lr) or base_lr < 0:
         raise ValueError(f"base_lr must be a finite non-negative number, got {base_lr!r}")
-    if not (0 < decay <= 1):
-        raise ValueError(f"decay must be in (0, 1], got {decay}")
+    if not is_rate(decay) or not (0 < decay <= 1):
+        raise ValueError(f"decay must be in (0, 1], got {decay!r}")
     n = vision.config.n_vision_layers
     return [base_lr * decay ** (n - 1 - i) for i in range(n)]
 

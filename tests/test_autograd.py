@@ -306,6 +306,12 @@ def test_embed_fold_bits_equal_unfused_graph(rng, prefix, pos, frozen):
     assert fused(plain).data.tobytes() == unfused(plain).data.tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_embed_rejects_ids_outside_the_table(bad):
+    with pytest.raises(ValueError, match="embed: id out of range for table with 3 rows"):
+        ag.embed(np.eye(3), np.array([[0, bad]]))
+
+
 def test_embed_adds_positions_to_a_copy_of_the_table_rows():
     table = Tensor(np.eye(3))
     out = ag.embed(table, np.array(1), pos=np.ones(3))  # 0-d ids select one row
@@ -574,7 +580,7 @@ def test_masked_nll_bits_equal_earlier_form(rng):
 def test_masked_nll_rejects_bad_targets():
     logits, weights = Tensor(np.log([[0.7, 0.2, 0.1]])), np.ones(1)
     for bad in (-1, 3):
-        with pytest.raises(IndexError, match="masked_nll.*vocabulary of 3"):
+        with pytest.raises(ValueError, match="masked_nll.*vocabulary of 3"):
             ag.masked_nll(logits, np.array([bad]), weights)
     with pytest.raises(ValueError, match="masked_nll.*integers"):
         ag.masked_nll(logits, np.array([1.0]), weights)
@@ -1061,6 +1067,23 @@ def test_rms_norm_bits_equal_earlier_form(rng, x_grad, gain_grad):
         assert ggain.tobytes() == ref_ggain.tobytes()
 
 
+def _attention_reference(q, k, v, n_heads, causal):
+    """attention's forward as first written, over whole (T, T) score matrices: (output, row max, denominator)."""
+    bsz, t, d = q.shape
+    hd = d // n_heads
+    qh, kh, vh = (a.reshape(bsz, t, n_heads, hd).transpose(0, 2, 1, 3) for a in (q, k, v))
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
+    s *= 1.0 / math.sqrt(hd)
+    if causal:
+        s += np.triu(np.full((t, t), -np.inf), k=1)
+    mx = s.max(axis=-1, keepdims=True)
+    s -= mx
+    np.exp(s, out=s)
+    denom = s.sum(axis=-1, keepdims=True)
+    s /= denom
+    return np.matmul(s, vh).transpose(0, 2, 1, 3).reshape(bsz, t, d), mx, denom
+
+
 def _attention_vjp_reference(q, k, v, g, n_heads, causal):
     """attention's gradients as first written, with gs built outside gp."""
     bsz, t, d = q.shape
@@ -1090,14 +1113,57 @@ def _attention_vjp_reference(q, k, v, g, n_heads, causal):
     return merge(np.matmul(gs, kh)), merge(np.matmul(gs.swapaxes(-1, -2), qh)), gv
 
 
-@pytest.mark.parametrize("causal", [True, False])
-def test_attention_vjp_bits_equal_earlier_form(rng, causal):
-    q, k, v, g = (rng.normal(size=(3, 10, 16)) for _ in range(4))
-    with GradTape() as tape:
-        ag.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), 4, causal=causal)
-    got = tape.nodes[-1].vjp(g)
-    for name, a, b in zip("qkv", got, _attention_vjp_reference(q, k, v, g, 4, causal)):
+# one-row trailing blocks (17, 33, 49), a block edge at the end (16, 48, 64), one block
+# (1, 2), the default LM length 62, and rows longer than 128 (130), one block again; the
+# gate at 0 blocks every causal call of 18 <= T <= 128
+BLOCK_TS = [1, 2, 16, 17, 18, 33, 48, 49, 62, 64, 130]
+
+
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
+@pytest.mark.parametrize("n_heads", [2, 4])
+@pytest.mark.parametrize("bsz", [1, 4, 16])
+@pytest.mark.parametrize("t", BLOCK_TS)
+def test_attention_forward_bits_equal_earlier_form(rng, monkeypatch, t, bsz, n_heads, causal):
+    monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
+    q, k, v = (rng.normal(size=(bsz, t, 16)) for _ in range(3))
+    got = ag._attention_forward(q, k, v, 1.0 / math.sqrt(16 // n_heads), causal, n_heads)
+    for name, a, b in zip(("output", "row max", "denominator"), got, _attention_reference(q, k, v, n_heads, causal)):
         assert a.tobytes() == b.tobytes(), name
+    assert ag.attention(q, k, v, n_heads, causal=causal).data.tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
+@pytest.mark.parametrize("n_heads", [2, 4])
+@pytest.mark.parametrize("bsz", [1, 4, 16])
+@pytest.mark.parametrize("t", BLOCK_TS)
+def test_attention_vjp_bits_equal_earlier_form(rng, monkeypatch, t, bsz, n_heads, causal):
+    monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
+    q, k, v, g = (rng.normal(size=(bsz, t, 16)) for _ in range(4))
+    with GradTape() as tape:
+        ag.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), n_heads, causal=causal)
+    got = tape.nodes[-1].vjp(g)
+    for name, a, b in zip("qkv", got, _attention_vjp_reference(q, k, v, g, n_heads, causal)):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_row_blocks_tile_the_rows_at_multiples_of_16(monkeypatch):
+    monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
+    for t in range(1, 300):
+        for n in (1, 64):
+            blocks = ag._row_blocks(n, t, True)
+            assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]] and blocks[-1][1] == t, t
+            assert all(r0 % 16 == 0 for r0, _ in blocks), t
+            assert len(blocks) == 1 or all(r1 - r0 > 1 for r0, r1 in blocks), t
+            assert (len(blocks) > 1) == (18 <= t <= 128), t  # rows longer than 128 are summed in halves
+            assert ag._row_blocks(n, t, False) == [(0, t)]
+
+
+def test_row_blocks_below_the_crossover_are_one_block():
+    gate = ag._BLOCKED_SCORES
+    for n in (1, 4, 16, 64):
+        for t in range(1, 129):
+            blocked = len(ag._row_blocks(n, t, True)) > 1
+            assert blocked == (t >= 18 and n * t * t >= gate), (n, t)
 
 
 # ----------------------------------------------------------------------------
@@ -1350,8 +1416,9 @@ def test_backward_holds_no_spent_gradient_through_a_vjp(build):
     assert not stale, stale[:6]
 
 
+@pytest.mark.parametrize("gate", [None, 0], ids=["default-blocks", "blocked"])
 @pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
-def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, monkeypatch):
+def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, gate, monkeypatch):
     """Each block half's vjp transient, bounded in its block's array bytes.
 
     ``a`` is a (B, T, d) array's bytes and ``f`` a (B, T, d_ffn) one's; the
@@ -1360,7 +1427,9 @@ def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, monk
     v and takes the output's gradient, 5a, and writes the q, k and v
     gradients and the attention output over them; one chunk adds its
     probability-sized arrays, 3p, and its gradients and output, 4a / B.
-    The FFN half holds the hidden pre-activations and their gradient, 2f,
+    In causal row blocks, the 3p are the chunk's probability and score
+    gradient buffers and one block's temporaries, which must be gone
+    before the next block's are made. The FFN half holds the hidden pre-activations and their gradient, 2f,
     and GELU's three tile temporaries, but no normed rows beside them. Both
     may form merged weights, at most the bytes of the node's 2-D inputs,
     and 4 KiB of small arrays. New arrays for the q, k and v gradients and
@@ -1368,6 +1437,8 @@ def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, monk
     GELU a.
     """
     monkeypatch.setattr(ag, "_ATTENTION_TILE", 1)  # one sample per chunk
+    if gate is not None:  # every causal chunk of T > 17 in row blocks
+        monkeypatch.setattr(ag, "_BLOCKED_SCORES", gate)
     n_heads = 2  # in the LM and the vision encoder alike
     _stage2_tape(build)  # the causal masks and numpy's caches, made before tracing
     tape, loss, _ = _stage2_tape(build)

@@ -63,8 +63,15 @@ def test_rejects_missing_grad():
         ({"grads": {"b": np.array([np.inf, 0.0])}}, NonFiniteError, "non-finite gradient for 'b'"),
         ({"grads": {"b": np.zeros(3)}}, ValueError, r"shape .*\(b\)"),
         ({"lr": {"a": 0.1}}, ValueError, r"no learning rate for \['b'\]"),
+        ({"lr": float("nan")}, ValueError, "lr must be a finite number, got nan"),
+        ({"lr": True}, ValueError, "lr must be a finite number, got True"),
+        ({"lr": {"a": 0.1, "b": "x"}}, ValueError, "lr for 'b' must be a finite number, got 'x'"),
+        ({"weight_decay": float("inf")}, ValueError, "weight_decay must be a finite number, got inf"),
     ],
-    ids=["non-finite-later-grad", "later-grad-misshapen", "lr-map-lacks-a-name"],
+    ids=[
+        "non-finite-later-grad", "later-grad-misshapen", "lr-map-lacks-a-name", "nan-lr", "bool-lr",
+        "lr-map-names-a-string", "inf-decay",
+    ],
 )
 def test_refused_step_writes_nothing(bad, error, message):
     params = {"a": Tensor(np.array([1.0, -2.0])), "b": Tensor(np.array([0.5, 3.0]))}
@@ -74,7 +81,7 @@ def test_refused_step_writes_nothing(bad, error, message):
     before = [p.data.copy() for p in params.values()] + [a.copy() for a in (*state.m.values(), *state.v.values())]
     grads, lr = {**good, **bad.get("grads", {})}, bad.get("lr", {"a": 0.1, "b": 0.2})
     with pytest.raises(error, match=message):
-        adamw_step(params, grads, state, lr, weight_decay=0.1)
+        adamw_step(params, grads, state, lr, weight_decay=bad.get("weight_decay", 0.1))
     after = [p.data for p in params.values()] + [*state.m.values(), *state.v.values()]
     assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
     assert state.t == 1

@@ -8,6 +8,7 @@ from genieblue.adaptation import build_cogvlm, build_genieblue, count_trainable,
 from genieblue.autograd import Tensor, masked_nll
 from genieblue.data import TaskSpec, synth_dataset
 from genieblue.model import ModelConfig, build_model
+from genieblue.optim import LrSchedule
 from genieblue.training import (
     StageConfig,
     StageOrderError,
@@ -274,6 +275,24 @@ def test_stage_config_rejects_negative_decay_and_warmup(field):
 def test_stage_config_rejects_non_integer_counts_and_non_finite_rates(kw, message):
     with pytest.raises(ValueError, match=message):
         StageConfig(**{"stage": 2, **kw})
+
+
+RATES = {
+    "StageConfig.peak_lr": lambda r: StageConfig(stage=2, peak_lr=r),
+    "StageConfig.warmup_frac": lambda r: StageConfig(stage=2, warmup_frac=r),
+    "StageConfig.weight_decay": lambda r: StageConfig(stage=2, weight_decay=r),
+    "StageConfig.vit_lr_decay": lambda r: StageConfig(stage=2, vit_lr_decay=r),
+    "LrSchedule.peak": lambda r: LrSchedule(r, 1, 10),
+    "layerwise_lr.base_lr": lambda r: layerwise_lr(build_model(ModelConfig(), seed=0).vision, r),
+    "layerwise_lr.decay": lambda r: layerwise_lr(build_model(ModelConfig(), seed=0).vision, 1e-4, r),
+}
+
+
+@pytest.mark.parametrize("rate", [True, math.nan, math.inf], ids=["bool", "nan", "inf"])
+@pytest.mark.parametrize("target", sorted(RATES))
+def test_rates_refuse_bools_and_non_finite_numbers(target, rate):
+    with pytest.raises(ValueError, match=f"^{target.split('.')[1]} must be"):
+        RATES[target](rate)
 
 
 @pytest.mark.parametrize("field", ["stage", "total_steps", "batch_size", "grad_accum"])
