@@ -14,10 +14,7 @@ two nodes: the attention half, entered through ``attention``, and the FFN
 half, a product node with a norm prologue (``linear`` or ``routed_linear``).
 
 Causal attention skips its masked upper triangle in the forward, the
-backward's rebuild and the gradients: a block of query rows reads only the
-keys up to its last row. The skipped entries are exact zeros of the whole
-matrix's sums, and ``_row_blocks`` places the edges so the rest keep their
-order.
+backward's rebuild and the gradients, with the same bits (``_row_blocks``).
 """
 
 from __future__ import annotations
@@ -281,12 +278,7 @@ def is_int(v) -> bool:
 
 
 def is_rate(v) -> bool:
-    """Whether ``v`` is a finite real number and not a bool.
-
-    This is the package's one rate check, the counterpart of ``is_int``:
-    every learning rate, decay and fraction is tested with this, so
-    ``True`` is never a rate of 1.0.
-    """
+    """Whether ``v`` is a finite real number and not a bool: the package's one rate check, so ``True`` is never 1.0."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
@@ -896,10 +888,10 @@ def _attention_scale(shape: tuple[int, ...], n_heads) -> float:
 # (H 4, T 62) that is 4 of 16 samples, and the vision encoder's 16 samples fit in one
 _ATTENTION_TILE = 65536
 
-# score elements (B * H * T * T) from which causal attention works in row blocks. Below it
-# the blocks' extra numpy calls cost more than the masked entries they skip; on one BLAS
-# thread at H 4 the forward gained from ~9k (B 1, T 62: 0.87x the whole-matrix time) and
-# the backward only from ~25k (B 2: T 52 1.10x, T 56 0.65x), and one threshold serves both
+# score elements (B * H * T * T) from which causal attention works in row blocks: below
+# it the blocks' extra numpy calls cost more than the masked entries save. On one BLAS
+# thread at H 4 the forward gains from ~9k and the backward from ~25k (B 2: T 52 took
+# 1.10x the whole-matrix time, T 56 0.65x); one threshold serves both
 _BLOCKED_SCORES = 24576
 
 
@@ -907,16 +899,15 @@ def _row_blocks(n: int, t: int, causal: bool) -> list[tuple[int, int]]:
     """The query-row blocks ``[(r0, r1), ...]`` that tile [0, t) for ``n`` (t, t) score matrices.
 
     Block [r0, r1) of causal scores reads only the key columns [0, r1);
-    the later ones are masked, so only exact zeros of the row sums and
-    products are skipped. Inner edges are multiples of 16: a block's rows
-    then span a multiple of 8 columns or all t, and numpy's 8-lane row sum
-    adds the kept entries in the whole row's order (rows past 128, which
-    numpy sums in halves, stay one block). No block has one row, which
-    numpy would multiply as a vector on another BLAS path. The products
-    keep their bits where BLAS gives an element the same bits whatever the
-    matrix sizes: OpenBLAS 0.3.31's x86-64 kernels do for head widths up to
-    24; wider heads move in the last bits from T 35 on. Non-causal scores,
-    and fewer than ``_BLOCKED_SCORES``, are one block.
+    the later ones are masked, so only exact zeros of the sums are skipped.
+    Inner edges at multiples of 16 make a block's rows span a multiple of 8
+    columns or all t, so numpy's 8-lane row sum keeps the whole row's order
+    (rows past 128, summed in halves, stay one block); no block has one
+    row, which numpy would multiply as a vector. BLAS must give a product
+    element the same bits whatever the matrix sizes: OpenBLAS 0.3.31 does
+    for head widths up to 24, while wider heads move in the last bits from
+    T 35 on. Non-causal scores, and fewer than ``_BLOCKED_SCORES``, are one
+    block.
     """
     if not causal or t > 128 or n * t * t < _BLOCKED_SCORES:
         return [(0, t)]
@@ -927,9 +918,8 @@ def _row_blocks(n: int, t: int, causal: bool) -> list[tuple[int, int]]:
 def _attention_forward(q, k, v, scale: float, causal: bool, n_heads: int) -> tuple:
     """Attention output rows of (B, T, d) q, k and v rows, with the softmax's row max and denominator.
 
-    Row block by row block (``_row_blocks``), the scores, the masked
-    softmax and the output rows read only the block's key columns; each
-    block's output is written straight into its rows.
+    Each row block of ``_row_blocks`` reads only its key columns and
+    writes its output rows in place.
     """
     ao = np.empty(v.shape)
     qh, kh, vh, oh = (_heads(a, n_heads) for a in (q, k, v, ao))
@@ -955,20 +945,17 @@ def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads:
     the softmax works row by row, so the chunks give the bits of one
     whole-batch pass without ever holding the (B, H, T, T) probabilities.
 
-    In a chunk, each row block [r0, r1) of ``_row_blocks`` rebuilds its
-    probabilities, output rows, score gradient ``gs`` and q gradient from
-    the keys [0, r1) and stores p and ``gs`` in chunk-sized buffers; then
-    each key-column block [c0, c1) takes k and v's gradients from rows c0:
-    of the buffers, the only rows that see its keys. No pass reads the
-    masked triangle above the blocks, exact zeros of the whole sums.
+    In a chunk, each row block [r0, r1) of ``_row_blocks`` rebuilds p, the
+    output rows, the score gradient ``gs`` and q's gradient from keys [0,
+    r1) into chunk buffers; then key-column block [c0, c1) takes k and v's
+    gradients from rows c0: of them, the only rows that see its keys.
     """
     bsz, t, d = qkv[0].shape
     step = min(bsz, max(1, _ATTENTION_TILE // (n_heads * t * t)))
     blocks = _row_blocks(step * n_heads, t, causal)
     gs_wanted = out[0] is not None or out[1] is not None
-    # the key-column passes read the row blocks back from chunk buffers, and a lone block is
-    # its own; a block works in new contiguous arrays, since numpy runs elementwise loops
-    # over a strided block view row by row
+    # a lone block is its own buffer; a block works in new contiguous arrays, since numpy
+    # runs elementwise loops over a strided block view row by row
     p_buf = np.empty((step, n_heads, t, t)) if len(blocks) > 1 else None
     gs_buf = np.empty(p_buf.shape) if len(blocks) > 1 and gs_wanted else None
     for b in range(0, bsz, step):

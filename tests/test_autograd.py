@@ -1114,36 +1114,35 @@ def _attention_vjp_reference(q, k, v, g, n_heads, causal):
 
 
 # one-row trailing blocks (17, 33, 49), a block edge at the end (16, 48, 64), one block
-# (1, 2), the default LM length 62, and rows longer than 128 (130), one block again; the
-# gate at 0 blocks every causal call of 18 <= T <= 128
-BLOCK_TS = [1, 2, 16, 17, 18, 33, 48, 49, 62, 64, 130]
+# (1, 2), the default LM length 62, and rows longer than 128 (130), one block again; with
+# the threshold at 0 every causal call of 18 <= T <= 128 is blocked
+BLOCK_SHAPES = [
+    (t, bsz, n_heads) for t in (1, 2, 16, 17, 18, 33, 48, 49, 62, 64, 130) for bsz in (1, 4, 16) for n_heads in (2, 4)
+]
 
 
-@pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
-@pytest.mark.parametrize("n_heads", [2, 4])
-@pytest.mark.parametrize("bsz", [1, 4, 16])
-@pytest.mark.parametrize("t", BLOCK_TS)
-def test_attention_forward_bits_equal_earlier_form(rng, monkeypatch, t, bsz, n_heads, causal):
+@pytest.mark.parametrize("causal", [True, False])
+def test_attention_forward_bits_equal_earlier_form(rng, monkeypatch, causal):
     monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
-    q, k, v = (rng.normal(size=(bsz, t, 16)) for _ in range(3))
-    got = ag._attention_forward(q, k, v, 1.0 / math.sqrt(16 // n_heads), causal, n_heads)
-    for name, a, b in zip(("output", "row max", "denominator"), got, _attention_reference(q, k, v, n_heads, causal)):
-        assert a.tobytes() == b.tobytes(), name
-    assert ag.attention(q, k, v, n_heads, causal=causal).data.tobytes() == got[0].tobytes()
+    for t, bsz, n_heads in BLOCK_SHAPES:
+        q, k, v = (rng.normal(size=(bsz, t, 16)) for _ in range(3))
+        got = ag._attention_forward(q, k, v, 1.0 / math.sqrt(16 // n_heads), causal, n_heads)
+        ref = _attention_reference(q, k, v, n_heads, causal)
+        for name, a, b in zip(("output", "row max", "denominator"), got, ref):
+            assert a.tobytes() == b.tobytes(), (name, t, bsz, n_heads)
+        assert ag.attention(q, k, v, n_heads, causal=causal).data.tobytes() == got[0].tobytes()
 
 
-@pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
-@pytest.mark.parametrize("n_heads", [2, 4])
-@pytest.mark.parametrize("bsz", [1, 4, 16])
-@pytest.mark.parametrize("t", BLOCK_TS)
-def test_attention_vjp_bits_equal_earlier_form(rng, monkeypatch, t, bsz, n_heads, causal):
+@pytest.mark.parametrize("causal", [True, False])
+def test_attention_vjp_bits_equal_earlier_form(rng, monkeypatch, causal):
     monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
-    q, k, v, g = (rng.normal(size=(bsz, t, 16)) for _ in range(4))
-    with GradTape() as tape:
-        ag.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), n_heads, causal=causal)
-    got = tape.nodes[-1].vjp(g)
-    for name, a, b in zip("qkv", got, _attention_vjp_reference(q, k, v, g, n_heads, causal)):
-        assert a.tobytes() == b.tobytes(), name
+    for t, bsz, n_heads in [(10, 3, 4)] + BLOCK_SHAPES:
+        q, k, v, g = (rng.normal(size=(bsz, t, 16)) for _ in range(4))
+        with GradTape() as tape:
+            ag.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), n_heads, causal=causal)
+        got = tape.nodes[-1].vjp(g)
+        for name, a, b in zip("qkv", got, _attention_vjp_reference(q, k, v, g, n_heads, causal)):
+            assert a.tobytes() == b.tobytes(), (name, t, bsz, n_heads)
 
 
 def test_row_blocks_tile_the_rows_at_multiples_of_16(monkeypatch):
@@ -1416,9 +1415,8 @@ def test_backward_holds_no_spent_gradient_through_a_vjp(build):
     assert not stale, stale[:6]
 
 
-@pytest.mark.parametrize("gate", [None, 0], ids=["default-blocks", "blocked"])
 @pytest.mark.parametrize("build", [build_genieblue, build_cogvlm])
-def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, gate, monkeypatch):
+def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, monkeypatch):
     """Each block half's vjp transient, bounded in its block's array bytes.
 
     ``a`` is a (B, T, d) array's bytes and ``f`` a (B, T, d_ffn) one's; the
@@ -1429,36 +1427,37 @@ def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, gate
     probability-sized arrays, 3p, and its gradients and output, 4a / B.
     In causal row blocks, the 3p are the chunk's probability and score
     gradient buffers and one block's temporaries, which must be gone
-    before the next block's are made. The FFN half holds the hidden pre-activations and their gradient, 2f,
-    and GELU's three tile temporaries, but no normed rows beside them. Both
-    may form merged weights, at most the bytes of the node's 2-D inputs,
-    and 4 KiB of small arrays. New arrays for the q, k and v gradients and
-    the output would add 4a, and normed rows kept through the FFN half's
-    GELU a.
+    before the next block's are made. The FFN half holds the hidden
+    pre-activations and their gradient, 2f, and GELU's three tile
+    temporaries, but no normed rows beside them. Both may form merged
+    weights, at most the bytes of the node's 2-D inputs, and 4 KiB of
+    small arrays. New arrays for the q, k and v gradients and the output
+    would add 4a, and normed rows kept through the FFN half's GELU a.
     """
     monkeypatch.setattr(ag, "_ATTENTION_TILE", 1)  # one sample per chunk
-    if gate is not None:  # every causal chunk of T > 17 in row blocks
-        monkeypatch.setattr(ag, "_BLOCKED_SCORES", gate)
     n_heads = 2  # in the LM and the vision encoder alike
-    _stage2_tape(build)  # the causal masks and numpy's caches, made before tracing
-    tape, loss, _ = _stage2_tape(build)
-    nodes = [(node.op, node.inputs) for node in tape.nodes]
-    halves = 0
-    for peak in vjp_peaks(tape, loss)[1]:
-        op, inputs = nodes[peak.index]
-        x = inputs[0]
-        if op != "attention" and not (op in ("linear", "routed_linear") and inputs[-1] is x):
-            continue  # not a block half: the FFN half is the product node with the residual x
-        halves += 1
-        a, (bsz, t, d) = x.data.nbytes, x.shape
-        small = sum(w.data.nbytes for w in inputs if w.ndim == 2) + 4096
-        if op == "attention":
-            bound = 5 * a + 3 * n_heads * t * t * 8 + 4 * a // bsz + small
-        else:
-            f = a // d * inputs[1].shape[1]
-            bound = 2 * f + 3 * min(f, 8 * ag._GELU_TILE) + small
-        assert peak.transient <= bound, (peak.index, op, peak.transient / a, bound / a)
-    assert halves == 2 * (4 + 2)
+    # at the default threshold no chunk is blocked; at 0 every causal chunk of 18 <= T <= 128 is
+    for gate in (ag._BLOCKED_SCORES, 0):
+        monkeypatch.setattr(ag, "_BLOCKED_SCORES", gate)
+        _stage2_tape(build)  # the causal masks and numpy's caches, made before tracing
+        tape, loss, _ = _stage2_tape(build)
+        nodes = [(node.op, node.inputs) for node in tape.nodes]
+        halves = 0
+        for peak in vjp_peaks(tape, loss)[1]:
+            op, inputs = nodes[peak.index]
+            x = inputs[0]
+            if op != "attention" and not (op in ("linear", "routed_linear") and inputs[-1] is x):
+                continue  # not a block half: the FFN half is the product node with the residual x
+            halves += 1
+            a, (bsz, t, d) = x.data.nbytes, x.shape
+            small = sum(w.data.nbytes for w in inputs if w.ndim == 2) + 4096
+            if op == "attention":
+                bound = 5 * a + 3 * n_heads * t * t * 8 + 4 * a // bsz + small
+            else:
+                f = a // d * inputs[1].shape[1]
+                bound = 2 * f + 3 * min(f, 8 * ag._GELU_TILE) + small
+            assert peak.transient <= bound, (gate, peak.index, op, peak.transient / a, bound / a)
+        assert halves == 2 * (4 + 2)
 
 
 # ----------------------------------------------------------------------------
