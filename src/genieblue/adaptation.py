@@ -158,6 +158,8 @@ def _build(cls, base: MultimodalBase, replicated: tuple[int, ...], rank: int, se
         raise ValueError(f"rank must be non-negative, got {rank}")
     if rank >= config.d_model:
         raise ValueError(f"rank {rank} is degenerate for width {config.d_model}")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not all(is_int(i) for i in replicated):
         raise ValueError(f"placement {replicated} must hold integer layer indices")
     if len(set(replicated)) != len(replicated):
@@ -222,12 +224,15 @@ def count_trainable(model) -> dict[str, int]:
     return counts
 
 
-def merged_bindings(model: AdaptedModel) -> list[BlockBinding]:
+def merged_bindings(model: AdaptedModel | MultimodalBase) -> list[BlockBinding]:
     """The model's bindings with every adapter folded into its base weight.
 
     Only unrouted models fold: a routed delta applies at image positions
-    alone, which no single merged weight computes.
+    alone, which no single merged weight computes. A plain
+    ``MultimodalBase`` has no adapters, so its bindings come back as they are.
     """
+    if not isinstance(model, AdaptedModel):
+        return model.bindings()
     if model.routed:
         raise ValueError("routed adapters and experts apply per token and cannot be folded")
     out = []
@@ -247,7 +252,7 @@ def freeze_mask(model, stage: int) -> dict[str, Tensor]:
     the LM head are never trainable for hybrid and expert models; the
     full-finetune baseline trains everything in stage 2.
     """
-    if stage not in (1, 2):
+    if not is_int(stage) or stage not in (1, 2):
         raise ValueError(f"unknown training stage {stage!r}")
     params = model.named_parameters()
     if stage == 1:

@@ -10,11 +10,14 @@ node holding its inputs and output and the values its backward pass needs
 that are not cheap to rebuild. What is cheap is rebuilt from the inputs with
 the forward's own operations, so the gradients keep their bits; each
 kernel's docstring says what its node keeps. A pre-norm transformer block is
-two nodes: the attention half, entered through ``attention``, and the FFN
-half, a product node with a norm prologue (``linear`` or ``routed_linear``).
+two nodes: the attention half, ``attention``, and the FFN half, a product
+node with a norm prologue (``linear`` or ``routed_linear``). Attention is
+entered only as a block half; there is no plain attention node.
 
 Causal attention skips its masked upper triangle in the forward, the
-backward's rebuild and the gradients, with the same bits (``_row_blocks``).
+backward's rebuild and the gradients, with the same bits (``_row_blocks``);
+heads wider than 24, whose products BLAS rounds differently in blocks, keep
+the whole score matrix.
 """
 
 from __future__ import annotations
@@ -895,8 +898,8 @@ _ATTENTION_TILE = 65536
 _BLOCKED_SCORES = 24576
 
 
-def _row_blocks(n: int, t: int, causal: bool) -> list[tuple[int, int]]:
-    """The query-row blocks ``[(r0, r1), ...]`` that tile [0, t) for ``n`` (t, t) score matrices.
+def _row_blocks(n: int, t: int, width: int, causal: bool) -> list[tuple[int, int]]:
+    """The query-row blocks ``[(r0, r1), ...]`` that tile [0, t) for ``n`` (t, t) scores of ``width``-wide heads.
 
     Block [r0, r1) of causal scores reads only the key columns [0, r1);
     the later ones are masked, so only exact zeros of the sums are skipped.
@@ -906,10 +909,10 @@ def _row_blocks(n: int, t: int, causal: bool) -> list[tuple[int, int]]:
     row, which numpy would multiply as a vector. BLAS must give a product
     element the same bits whatever the matrix sizes: OpenBLAS 0.3.31 does
     for head widths up to 24, while wider heads move in the last bits from
-    T 35 on. Non-causal scores, and fewer than ``_BLOCKED_SCORES``, are one
-    block.
+    T 35 on, so they stay one block. Non-causal scores, and fewer than
+    ``_BLOCKED_SCORES``, are one block.
     """
-    if not causal or t > 128 or n * t * t < _BLOCKED_SCORES:
+    if not causal or width > 24 or t > 128 or n * t * t < _BLOCKED_SCORES:
         return [(0, t)]
     edges = [0, *range(16, t - 1, 16), t]
     return list(zip(edges[:-1], edges[1:]))
@@ -924,26 +927,26 @@ def _attention_forward(q, k, v, scale: float, causal: bool, n_heads: int) -> tup
     ao = np.empty(v.shape)
     qh, kh, vh, oh = (_heads(a, n_heads) for a in (q, k, v, ao))
     mx, denom = np.empty(qh.shape[:-1] + (1,)), np.empty(qh.shape[:-1] + (1,))
-    for r0, r1 in _row_blocks(qh.shape[0] * n_heads, qh.shape[2], causal):
+    for r0, r1 in _row_blocks(qh.shape[0] * n_heads, qh.shape[2], qh.shape[3], causal):
         rows = np.s_[..., r0:r1, :]
         p = _attention_probs(qh[rows], kh[..., :r1, :], scale, causal, mx[rows], denom[rows], False)
         np.matmul(p, vh[..., :r1, :], out=oh[rows])
     return ao, mx, denom
 
 
-def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads: int, out, ao=None) -> None:
+def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads: int, out, ao) -> None:
     """Write q, k and v's gradients, for the gradient ``ga`` of the output rows, into ``out``, a few samples at a time.
 
     ``qkv`` are the (B, T, d) q, k and v rows and ``out`` three (B, T, d)
     arrays, None where no gradient is wanted; with the forward's row max
     and denominator they rebuild each chunk's probabilities through
-    ``_attention_probs``. When given, ``ao`` receives the attention output
-    rows; ``ga`` may be None then, and nothing is written to ``out``. A
-    chunk reads only its own samples and forms its gradients and output
-    whole before it writes any, so ``out`` may be ``qkv`` itself and ``ao``
-    may be ``ga``. A stacked matmul is one product per (sample, head) and
-    the softmax works row by row, so the chunks give the bits of one
-    whole-batch pass without ever holding the (B, H, T, T) probabilities.
+    ``_attention_probs``. ``ao`` receives the attention output rows; ``ga``
+    may be None, and then nothing is written to ``out``. A chunk reads only
+    its own samples and forms its gradients and output whole before it
+    writes any, so ``out`` may be ``qkv`` itself and ``ao`` may be ``ga``.
+    A stacked matmul is one product per (sample, head) and the softmax
+    works row by row, so the chunks give the bits of one whole-batch pass
+    without ever holding the (B, H, T, T) probabilities.
 
     In a chunk, each row block [r0, r1) of ``_row_blocks`` rebuilds p, the
     output rows, the score gradient ``gs`` and q's gradient from keys [0,
@@ -952,7 +955,7 @@ def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads:
     """
     bsz, t, d = qkv[0].shape
     step = min(bsz, max(1, _ATTENTION_TILE // (n_heads * t * t)))
-    blocks = _row_blocks(step * n_heads, t, causal)
+    blocks = _row_blocks(step * n_heads, t, d // n_heads, causal)
     gs_wanted = out[0] is not None or out[1] is not None
     # a lone block is its own buffer; a block works in new contiguous arrays, since numpy
     # runs elementwise loops over a strided block view row by row
@@ -964,12 +967,11 @@ def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads:
         gh = None if ga is None else _heads(ga[c], n_heads)
         n = qh.shape[0]
         p, gs = (None if a is None else a[:n] for a in (p_buf, gs_buf))
-        gq, oh = (None if o is None else np.empty((n, t, d)) for o in (out[0], ao))
+        gq, oh = None if out[0] is None else np.empty((n, t, d)), np.empty((n, t, d))
         for r0, r1 in blocks:
             rows, keys, block = np.s_[..., r0:r1, :], np.s_[..., :r1, :], np.s_[..., r0:r1, :r1]
             pb = _attention_probs(qh[rows], kh[keys], scale, causal, mx[c][rows], denom[c][rows], True)
-            if oh is not None:
-                np.matmul(pb, vh[keys], out=_heads(oh, n_heads)[rows])
+            np.matmul(pb, vh[keys], out=_heads(oh, n_heads)[rows])
             gsb = None
             if gs_wanted:
                 # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
@@ -999,77 +1001,47 @@ def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads:
         del gq, gk, gv, oh, a  # before the next chunk's arrays are made
 
 
-def attention(q, k, v, n_heads: int, causal: bool = True, *, x=None, gain=None, wo=None) -> Tensor:
-    """Multi-head scaled-dot-product attention over (B, T, d) streams, T > 0.
+def attention(q, k, v, n_heads: int, causal: bool = True, *, x, gain, wo) -> Tensor:
+    """``x + attention(q, k, v) @ W_o.T``, q, k, v the products of ``rms_norm(x, gain)``, as one node.
 
-    A recorded node keeps the row max and the softmax denominator, (B, H,
-    T, 1) each, not the (B, H, T, T) probabilities: its vjp rebuilds them
-    from q and k through ``_attention_probs``, as the forward made them, a
-    few samples at a time (``_attention_backward``). Causal scores go in
-    row blocks that read only the keys up to their last row, so no masked
-    score past it is made, exponentiated or multiplied; edges at multiples
-    of 16 and no one-row block keep the bits (``_row_blocks``).
+    Attention is entered only as this, the attention half of a pre-norm
+    block. ``q``, ``k``, ``v`` and ``wo`` are matrix specs ``(w, expert,
+    adapter, span)``, as ``linear``'s ``inner`` takes, each routed as in
+    ``_product``; the attention is multi-head scaled-dot-product attention
+    over the (B, T, d) q, k and v rows, T > 0. The result has the bits of
+    the flat graph: ``rms_norm``, a product node per matrix (the ``wo`` one
+    adding ``x``) and attention over whole (T, T) score matrices.
 
-    Given the block input ``x``, a norm ``gain`` and an output matrix
-    ``wo``, the node is instead the attention half of a pre-norm block (see
-    ``_attention_half``): ``q``, ``k``, ``v`` and ``wo`` are then matrix
-    specs ``(w, expert, adapter, span)``, as ``linear``'s ``inner`` takes.
-    """
-    if x is not None or gain is not None or wo is not None:
-        if x is None or gain is None or wo is None:
-            raise ValueError("attention: the block half takes all of x, gain and wo")
-        return _attention_half(x, gain, (q, k, v), wo, n_heads, causal)
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if not (q.shape == k.shape == v.shape) or q.ndim != 3:
-        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    scale = _attention_scale(q.shape, n_heads)
-    ao, mx, denom = _attention_forward(q.data, k.data, v.data, scale, causal, n_heads)
-    out = Tensor(ao)
-    if not _will_record((q, k, v)):  # the tape-off path builds no vjp closure
-        return out
-
-    def vjp(g):
-        grads = tuple(np.empty(q.shape) if t.requires_grad else None for t in (q, k, v))
-        _attention_backward(g, (q.data, k.data, v.data), mx, denom, scale, causal, n_heads, grads)
-        return grads
-
-    return _maybe_record("attention", out, (q, k, v), vjp)
-
-
-def _attention_half(x, gain, mats, wo, n_heads: int, causal: bool) -> Tensor:
-    """``x + attention(q, k, v) @ W_o.T``, q, k, v the ``mats`` products of ``rms_norm(x, gain)``, as one node.
-
-    ``mats`` are the q, k and v matrix specs and ``wo`` the output's, each
-    routed as in ``_product``. The result has the bits of the flat graph:
-    ``rms_norm``, a product node per matrix (the ``wo`` one adding ``x``)
-    and ``attention``. The node keeps its inputs and attention's (B, H, T,
-    1) row max and softmax denominator, nothing of (B, T, d) size besides
-    ``x``. The forward (``_attention_forward``, in causal row blocks as in
-    ``attention``) drops the probabilities, q, k and v before the ``wo``
-    product. The vjp rebuilds the normed rows, q, k and v with the
-    forward's own ``_rms_rows`` and ``_pre_activation`` and takes the flat
-    graph's gradients: the attention output's through ``wo`` first, which
-    needs no rows; then ``_attention_backward``, a few samples at a time
-    and in the forward's row blocks, rebuilds the probabilities with
-    ``_attention_probs`` and takes q, k and v's gradients, which it writes
-    over the chunk's q, k and v rows, and the attention output, which it
-    writes over the chunk's rows of its gradient; so the (B, H, T, T)
-    probabilities never exist whole and no (B, T, d) array is made for the
-    gradients or the output. Then come ``wo``'s own gradients over the
+    The node keeps its inputs and the softmax's (B, H, T, 1) row max and
+    denominator, nothing of (B, T, d) size besides ``x``. The forward
+    (``_attention_forward``) drops the probabilities, q, k and v before the
+    ``wo`` product. Causal scores go in row blocks that read only the keys
+    up to their last row, so no masked score past it is made, exponentiated
+    or multiplied; edges at multiples of 16 and no one-row block keep the
+    bits (``_row_blocks``). The vjp rebuilds the normed rows, q, k and v
+    with the forward's own ``_rms_rows`` and ``_pre_activation`` and takes
+    the flat graph's gradients: the attention output's through ``wo``
+    first, which needs no rows; then ``_attention_backward``, a few samples
+    at a time and in the forward's row blocks, rebuilds the probabilities
+    with ``_attention_probs`` and takes q, k and v's gradients, which it
+    writes over the chunk's q, k and v rows, and the attention output,
+    which it writes over the chunk's rows of its gradient; so the (B, H, T,
+    T) probabilities never exist whole and no (B, T, d) array is made for
+    the gradients or the output. Then come ``wo``'s own gradients over the
     whole attention output; then v, k and q, whose row gradients sum as
     ``(gx_v + gx_k) + gx_q``; then the norm, and ``x`` gets ``g +
     gx_norm``. Each rebuilt array is dropped after its last use, and only
     the gradients the flat graph would have are computed. The node is
-    recorded as ``attention`` over ``(x, wo, v, k and q operands,
-    gain)``, the matrices in the flat graph's reverse order, so a tensor
-    shared by two of them sums its gradients as before.
+    recorded as ``attention`` over ``(x, wo, v, k and q operands, gain)``,
+    the matrices in the flat graph's reverse order, so a tensor shared by
+    two of them sums its gradients as before.
     """
     op = "attention"
     x = _as_tensor(x)
     if x.ndim != 3:
         raise ShapeMismatch(f"{op}: x {x.shape} is not (B, T, d)")
     gain = _checked_gain(op, x.shape, gain)
-    mats = [_checked_spec(op, x.shape, m) for m in mats]
+    mats = [_checked_spec(op, x.shape, m) for m in (q, k, v)]
     widths = {m[0].shape[0] for m in mats}
     if len(widths) != 1:
         raise ShapeMismatch(f"{op}: q, k and v widths {[m[0].shape[0] for m in mats]} differ")

@@ -60,6 +60,8 @@ class TaskSpec:
             value = getattr(self, field_name)
             if not is_int(value):
                 raise ValueError(f"{field_name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         if self.seq_len < 1:

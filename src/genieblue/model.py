@@ -372,7 +372,9 @@ class MultimodalBase:
 
 
 def build_model(config: ModelConfig, seed: int) -> MultimodalBase:
-    """Deterministically initialize a base stack from a seed."""
+    """Deterministically initialize a base stack from a non-negative integer seed."""
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     lm = LanguageModel.build(config, rng)
     vision = VisionEncoder.build(config, rng)

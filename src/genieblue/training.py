@@ -118,8 +118,6 @@ def layerwise_lr(vision: VisionEncoder, base_lr: float, decay: float = 0.9) -> l
 
 def _lr_map(model, cfg: StageConfig, trainable: dict, base_lr: float) -> float | dict[str, float]:
     """Scalar lr, or a per-name map when the ViT layer-wise decay applies."""
-    if cfg.stage != 2 or cfg.vit_lr_decay == 1.0:
-        return base_lr
     vision_names = [n for n in trainable if n.startswith("vision.")]
     if not vision_names:
         return base_lr
@@ -166,6 +164,8 @@ def run_stage(
     Raises TrainingDiverged on a non-finite loss, StageOrderError when stage
     2 runs without a stage-1 projector and without the explicit opt-out.
     """
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if cfg.stage == 2 and not model.projector.pretrained and not allow_missing_stage1:
         raise StageOrderError("stage 2 requires a stage-1 projector (or allow_missing_stage1=True)")
     trainable = freeze_mask(model, cfg.stage)

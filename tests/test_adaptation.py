@@ -411,6 +411,11 @@ def test_merged_bindings_rejects_routed_model(tiny_base):
         merged_bindings(build_cogvlm(tiny_base, sched, rank=4))
 
 
+def test_merged_bindings_of_a_plain_base_are_its_own(tiny_base):
+    merged, own = merged_bindings(tiny_base), tiny_base.bindings()
+    assert [b.weights for b in merged] == [b.weights for b in own] and not any(b.adapters for b in merged)
+
+
 # ----------------------------------------------------------------------------
 # stage-2 tapes: what each layer binding records
 # ----------------------------------------------------------------------------
@@ -506,8 +511,9 @@ def test_stage2_trainable_count_matches_count_trainable(tiny_base, build):
 
 
 def test_unknown_stage_rejected(tiny_base):
-    with pytest.raises(ValueError, match="stage"):
-        freeze_mask(tiny_base, 3)
+    for stage in (3, True, 2.0):  # True and 2.0 are not stages, though True in (1, 2)
+        with pytest.raises(ValueError, match="stage"):
+            freeze_mask(tiny_base, stage)
 
 
 def test_full_finetune_stage2_trains_everything(tiny_base):

@@ -321,10 +321,13 @@ def test_embed_adds_positions_to_a_copy_of_the_table_rows():
 @pytest.mark.parametrize("causal", [True, False])
 def test_grad_attention(probe, causal):
     c = probe((2, 4, 8))
-    _check_grads(
-        lambda t: ag.sum_all(ag.mul(ag.attention(t["q"], t["k"], t["v"], 2, causal=causal), c)),
-        {"q": probe((2, 4, 8)), "k": probe((2, 4, 8)), "v": probe((2, 4, 8))},
-    )
+
+    def loss(t):
+        q, k, v, o = ((t[w], None, None, None) for w in ("wq", "wk", "wv", "wo"))
+        return ag.sum_all(ag.mul(ag.attention(q, k, v, 2, causal=causal, x=t["x"], gain=t["gain"], wo=o), c))
+
+    weights = {w: probe((8, 8)) for w in ("wq", "wk", "wv", "wo")}
+    _check_grads(loss, {"x": probe((2, 4, 8)), "gain": probe(8), **weights})
 
 
 def test_grad_routed_linear(probe):
@@ -987,6 +990,13 @@ def _check_half(fused_build, flat_build, arrays, frozen):
     assert plain.tobytes() == out.tobytes()
 
 
+def _attention_oracle_node(q, k, v, n_heads, causal):
+    """A flat graph's attention node, its forward and vjp the whole-matrix numpy references."""
+    qkv = [t.data for t in (q, k, v)]
+    out = Tensor(_attention_reference(*qkv, n_heads, causal)[0])
+    return ag._maybe_record("attention", out, (q, k, v), lambda g: _attention_vjp_reference(*qkv, g, n_heads, causal))
+
+
 @pytest.mark.parametrize("frozen", sorted(HALF_FROZEN))
 @pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
 @pytest.mark.parametrize("span", sorted(HALF_SPANS))
@@ -1005,7 +1015,7 @@ def test_attention_half_bits_equal_flat_graph(rng, kind, span, causal, frozen):
     def flat(t):
         q, k, v, o = specs(t)
         h = ag.rms_norm(t["x"], t["gain"])
-        a = ag.attention(*(_spec_product(h, m) for m in (q, k, v)), 2, causal=causal)
+        a = _attention_oracle_node(*(_spec_product(h, m) for m in (q, k, v)), 2, causal)
         return _spec_product(a, o, residual=t["x"])
 
     _check_half(fused, flat, arrays, HALF_FROZEN[frozen])
@@ -1113,56 +1123,61 @@ def _attention_vjp_reference(q, k, v, g, n_heads, causal):
     return merge(np.matmul(gs, kh)), merge(np.matmul(gs.swapaxes(-1, -2), qh)), gv
 
 
-# one-row trailing blocks (17, 33, 49), a block edge at the end (16, 48, 64), one block
-# (1, 2), the default LM length 62, and rows longer than 128 (130), one block again; with
-# the threshold at 0 every causal call of 18 <= T <= 128 is blocked
+# (T, B, H, d): one-row trailing blocks (17, 33, 49), a block edge at the end (16, 48,
+# 64), one block (1, 2), the default LM length 62, and rows longer than 128 (130), one
+# block again; with the threshold at 0 every causal call of 18 <= T <= 128 is blocked.
+# Heads 32 wide (d 64, H 2) round differently in blocks from T 35 on, so stay one block
 BLOCK_SHAPES = [
-    (t, bsz, n_heads) for t in (1, 2, 16, 17, 18, 33, 48, 49, 62, 64, 130) for bsz in (1, 4, 16) for n_heads in (2, 4)
-]
+    (t, bsz, n_heads, 16)
+    for t in (1, 2, 16, 17, 18, 33, 48, 49, 62, 64, 130)
+    for bsz in (1, 4, 16)
+    for n_heads in (2, 4)
+] + [(t, bsz, 2, 64) for t in (35, 48, 62) for bsz in (1, 4)]
 
 
 @pytest.mark.parametrize("causal", [True, False])
 def test_attention_forward_bits_equal_earlier_form(rng, monkeypatch, causal):
     monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
-    for t, bsz, n_heads in BLOCK_SHAPES:
-        q, k, v = (rng.normal(size=(bsz, t, 16)) for _ in range(3))
-        got = ag._attention_forward(q, k, v, 1.0 / math.sqrt(16 // n_heads), causal, n_heads)
+    for t, bsz, n_heads, d in BLOCK_SHAPES:
+        q, k, v = (rng.normal(size=(bsz, t, d)) for _ in range(3))
+        got = ag._attention_forward(q, k, v, 1.0 / math.sqrt(d // n_heads), causal, n_heads)
         ref = _attention_reference(q, k, v, n_heads, causal)
         for name, a, b in zip(("output", "row max", "denominator"), got, ref):
-            assert a.tobytes() == b.tobytes(), (name, t, bsz, n_heads)
-        assert ag.attention(q, k, v, n_heads, causal=causal).data.tobytes() == got[0].tobytes()
+            assert a.tobytes() == b.tobytes(), (name, t, bsz, n_heads, d)
 
 
 @pytest.mark.parametrize("causal", [True, False])
 def test_attention_vjp_bits_equal_earlier_form(rng, monkeypatch, causal):
     monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
-    for t, bsz, n_heads in [(10, 3, 4)] + BLOCK_SHAPES:
-        q, k, v, g = (rng.normal(size=(bsz, t, 16)) for _ in range(4))
-        with GradTape() as tape:
-            ag.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), n_heads, causal=causal)
-        got = tape.nodes[-1].vjp(g)
+    for t, bsz, n_heads, d in [(10, 3, 4, 16)] + BLOCK_SHAPES:
+        q, k, v, g = (rng.normal(size=(bsz, t, d)) for _ in range(4))
+        ref_out, mx, denom = _attention_reference(q, k, v, n_heads, causal)
+        got, out = [np.empty(q.shape) for _ in "qkv"], np.empty(q.shape)
+        ag._attention_backward(g, (q, k, v), mx, denom, 1.0 / math.sqrt(d // n_heads), causal, n_heads, got, out)
         for name, a, b in zip("qkv", got, _attention_vjp_reference(q, k, v, g, n_heads, causal)):
-            assert a.tobytes() == b.tobytes(), (name, t, bsz, n_heads)
+            assert a.tobytes() == b.tobytes(), (name, t, bsz, n_heads, d)
+        assert out.tobytes() == ref_out.tobytes(), ("output", t, bsz, n_heads, d)
 
 
 def test_row_blocks_tile_the_rows_at_multiples_of_16(monkeypatch):
     monkeypatch.setattr(ag, "_BLOCKED_SCORES", 0)
     for t in range(1, 300):
         for n in (1, 64):
-            blocks = ag._row_blocks(n, t, True)
+            blocks = ag._row_blocks(n, t, 16, True)
             assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]] and blocks[-1][1] == t, t
             assert all(r0 % 16 == 0 for r0, _ in blocks), t
             assert len(blocks) == 1 or all(r1 - r0 > 1 for r0, r1 in blocks), t
             assert (len(blocks) > 1) == (18 <= t <= 128), t  # rows longer than 128 are summed in halves
-            assert ag._row_blocks(n, t, False) == [(0, t)]
+            assert ag._row_blocks(n, t, 16, False) == [(0, t)]
 
 
 def test_row_blocks_below_the_crossover_are_one_block():
     gate = ag._BLOCKED_SCORES
     for n in (1, 4, 16, 64):
         for t in range(1, 129):
-            blocked = len(ag._row_blocks(n, t, True)) > 1
-            assert blocked == (t >= 18 and n * t * t >= gate), (n, t)
+            for width in (4, 16, 24, 32, 64):  # heads wider than 24 are one block at any size
+                blocked = len(ag._row_blocks(n, t, width, True)) > 1
+                assert blocked == (width <= 24 and t >= 18 and n * t * t >= gate), (n, t, width)
 
 
 # ----------------------------------------------------------------------------
@@ -1573,6 +1588,12 @@ def test_stage2_tape_keeps_two_stream_arrays_per_block(build):
 # ----------------------------------------------------------------------------
 
 
+def _identity_half(x, n_heads):
+    """The attention half of (B, T, 4) rows ``x`` with identity matrices and gain."""
+    eye = (np.eye(4), None, None, None)
+    return ag.attention(eye, eye, eye, n_heads, x=x, gain=np.ones(4), wo=eye)
+
+
 @pytest.mark.parametrize(
     "op, call",
     [
@@ -1582,8 +1603,8 @@ def test_stage2_tape_keeps_two_stream_arrays_per_block(build):
         ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 5)), inner=(np.zeros((5, 2)), None, None, None))),
         ("rms_norm", lambda: ag.rms_norm(Tensor(1.0), np.ones(1))),
         ("rms_norm", lambda: ag.rms_norm(np.zeros((2, 0)), np.zeros(0))),
-        ("attention", lambda: ag.attention(*(np.zeros((1, 2, 4)),) * 3, n_heads=0)),
-        ("attention", lambda: ag.attention(*(np.zeros((1, 0, 4)),) * 3, n_heads=2)),
+        ("attention", lambda: _identity_half(np.zeros((1, 2, 4)), n_heads=0)),
+        ("attention", lambda: _identity_half(np.zeros((1, 0, 4)), n_heads=2)),
         ("embed", lambda: ag.embed(np.eye(3), np.array([0.5]))),
         ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((3, 1, 3)))),
         ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((2, 1, 4)))),

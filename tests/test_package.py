@@ -9,6 +9,7 @@ import genieblue
 from genieblue import autograd, model
 from genieblue.adaptation import build_cogvlm, build_full_lora, build_genieblue, freeze_mask, plan_placement
 from genieblue.data import TaskSpec, collate, synth_dataset
+from genieblue.training import StageConfig, run_stage
 
 
 def _tracing(monkeypatch):
@@ -70,6 +71,25 @@ def test_every_recorded_op_has_a_benchmark_bucket(monkeypatch, name, stage):
 TINY = model.ModelConfig(
     vocab_size=256, d_model=16, n_layers=4, n_heads=2, max_seq=48, grid_side=3, grid_alphabet=4, d_vision=8
 )
+
+SEEDED = {
+    "build_model": lambda seed: model.build_model(TINY, seed),
+    "build_genieblue": lambda seed: build_genieblue(model.build_model(TINY, 0), PLACEMENT, rank=4, seed=seed),
+    "run_stage": lambda seed: run_stage(
+        model.build_model(TINY, 0),
+        StageConfig(stage=1, total_steps=2, batch_size=2),
+        synth_dataset(TaskSpec("grid-caption", n_samples=2), max_seq=48, grid_side=3, grid_alphabet=4),
+        seed=seed,
+    ),
+    "TaskSpec": lambda seed: TaskSpec("grid-caption", 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "1"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_entry_points_refuse_a_seed_that_is_not_a_non_negative_integer(entry, seed):
+    with pytest.raises(ValueError, match="^seed must be"):
+        SEEDED[entry](seed)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
