@@ -21,6 +21,6 @@ from .adaptation import (
 from .data import Dataset, Sample, TaskSpec, collate, synth_dataset
 from .model import ModelConfig, MultimodalBase, TokenBatch, build_model
 from .optim import AdamWState, LrSchedule, adamw_step, lr_at
-from .training import StageConfig, TrainReport, layerwise_lr, run_stage
+from .training import StageConfig, TrainReport, run_stage
 
 __version__ = "0.1.0"

@@ -160,6 +160,8 @@ def _build(cls, base: MultimodalBase, replicated: tuple[int, ...], rank: int, se
         raise ValueError(f"rank {rank} is degenerate for width {config.d_model}")
     if not (is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(replicated, (tuple, list)):
+        raise ValueError(f"placement {replicated!r} must be a tuple or list of layer indices")
     if not all(is_int(i) for i in replicated):
         raise ValueError(f"placement {replicated} must hold integer layer indices")
     if len(set(replicated)) != len(replicated):

@@ -255,8 +255,8 @@ def mul(a, b) -> Tensor:
 
 
 def _check_lora(w, down, up) -> None:
-    """Raise unless arrays or tensors ``down``, ``up`` are LoRA factors of ``w``."""
-    if down.ndim != 2 or up.ndim != 2 or down.shape[1] != w.shape[1] or up.shape != (w.shape[0], down.shape[0]):
+    """Raise unless ``w`` is a matrix and arrays or tensors ``down``, ``up`` are its LoRA factors."""
+    if w.ndim != 2 or down.ndim != 2 or down.shape[1] != w.shape[1] or up.shape != (w.shape[0], down.shape[0]):
         raise ShapeMismatch(f"lora_weight: weight {w.shape}, down {down.shape}, up {up.shape}")
 
 
@@ -771,8 +771,8 @@ def embed(table, ids: np.ndarray, *, prefix=None, pos=None) -> Tensor:
     """
     table = _as_tensor(table)
     ids = np.asarray(ids)
-    if table.ndim == 0 or ids.dtype.kind not in "iu":  # bool ids would select rows as a mask
-        raise ShapeMismatch(f"embed: needs a table and integer ids, got table {table.shape} and ids {ids.dtype}")
+    if table.ndim != 2 or ids.dtype.kind not in "iu":  # bool ids would select rows as a mask
+        raise ShapeMismatch(f"embed: needs a 2-D table and integer ids, got table {table.shape} and ids {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValueError(f"embed: id out of range for table with {table.shape[0]} rows")
     y = np.take(table.data, ids, axis=0)  # a new array, also for 0-d ids, since pos is added in place

@@ -91,7 +91,9 @@ class Dataset:
 
 
 def answer_start(tokens: np.ndarray) -> int:
-    """First answer position: right after the last separator token."""
+    """First answer position: right after the last separator token of a 1-D sequence."""
+    if np.ndim(tokens) != 1:
+        raise ValueError(f"tokens must be one 1-D sequence, got shape {np.shape(tokens)}")
     sep = np.flatnonzero(tokens == SEP)
     if sep.size == 0:
         raise ValueError("sequence has no separator")

@@ -5,6 +5,10 @@ projector, replicated/expert blocks, and adapters, with the base LM frozen
 throughout. The loop is plain: seeded shuffling without replacement, masked
 next-token loss averaged per sample then per batch, gradient accumulation
 that divides by the factor, and one AdamW step per accumulation window.
+The recipe's fixed rates are module constants: ``WARMUP_FRAC`` of the steps
+warm up, AdamW decays weights by ``WEIGHT_DECAY``, and ViT block i of n
+learns at ``VIT_LR_DECAY ** (n - 1 - i)`` times the scheduled rate (its
+embeddings at ``VIT_LR_DECAY ** n``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from . import autograd as ag
 from .adaptation import freeze_mask
 from .autograd import is_int, is_rate
 from .data import Dataset, collate
-from .model import VisionEncoder
 from .optim import AdamWState, LrSchedule, adamw_step, lr_at
 from .util import digest_tensors
 
@@ -28,11 +31,13 @@ __all__ = [
     "TrainingDiverged",
     "StageOrderError",
     "run_stage",
-    "layerwise_lr",
 ]
 
 STAGE_DEFAULT_STEPS = {1: 300, 2: 2000}
 STAGE_DEFAULT_PEAK_LR = {1: 1e-3, 2: 1e-4}
+WARMUP_FRAC = 0.01
+WEIGHT_DECAY = 0.05
+VIT_LR_DECAY = 0.9
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,26 +52,25 @@ class StageOrderError(RuntimeError):
 
 @dataclass(frozen=True)
 class StageConfig:
-    """Hyperparameters for one training stage (0 fields mean stage defaults)."""
+    """Settings for one training stage (0 fields mean stage defaults).
+
+    Warmup, weight decay and the ViT layer-wise decay are the recipe's
+    ``WARMUP_FRAC``, ``WEIGHT_DECAY`` and ``VIT_LR_DECAY`` in every stage.
+    """
 
     stage: int
     total_steps: int = 0
     batch_size: int = 16
     peak_lr: float = 0.0
-    warmup_frac: float = 0.01
-    weight_decay: float = 0.05
     grad_accum: int = 1
-    vit_lr_decay: float = 0.9
 
     def __post_init__(self):
         for name in ("stage", "total_steps", "batch_size", "grad_accum"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("peak_lr", "warmup_frac", "weight_decay", "vit_lr_decay"):
-            value = getattr(self, name)
-            if not is_rate(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not is_rate(self.peak_lr):
+            raise ValueError(f"peak_lr must be a finite number, got {self.peak_lr!r}")
         if self.stage not in (1, 2):
             raise ValueError(f"stage must be 1 or 2, got {self.stage}")
         if self.total_steps == 0:
@@ -77,20 +81,17 @@ class StageConfig:
             raise ValueError("grad_accum must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0 < self.vit_lr_decay <= 1):
-            raise ValueError("vit_lr_decay must be in (0, 1]")
-        for name in ("peak_lr", "warmup_frac", "weight_decay"):
-            if getattr(self, name) < 0:  # a negative decay grows every weight
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.peak_lr < 0:
+            raise ValueError(f"peak_lr must be non-negative, got {self.peak_lr}")
         if self.warmup_steps >= self.total_steps:
             raise ValueError(
-                f"warmup_steps {self.warmup_steps} (total_steps {self.total_steps} * warmup_frac "
-                f"{self.warmup_frac}) must be below total_steps"
+                f"warmup_steps {self.warmup_steps} (total_steps {self.total_steps} * WARMUP_FRAC "
+                f"{WARMUP_FRAC}) must be below total_steps"
             )
 
     @property
     def warmup_steps(self) -> int:
-        return max(1, round(self.total_steps * self.warmup_frac))
+        return max(1, round(self.total_steps * WARMUP_FRAC))
 
 
 @dataclass
@@ -106,33 +107,17 @@ class TrainReport:
     n_frozen: int = 0
 
 
-def layerwise_lr(vision: VisionEncoder, base_lr: float, decay: float = 0.9) -> list[float]:
-    """Per-block learning rates, bottom to top; the top block gets base_lr, a finite non-negative number."""
-    if not is_rate(base_lr) or base_lr < 0:
-        raise ValueError(f"base_lr must be a finite non-negative number, got {base_lr!r}")
-    if not is_rate(decay) or not (0 < decay <= 1):
-        raise ValueError(f"decay must be in (0, 1], got {decay!r}")
-    n = vision.config.n_vision_layers
-    return [base_lr * decay ** (n - 1 - i) for i in range(n)]
-
-
-def _lr_map(model, cfg: StageConfig, trainable: dict, base_lr: float) -> float | dict[str, float]:
-    """Scalar lr, or a per-name map when the ViT layer-wise decay applies."""
-    vision_names = [n for n in trainable if n.startswith("vision.")]
-    if not vision_names:
-        return base_lr
-    per_layer = layerwise_lr(model.vision, base_lr, cfg.vit_lr_decay)
-    below_bottom = base_lr * cfg.vit_lr_decay ** len(per_layer)
-    out = {}
+def _lr_scales(trainable: dict, n_vision_layers: int) -> dict[str, float]:
+    """Each trainable name's factor on the scheduled rate: the ViT layer-wise decay, else 1."""
+    scales = {}
     for name in trainable:
         if name.startswith("vision.blocks."):
-            layer = int(name.split(".")[2])
-            out[name] = per_layer[layer]
+            scales[name] = VIT_LR_DECAY ** (n_vision_layers - 1 - int(name.split(".")[2]))
         elif name in ("vision.sym_embed", "vision.pos_embed"):
-            out[name] = below_bottom
+            scales[name] = VIT_LR_DECAY**n_vision_layers
         else:
-            out[name] = base_lr
-    return out
+            scales[name] = 1.0
+    return scales
 
 
 def _per_sample_weights(predict_mask: np.ndarray) -> np.ndarray:
@@ -172,6 +157,7 @@ def run_stage(
     all_params = model.named_parameters()
     frozen = {n: p for n, p in all_params.items() if n not in trainable}
     name_of = {id(p): n for n, p in trainable.items()}
+    scales = _lr_scales(trainable, model.config.n_vision_layers)
 
     report = TrainReport(
         stage=cfg.stage,
@@ -216,7 +202,7 @@ def run_stage(
                 if name not in grad_sum:
                     grad_sum[name] = np.zeros_like(p.data)
             base_lr = lr_at(step, schedule)
-            adamw_step(trainable, grad_sum, state, _lr_map(model, cfg, trainable, base_lr), cfg.weight_decay)
+            adamw_step(trainable, grad_sum, state, {n: base_lr * s for n, s in scales.items()}, WEIGHT_DECAY)
             report.losses.append(loss_sum / cfg.grad_accum)
             if on_step is not None:
                 on_step(step + 1, model)

@@ -172,8 +172,10 @@ def test_degenerate_rank_rejected(tiny_base):
         ((3.0,), 4, "integer layer indices"),
         ((3, 3), 4, "repeats a layer"),
         ((3,), 2.5, "rank must be an integer"),
+        (3, 4, "placement 3 must be a tuple or list"),
+        (None, 4, "placement None must be a tuple or list"),
     ],
-    ids=["float-index", "repeated-index", "float-rank"],
+    ids=["float-index", "repeated-index", "float-rank", "int-placement", "none-placement"],
 )
 def test_build_rejects_malformed_placement_or_rank(tiny_base, build, placement, rank, message):
     with pytest.raises(ValueError, match=message):
@@ -370,6 +372,11 @@ def test_merge_shape_mismatch_rejected():
         lora_weight(np.zeros((6, 4)), np.zeros((2, 5)), np.zeros((6, 2)))
 
 
+def test_merge_rejects_a_weight_that_is_not_a_matrix():
+    with pytest.raises(ShapeMismatch, match="^lora_weight: weight"):
+        lora_weight(np.zeros(4), np.zeros((2, 4)), np.zeros((4, 2)))
+
+
 def test_merged_forward_equals_adapter_forward(rng):
     cfg = ModelConfig(
         vocab_size=32, d_model=16, n_layers=4, n_heads=2, max_seq=12,
@@ -466,6 +473,61 @@ def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
         # between x and norm2's gain, then x again as the residual
         k = 2 if i in sched else 3
         assert [len(n.inputs) for n in tape.nodes] == [4 * k + 2, 2 * k + 3], i
+
+
+# ----------------------------------------------------------------------------
+# static graphs: a merged GenieBlue forward runs the base's graph
+# ----------------------------------------------------------------------------
+
+
+def _graph(model, run):
+    """Op and input shapes of each node ``run()`` records, the LM and vision embedding tables tracked.
+
+    With the two tables tracked, every node of encode, project and decode
+    reaches the tape.
+    """
+    tables = (model.lm.params["embed.tokens"], model.vision.params["sym_embed"])
+    for t in tables:
+        t.requires_grad = True
+    try:
+        with GradTape() as tape:
+            run()
+    finally:
+        for t in tables:
+            t.requires_grad = False
+    return [(n.op, [x.shape for x in n.inputs]) for n in tape.nodes]
+
+
+def test_merged_genieblue_forward_has_the_base_graph_and_cogvlm_routes(tiny_config, rng):
+    """The paper's NPU argument: merged GenieBlue has no per-token routing, CogVLM-style does."""
+    cfg = tiny_config
+    base = build_model(cfg, seed=0)  # not the shared fixture, whose tables this test tracks
+    sched = plan_placement(cfg.n_layers, Fraction(1, 4), "skip")
+    hybrid = build_genieblue(base, sched, rank=4, seed=1)
+    for t in [up for block in hybrid.adapters.values() for _, up in block.values()] + [
+        w for block in hybrid.copies.values() for w in block.values()
+    ]:
+        t.data += rng.normal(scale=0.1, size=t.shape)
+    expert = build_cogvlm(base, sched, rank=4, seed=1)
+    with pytest.raises(ValueError, match="routed"):
+        merged_bindings(expert)
+    merged = merged_bindings(hybrid)
+    vision_ops = ["embed"] + BLOCK_OPS * cfg.n_vision_layers + ["rms_norm", "linear", "gelu", "linear"]
+    lm_ops = ["embed"] + BLOCK_OPS * cfg.n_layers + ["rms_norm", "linear"]
+    for batch, grids in (_mixed_batch(rng, cfg), (_text_batch(rng, cfg), None)):
+
+        def merged_forward():
+            injected = hybrid.projector.project(hybrid.vision.encode(grids)) if grids is not None else None
+            return decode(cfg, hybrid.lm.params, merged, batch, injected)
+
+        graph = _graph(base, lambda: base.forward(batch, grids))
+        assert [op for op, _ in graph] == (vision_ops if grids is not None else []) + lm_ops
+        assert _graph(hybrid, merged_forward) == graph
+        assert _graph(hybrid, lambda: hybrid.forward(batch, grids)) != graph  # unmerged adapters add operands
+        assert "routed_linear" not in {op for op, _ in graph}
+        assert "routed_linear" in {op for op, _ in _graph(expert, lambda: expert.forward(batch, grids))}
+        # the perturbed adapters and copies are live: the same graph computes other logits
+        assert not np.array_equal(merged_forward().data, base.forward(batch, grids).data)
 
 
 # ----------------------------------------------------------------------------

@@ -1606,6 +1606,7 @@ def _identity_half(x, n_heads):
         ("attention", lambda: _identity_half(np.zeros((1, 2, 4)), n_heads=0)),
         ("attention", lambda: _identity_half(np.zeros((1, 0, 4)), n_heads=2)),
         ("embed", lambda: ag.embed(np.eye(3), np.array([0.5]))),
+        ("embed", lambda: ag.embed(np.ones(3), np.zeros((2, 2), int))),
         ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((3, 1, 3)))),
         ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((2, 1, 4)))),
         ("embed", lambda: ag.embed(np.eye(3), np.zeros(2, int), prefix=np.zeros((2, 1, 3)))),
@@ -1616,9 +1617,9 @@ def _identity_half(x, n_heads):
     ],
     ids=[
         "routed_linear-bool-span", "routed_lora-bool-span", "linear-0d", "linear-inner-width", "rms_norm-0d",
-        "rms_norm-zero-width", "attention-0-heads", "attention-empty", "embed-float-ids", "embed-prefix-batch",
-        "embed-prefix-width", "embed-prefix-2d-rows", "embed-pos-not-broadcast", "embed-pos-grows-output",
-        "linear-bias-width", "linear-bias-2d",
+        "rms_norm-zero-width", "attention-0-heads", "attention-empty", "embed-float-ids", "embed-1d-table",
+        "embed-prefix-batch", "embed-prefix-width", "embed-prefix-2d-rows", "embed-pos-not-broadcast",
+        "embed-pos-grows-output", "linear-bias-width", "linear-bias-2d",
     ],
 )
 def test_kernels_reject_malformed_operands(op, call):

@@ -282,3 +282,9 @@ def test_synth_dataset_rejects_bool_sizes(size):
 def test_synth_dataset_rejects_bad_sizes(kwargs, message):
     with pytest.raises(ValueError, match=message):
         synth_dataset(TaskSpec("grid-caption", 2), **kwargs)
+
+
+@pytest.mark.parametrize("tokens", [[[1, SEP, 3], [1, SEP, 3]], SEP], ids=["2d", "0d"])
+def test_answer_start_refuses_tokens_that_are_not_one_sequence(tokens):
+    with pytest.raises(ValueError, match="tokens must be one 1-D sequence"):
+        answer_start(np.array(tokens))

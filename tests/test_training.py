@@ -1,29 +1,33 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from genieblue.adaptation import build_cogvlm, build_genieblue, count_trainable, plan_placement
+from genieblue import training
+from genieblue.adaptation import build_cogvlm, build_genieblue, count_trainable, freeze_mask, plan_placement
 from genieblue.autograd import Tensor, masked_nll
 from genieblue.data import TaskSpec, synth_dataset
 from genieblue.model import ModelConfig, build_model
-from genieblue.optim import LrSchedule
+from genieblue.optim import LrSchedule, lr_at
 from genieblue.training import (
+    VIT_LR_DECAY,
+    WARMUP_FRAC,
+    WEIGHT_DECAY,
     StageConfig,
     StageOrderError,
     TrainingDiverged,
     _per_sample_weights,
-    layerwise_lr,
     run_stage,
 )
 from genieblue.util import digest_tensors
 
 
-def _small_world(seed=0):
+def _small_world(seed=0, **config):
     cfg = ModelConfig(
         vocab_size=256, d_model=16, n_layers=4, n_heads=2, max_seq=48,
-        grid_side=3, grid_alphabet=4, d_vision=8, n_vision_heads=2,
+        grid_side=3, grid_alphabet=4, d_vision=8, n_vision_heads=2, **config,
     )
     base = build_model(cfg, seed=seed)
     hybrid = build_genieblue(base, plan_placement(4, Fraction(1, 4), "skip"), rank=4, seed=seed)
@@ -87,34 +91,36 @@ def test_all_ignored_rejected():
 # ----------------------------------------------------------------------------
 
 
-def test_layerwise_decay_one_is_identity():
-    base = build_model(ModelConfig(), seed=0)
-    assert layerwise_lr(base.vision, 1e-4, 1.0) == [1e-4, 1e-4]
+@pytest.mark.parametrize("stage, n_vision_layers", [(2, 2), (2, 0), (1, 2)])
+def test_each_name_learns_at_the_scheduled_rate_times_its_vit_layer_decay(monkeypatch, stage, n_vision_layers):
+    seen = []  # the lr map and weight decay of each optimizer step
 
+    def record(params, grads, state, lr, weight_decay=0.0):
+        seen.append((dict(lr), weight_decay))
+        real(params, grads, state, lr, weight_decay)
 
-def test_layerwise_two_layers():
-    base = build_model(ModelConfig(), seed=0)
-    got = layerwise_lr(base.vision, 1e-4, 0.9)
-    np.testing.assert_allclose(got, [9e-5, 1e-4])
-
-
-def test_layerwise_zero_layers_empty():
-    cfg = ModelConfig(n_vision_layers=0)
-    base = build_model(cfg, seed=0)
-    assert layerwise_lr(base.vision, 1e-4, 0.9) == []
-
-
-def test_layerwise_rejects_bad_decay():
-    base = build_model(ModelConfig(), seed=0)
-    with pytest.raises(ValueError):
-        layerwise_lr(base.vision, 1e-4, 0.0)
-
-
-@pytest.mark.parametrize("base_lr", [float("nan"), float("inf"), -1e-3], ids=["nan", "inf", "negative"])
-def test_layerwise_rejects_a_base_lr_that_is_not_finite_and_non_negative(base_lr):
-    base = build_model(ModelConfig(), seed=0)
-    with pytest.raises(ValueError, match="base_lr must be a finite non-negative number"):
-        layerwise_lr(base.vision, base_lr, 0.9)
+    real = training.adamw_step
+    monkeypatch.setattr(training, "adamw_step", record)
+    _, _, hybrid, data = _small_world(n_vision_layers=n_vision_layers)
+    cfg = _stage(stage, 3)
+    trainable = set(freeze_mask(hybrid, stage))
+    run_stage(hybrid, cfg, data, seed=0, allow_missing_stage1=True)
+    schedule = LrSchedule(cfg.peak_lr, cfg.warmup_steps, cfg.total_steps)
+    assert len(seen) == cfg.total_steps
+    for step, (lr, weight_decay) in enumerate(seen):
+        rate = lr_at(step, schedule)
+        assert lr.keys() == trainable and weight_decay == WEIGHT_DECAY
+        for name, got in lr.items():
+            if name.startswith("vision.blocks.1."):
+                assert got == rate, name
+            elif name.startswith("vision.blocks.0."):
+                assert got == rate * 0.9, name
+            elif name in ("vision.sym_embed", "vision.pos_embed"):
+                assert got == rate * 0.9 ** n_vision_layers, name
+            else:
+                assert got == rate, name
+    groups = {n.split(".")[0] for n in trainable}
+    assert groups == ({"projector"} if stage == 1 else {"projector", "adapter", "replicated", "vision"})
 
 
 # ----------------------------------------------------------------------------
@@ -232,7 +238,10 @@ def test_stage_config_defaults():
     s1, s2 = StageConfig(stage=1), StageConfig(stage=2)
     assert (s1.total_steps, s1.peak_lr) == (300, 1e-3)
     assert (s2.total_steps, s2.peak_lr) == (2000, 1e-4)
-    assert s1.weight_decay == 0.05 and s2.vit_lr_decay == 0.9
+    assert (WARMUP_FRAC, WEIGHT_DECAY, VIT_LR_DECAY) == (0.01, 0.05, 0.9)
+    assert [f.name for f in dataclasses.fields(StageConfig)] == [
+        "stage", "total_steps", "batch_size", "peak_lr", "grad_accum",
+    ]
     assert StageConfig(stage=1, total_steps=3434).warmup_steps == 34
     with pytest.raises(ValueError):
         StageConfig(stage=3)
@@ -243,20 +252,13 @@ def test_stage_config_defaults():
     [
         ({"total_steps": 1}, "warmup_steps"),
         ({"total_steps": -3}, "total_steps"),
-        ({"warmup_frac": 2.0}, "warmup_frac"),
         ({"peak_lr": -1e-3}, "peak_lr"),
     ],
-    ids=["one-step", "negative-steps", "warmup-past-total", "negative-lr"],
+    ids=["one-step", "negative-steps", "negative-lr"],
 )
 def test_stage_config_rejects_runs_that_cannot_start(kw, field):
     with pytest.raises(ValueError, match=field):
         StageConfig(stage=2, **kw)
-
-
-@pytest.mark.parametrize("field", ["weight_decay", "warmup_frac"])
-def test_stage_config_rejects_negative_decay_and_warmup(field):
-    with pytest.raises(ValueError, match=f"{field} must be non-negative"):
-        StageConfig(stage=2, total_steps=10, **{field: -0.5})
 
 
 @pytest.mark.parametrize(
@@ -268,9 +270,8 @@ def test_stage_config_rejects_negative_decay_and_warmup(field):
         ({"stage": 2.0}, "stage must be an integer"),
         ({"peak_lr": float("nan")}, "peak_lr must be a finite number"),
         ({"peak_lr": float("inf")}, "peak_lr must be a finite number"),
-        ({"weight_decay": float("nan")}, "weight_decay must be a finite number"),
     ],
-    ids=["fractional-steps", "fractional-batch", "fractional-accum", "float-stage", "nan-lr", "inf-lr", "nan-decay"],
+    ids=["fractional-steps", "fractional-batch", "fractional-accum", "float-stage", "nan-lr", "inf-lr"],
 )
 def test_stage_config_rejects_non_integer_counts_and_non_finite_rates(kw, message):
     with pytest.raises(ValueError, match=message):
@@ -279,12 +280,7 @@ def test_stage_config_rejects_non_integer_counts_and_non_finite_rates(kw, messag
 
 RATES = {
     "StageConfig.peak_lr": lambda r: StageConfig(stage=2, peak_lr=r),
-    "StageConfig.warmup_frac": lambda r: StageConfig(stage=2, warmup_frac=r),
-    "StageConfig.weight_decay": lambda r: StageConfig(stage=2, weight_decay=r),
-    "StageConfig.vit_lr_decay": lambda r: StageConfig(stage=2, vit_lr_decay=r),
     "LrSchedule.peak": lambda r: LrSchedule(r, 1, 10),
-    "layerwise_lr.base_lr": lambda r: layerwise_lr(build_model(ModelConfig(), seed=0).vision, r),
-    "layerwise_lr.decay": lambda r: layerwise_lr(build_model(ModelConfig(), seed=0).vision, 1e-4, r),
 }
 
 
