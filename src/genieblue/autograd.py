@@ -10,9 +10,10 @@ node holding its inputs and output and the values its backward pass needs
 that are not cheap to rebuild. What is cheap is rebuilt from the inputs with
 the forward's own operations, so the gradients keep their bits; each
 kernel's docstring says what its node keeps. A pre-norm transformer block is
-two nodes: the attention half, ``attention``, and the FFN half, a product
-node with a norm prologue (``linear`` or ``routed_linear``). Attention is
-entered only as a block half; there is no plain attention node.
+two nodes, each adding its own input ``x``: the attention half,
+``attention``, and the FFN half, ``linear`` or ``routed_linear`` with
+``inner`` and ``norm``. Attention is entered only as a block half; there is
+no plain attention node. A product is otherwise plain, with at most a bias.
 
 Causal attention skips its masked upper triangle in the forward, the
 backward's rebuild and the gradients, with the same bits (``_row_blocks``);
@@ -407,8 +408,8 @@ def _factored_grads(gp, xd, spec, wm, x_grad: bool) -> tuple:
     return grads
 
 
-def _product(op: str, x, mat, residual, inner=None, norm=None, bias=None) -> Tensor:
-    """The one product node behind ``linear`` and ``routed_linear``: ``x @ W.T (+ bias) + residual``.
+def _product(op: str, x, mat, inner=None, norm=None, bias=None) -> Tensor:
+    """The one product node behind ``linear`` and ``routed_linear``: ``x @ W.T (+ bias)``, or a block's FFN half.
 
     ``mat`` and ``inner`` are matrix specs (``_checked_spec``). The routed
     rows, every row at span None and the image prefix ``[:, :span]`` of a
@@ -419,142 +420,128 @@ def _product(op: str, x, mat, residual, inner=None, norm=None, bias=None) -> Ten
     ``x @ w.T`` over every row, then overwrites the prefix with its
     ``x @ W_m.T`` rows.
 
-    ``inner`` puts a hidden layer in front: the product then runs over
-    ``gelu(x @ W_h.T)`` instead of ``x``, with ``W_h`` routed as above.
-    That is a whole FFN in one node, with the bits of the inner product,
-    ``gelu`` and the outer product as three nodes. ``norm``, a gain as wide
-    as a row of ``x``, puts ``rms_norm(x, norm)`` in front of everything,
-    with ``rms_norm``'s own arithmetic (``_rms_rows``). A ``bias``, shaped
-    ``(out,)``, is added to the product and the residual, shaped like the
-    output, last, so the result has the bits of ``add(residual,
-    add(product, bias))``. With ``norm``, ``inner`` and the residual ``x``,
-    the node is the FFN half of a pre-norm block.
+    A plain product may add a ``bias``, shaped ``(out,)``, last, with the
+    bits of ``add(product, bias)``. ``inner`` and ``norm``, which come
+    together and take no bias, make the node the FFN half of a pre-norm
+    block: ``x + gelu(rms_norm(x, norm) @ W_h.T) @ W.T``, ``W_h`` routed as
+    above and ``W`` as wide as ``x``. It has the bits of the flat graph of
+    ``rms_norm`` (``_rms_rows``), the inner product, ``gelu``, the outer
+    product and an ``add`` of ``x``.
 
     The node keeps only its inputs: no normed rows, no hidden rows, no GELU
     derivative and no merged weight. Its vjp forms the merged weights again
     and rebuilds the normed and hidden rows with the forward's own
     ``_rms_rows`` and ``_pre_activation``, so the gradients have the bits of
-    kept arrays. With ``inner``, it rebuilds the hidden pre-activations and
-    drops the normed rows before it takes the hidden rows' gradient
+    kept arrays. The FFN half rebuilds the hidden pre-activations and drops
+    the normed rows before it takes the hidden rows' gradient
     (``_rows_grad``), so that no normed rows live beside the two hidden-size
     arrays; ``_gelu_and_grad_`` turns the pre-activations into their GELU
     and that gradient into the pre-activations' own, and the normed rows
     are rebuilt once more for the inner product's gradients. Both products'
     gradients come from ``_factored_grads``, the normed rows' gradient gives
-    those of ``x`` and the gain through ``_rms_grads``, and the bias and the
-    residual get the incoming gradient, summed to ``(out,)`` for the bias.
-    Each rebuilt array is dropped after its last use. The node is recorded
-    as ``op`` over ``(x, w[, expert][, down, up][, w_h[, expert_h][,
-    down_h, up_h]][, gain][, bias][, residual])``.
+    those of ``x`` and the gain through ``_rms_grads``, and ``x`` adds the
+    incoming gradient, the sum its two uses make in the flat graph. The bias
+    gets the incoming gradient summed to ``(out,)``. Each rebuilt array is
+    dropped after its last use. The node is recorded as ``op`` over ``(x,
+    w[, expert][, down, up][, bias])``, or for the FFN half over ``(x, w[,
+    expert][, down, up], w_h[, expert_h][, down_h, up_h], gain)``.
     """
+    if (inner is None) != (norm is None):
+        raise ValueError(f"{op}: inner and norm come together, as a block's FFN half")
+    if inner is not None and bias is not None:
+        raise ValueError(f"{op}: a bias goes on a plain product, not on a block's FFN half")
     x = _as_tensor(x)
     rows = x.data.shape
-    gain = None if norm is None else _checked_gain(op, rows, norm)
     if inner is not None:
+        gain = _checked_gain(op, rows, norm)
         inner = _checked_spec(op, rows, inner)
         rows = rows[:-1] + (inner[0].shape[0],)
     mat = _checked_spec(op, rows, mat, op == "routed_linear")
     out_shape = rows[:-1] + (mat[0].shape[0],)
     inputs = (x,) + _operands(mat)
     if inner is not None:
-        inputs += _operands(inner)
-    if gain is not None:
-        inputs += (gain,)
+        if out_shape != x.shape:
+            raise ShapeMismatch(f"{op}: output {out_shape} vs residual {x.shape}")
+        inputs += _operands(inner) + (gain,)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != out_shape[-1:]:
             raise ShapeMismatch(f"{op}: bias {bias.shape} vs output {out_shape}")
         inputs += (bias,)
-    if residual is not None:
-        residual = _as_tensor(residual)
-        if residual.shape != out_shape:
-            raise ShapeMismatch(f"{op}: residual {residual.shape} vs output {out_shape}")
-        inputs += (residual,)
     xd = x.data
-    h = xd if gain is None else _rms_rows(xd, gain.data)[0]
-    if inner is not None:
-        h = _pre_activation(h, inner, _routed_weight(inner))
+    if inner is None:
+        y = _pre_activation(xd, mat, _routed_weight(mat))
+    else:
+        h = _pre_activation(_rms_rows(xd, gain.data)[0], inner, _routed_weight(inner))
         _gelu_(h)
-    y = _pre_activation(h, mat, _routed_weight(mat))
+        y = _pre_activation(h, mat, _routed_weight(mat))
+        y += xd
     if bias is not None:
         y += bias.data
-    if residual is not None:
-        y += residual.data
     out = Tensor(y)
     if not _will_record(inputs):  # the tape-off path builds no vjp closure
         return out
-    # whether the rows the products run over, x or its normed rows, need a gradient
-    xn_grad = x.requires_grad or (gain is not None and gain.requires_grad)
-
-    def normed():
-        return (xd, None) if gain is None else _rms_rows(xd, gain.data)
 
     def vjp(g):
-        xn, inv = normed()
         wm = _routed_weight(mat)
         if inner is None:
-            grads = _factored_grads(g, xn, mat, wm, xn_grad)
-            del xn
-        else:  # the hidden rows, rebuilt, and their gradient, both through GELU
-            wmh = _routed_weight(inner)
-            hd = _pre_activation(xn, inner, wmh)
-            del xn
-            gh = _rows_grad(g, mat, wm)
-            _gelu_and_grad_(hd, gh)
-            grads = _factored_grads(g, hd, mat, wm, False)
-            del hd
-            inner_grads = _factored_grads(gh, normed()[0], inner, wmh, xn_grad)
-            del gh
-            grads = inner_grads[:1] + grads[1:] + inner_grads[1:]
-        if gain is not None:
-            gx, ggain = _rms_grads(grads[0], xd, gain.data, inv, x.requires_grad, gain.requires_grad)
-            grads = (gx,) + grads[1:] + (ggain,)
-        if bias is not None:
-            grads += (_unbroadcast(g, bias.shape) if bias.requires_grad else None,)
-        if residual is not None:
-            grads += (g if residual.requires_grad else None,)
-        return grads
+            grads = _factored_grads(g, xd, mat, wm, x.requires_grad)
+            if bias is not None:
+                grads += (_unbroadcast(g, bias.shape) if bias.requires_grad else None,)
+            return grads
+        # the hidden rows, rebuilt, and their gradient, both through GELU
+        xn, inv = _rms_rows(xd, gain.data)
+        wmh = _routed_weight(inner)
+        hd = _pre_activation(xn, inner, wmh)
+        del xn
+        gh = _rows_grad(g, mat, wm)
+        _gelu_and_grad_(hd, gh)
+        grads = _factored_grads(g, hd, mat, wm, False)[1:]
+        del hd
+        xn_grad = x.requires_grad or gain.requires_grad  # whether the normed rows need a gradient
+        gxn, *inner_grads = _factored_grads(gh, _rms_rows(xd, gain.data)[0], inner, wmh, xn_grad)
+        del gh
+        gx, ggain = _rms_grads(gxn, xd, gain.data, inv, x.requires_grad, gain.requires_grad)
+        if gx is not None:
+            gx += g
+        return (gx,) + grads + tuple(inner_grads) + (ggain,)
 
     return _maybe_record(op, out, inputs, vjp)
 
 
-def linear(x, w, adapter=None, *, bias=None, residual=None, inner=None, norm=None) -> Tensor:
-    """``x @ W.T + bias + residual`` for x (..., k) and a weight stored (out, k).
+def linear(x, w, adapter=None, *, bias=None, inner=None, norm=None) -> Tensor:
+    """``x @ W.T + bias`` for x (..., k) and a weight stored (out, k), or a block's FFN half.
 
     ``W`` is ``w``, or the merged weight ``lora_weight(w, down, up)`` of a
     LoRA ``adapter=(down, up)``, for every row. This is ``_product`` over
-    the spec ``(w, None, adapter, None)``: the result has the bits of
-    ``add(residual, add(linear(x, w, adapter), bias))``, and the node is
-    recorded as ``linear`` over ``(x, w[, down, up][, bias][, residual])``;
-    a ``bias`` must be shaped ``(out,)``.
+    the spec ``(w, None, adapter, None)``, recorded as ``linear`` over
+    ``(x, w[, down, up][, bias])``; a ``bias`` must be shaped ``(out,)``.
 
-    ``inner=(w_h, expert_h, adapter_h, span_h)`` makes the node a whole FFN:
-    ``x`` first goes through ``gelu(x @ W_h.T)``, with ``W_h`` routed as in
-    ``routed_linear`` when ``span_h`` is an integer and merged over every
-    row when it is None. ``norm=gain`` puts ``rms_norm(x, gain)`` in front
-    of that. The result has the bits of ``linear(gelu(linear(rms_norm(x,
-    gain), w_h, adapter_h)), w, adapter, residual=)`` (or ``routed_linear``
-    inside), and the operands of ``inner`` and then the gain join the
-    node's inputs before the bias.
+    ``inner=(w_h, expert_h, adapter_h, span_h)`` and ``norm=gain`` together,
+    with no bias, make the node the FFN half ``x + gelu(rms_norm(x, gain) @
+    W_h.T) @ W.T``, ``W_h`` routed as in ``routed_linear`` when ``span_h``
+    is an integer and merged over every row when it is None, and ``W`` as
+    wide as ``x``. The operands of ``inner`` and then the gain follow those
+    of ``w`` among the node's inputs. One of the two without the other, or
+    either beside a bias, raises ``ValueError``.
     """
-    return _product("linear", x, (w, None, adapter, None), residual, inner, norm, bias)
+    return _product("linear", x, (w, None, adapter, None), inner, norm, bias)
 
 
-def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, residual=None, inner=None, norm=None) -> Tensor:
-    """Per-position ``x @ W.T + residual``: the image prefix takes a routed weight.
+def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, inner, norm) -> Tensor:
+    """Per-position ``x @ W.T``, or a block's FFN half over it: the image prefix takes a routed weight.
 
     ``x`` is (B, T, k) and ``span`` an integer in [0, T]: rows ``[:, :span]``
     are image positions and take the expert ``w_expert``, shaped like
     ``w_base``, or the merged weight of a LoRA ``adapter=(down, up)``;
     exactly one of the two is given. Rows from ``span`` on have the bits of
-    ``linear(x, w_base, residual=)``, and at span 0 neither the expert nor
-    the factors are read. This is ``_product`` over the spec ``(w_base,
-    w_expert, adapter, span)``, recorded as ``routed_linear`` over
-    ``(x, w_base, w_expert | down, up[, residual])``. ``inner`` puts a GELU
-    hidden layer in front and ``norm`` an RMS norm in front of that, as in
-    ``linear``.
+    ``linear(x, w_base)``, and at span 0 neither the expert nor the factors
+    are read. This is ``_product`` over the spec ``(w_base, w_expert,
+    adapter, span)``, recorded as ``routed_linear`` over ``(x, w_base,
+    w_expert | down, up)``. ``inner`` and ``norm`` are required: both None
+    give the plain product, and both given the FFN half, as in ``linear``.
     """
-    return _product("routed_linear", x, (w_base, w_expert, adapter, span), residual, inner, norm)
+    return _product("routed_linear", x, (w_base, w_expert, adapter, span), inner, norm)
 
 
 def routed_lora(x, down, up, span: int) -> Tensor:
@@ -934,19 +921,16 @@ def _attention_forward(q, k, v, scale: float, causal: bool, n_heads: int) -> tup
     return ao, mx, denom
 
 
-def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads: int, out, ao) -> None:
-    """Write q, k and v's gradients, for the gradient ``ga`` of the output rows, into ``out``, a few samples at a time.
+def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads: int) -> None:
+    """Write q, k and v's gradients over ``qkv`` and the output rows over ``ga``, a few samples at a time.
 
-    ``qkv`` are the (B, T, d) q, k and v rows and ``out`` three (B, T, d)
-    arrays, None where no gradient is wanted; with the forward's row max
-    and denominator they rebuild each chunk's probabilities through
-    ``_attention_probs``. ``ao`` receives the attention output rows; ``ga``
-    may be None, and then nothing is written to ``out``. A chunk reads only
-    its own samples and forms its gradients and output whole before it
-    writes any, so ``out`` may be ``qkv`` itself and ``ao`` may be ``ga``.
-    A stacked matmul is one product per (sample, head) and the softmax
-    works row by row, so the chunks give the bits of one whole-batch pass
-    without ever holding the (B, H, T, T) probabilities.
+    ``qkv`` are the (B, T, d) q, k and v rows and ``ga`` the gradient of the
+    output rows; with the forward's row max and denominator they rebuild
+    each chunk's probabilities through ``_attention_probs``. A chunk reads
+    only its own samples and forms its gradients and output whole before it
+    writes any. A stacked matmul is one product per (sample, head) and the
+    softmax works row by row, so the chunks give the bits of one
+    whole-batch pass without ever holding the (B, H, T, T) probabilities.
 
     In a chunk, each row block [r0, r1) of ``_row_blocks`` rebuilds p, the
     output rows, the score gradient ``gs`` and q's gradient from keys [0,
@@ -956,48 +940,38 @@ def _attention_backward(ga, qkv, mx, denom, scale: float, causal: bool, n_heads:
     bsz, t, d = qkv[0].shape
     step = min(bsz, max(1, _ATTENTION_TILE // (n_heads * t * t)))
     blocks = _row_blocks(step * n_heads, t, d // n_heads, causal)
-    gs_wanted = out[0] is not None or out[1] is not None
     # a lone block is its own buffer; a block works in new contiguous arrays, since numpy
     # runs elementwise loops over a strided block view row by row
     p_buf = np.empty((step, n_heads, t, t)) if len(blocks) > 1 else None
-    gs_buf = np.empty(p_buf.shape) if len(blocks) > 1 and gs_wanted else None
+    gs_buf = np.empty(p_buf.shape) if len(blocks) > 1 else None
     for b in range(0, bsz, step):
         c = slice(b, b + step)
-        qh, kh, vh = (_heads(a[c], n_heads) for a in qkv)
-        gh = None if ga is None else _heads(ga[c], n_heads)
+        qh, kh, vh, gh = (_heads(a[c], n_heads) for a in (*qkv, ga))
         n = qh.shape[0]
         p, gs = (None if a is None else a[:n] for a in (p_buf, gs_buf))
-        gq, oh = None if out[0] is None else np.empty((n, t, d)), np.empty((n, t, d))
+        gq, oh = np.empty((n, t, d)), np.empty((n, t, d))
         for r0, r1 in blocks:
             rows, keys, block = np.s_[..., r0:r1, :], np.s_[..., :r1, :], np.s_[..., r0:r1, :r1]
             pb = _attention_probs(qh[rows], kh[keys], scale, causal, mx[c][rows], denom[c][rows], True)
             np.matmul(pb, vh[keys], out=_heads(oh, n_heads)[rows])
-            gsb = None
-            if gs_wanted:
-                # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
-                gsb = np.matmul(gh[rows], vh[keys].swapaxes(-1, -2))
-                gsb -= (gsb * pb).sum(axis=-1, keepdims=True)
-                gsb *= pb
-                gsb *= scale
-                if gq is not None:
-                    np.matmul(gsb, kh[keys], out=_heads(gq, n_heads)[rows])
+            # gs = p * (gp - rowsum(gp * p)) * scale, built in gp's buffer
+            gsb = np.matmul(gh[rows], vh[keys].swapaxes(-1, -2))
+            gsb -= (gsb * pb).sum(axis=-1, keepdims=True)
+            gsb *= pb
+            gsb *= scale
+            np.matmul(gsb, kh[keys], out=_heads(gq, n_heads)[rows])
             if len(blocks) == 1:
                 p, gs = pb, gsb
             else:
-                p[block] = pb
-                if gs_wanted:
-                    gs[block] = gsb
+                p[block], gs[block] = pb, gsb
             del pb, gsb  # before the next block's arrays, or the column passes'
-        gk, gv = (None if o is None else np.empty((n, t, d)) for o in out[1:])
+        gk, gv = np.empty((n, t, d)), np.empty((n, t, d))
         for c0, c1 in blocks:
             cols, later = np.s_[..., c0:, c0:c1], np.s_[..., c0:, :]
-            if gk is not None:
-                np.matmul(gs[cols].swapaxes(-1, -2), qh[later], out=_heads(gk, n_heads)[..., c0:c1, :])
-            if gv is not None:
-                np.matmul(p[cols].swapaxes(-1, -2), gh[later], out=_heads(gv, n_heads)[..., c0:c1, :])
-        for o, a in zip((*out, ao), (gq, gk, gv, oh)):
-            if a is not None:
-                o[c] = a
+            np.matmul(gs[cols].swapaxes(-1, -2), qh[later], out=_heads(gk, n_heads)[..., c0:c1, :])
+            np.matmul(p[cols].swapaxes(-1, -2), gh[later], out=_heads(gv, n_heads)[..., c0:c1, :])
+        for o, a in zip((*qkv, ga), (gq, gk, gv, oh)):
+            o[c] = a
         del gq, gk, gv, oh, a  # before the next chunk's arrays are made
 
 
@@ -1030,8 +1004,9 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x, gain, wo) -> Ten
     the gradients or the output. Then come ``wo``'s own gradients over the
     whole attention output; then v, k and q, whose row gradients sum as
     ``(gx_v + gx_k) + gx_q``; then the norm, and ``x`` gets ``g +
-    gx_norm``. Each rebuilt array is dropped after its last use, and only
-    the gradients the flat graph would have are computed. The node is
+    gx_norm``. Each rebuilt array is dropped after its last use. Frozen
+    operands get None, but q, k and v's gradients are always taken: every
+    tape the package records trains something below them. The node is
     recorded as ``attention`` over ``(x, wo, v, k and q operands, gain)``,
     the matrices in the flat graph's reverse order, so a tensor shared by
     two of them sums its gradients as before.
@@ -1062,10 +1037,7 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x, gain, wo) -> Ten
     out = Tensor(y)
     if not _will_record(inputs):  # the tape-off path builds no vjp closure
         return out
-    # which arrays of the flat graph needed a gradient: the normed rows, q, k and v, the attention output
-    hn_grad = x.requires_grad or gain.requires_grad
-    qkv_grad = [hn_grad or any(t.requires_grad for t in _operands(m)) for m in mats]
-    a_grad = any(qkv_grad)
+    hn_grad = x.requires_grad or gain.requires_grad  # whether the normed rows need a gradient
 
     def vjp(g):
         hn, inv = _rms_rows(xd, gd)
@@ -1073,29 +1045,19 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x, gain, wo) -> Ten
         qkv = [_pre_activation(hn, m, wm) for m, wm in zip(mats, wms)]
         wmo = _routed_weight(wo)
         # the attention output's gradient needs no rows, so it comes first; then the chunks
-        # take q, k and v's gradients from it into their rows, and the output into its rows
-        ga = _rows_grad(g, wo, wmo) if a_grad else None
-        ao = np.empty(rows) if ga is None else ga
-        gqkv = [r if w else None for r, w in zip(qkv, qkv_grad)]
-        _attention_backward(ga, qkv, mx, denom, scale, causal, n_heads, gqkv, ao)
-        del ga, qkv
-        grads = _factored_grads(g, ao, wo, wmo, False)[1:]
-        del ao
+        # write q, k and v's gradients over their rows, and the output over its gradient
+        ga = _rows_grad(g, wo, wmo)
+        _attention_backward(ga, qkv, mx, denom, scale, causal, n_heads)
+        grads = _factored_grads(g, ga, wo, wmo, False)[1:]
+        del ga
         gh = None
         for i in (2, 1, 0):  # v, k, q: the flat graph's replay order
-            m, gm = mats[i], gqkv[i]
-            gqkv[i] = None  # gm is then the last reference, dropped after its use
-            if gm is None:  # nothing under this matrix trains
-                grads += (None,) * len(_operands(m))
-                continue
-            gx_m, *g_ops = _factored_grads(gm, hn, m, wms[i], hn_grad)
+            gm, qkv[i] = qkv[i], None  # gm is then the last reference, dropped after its use
+            gx_m, *g_ops = _factored_grads(gm, hn, mats[i], wms[i], hn_grad)
             del gm
             grads += tuple(g_ops)
             # the row gradients sum as the flat graph's backward summed them: (v + k) + q
-            if gh is None:
-                gh = gx_m
-            elif gx_m is not None:
-                gh += gx_m
+            gh = gx_m if gh is None else np.add(gh, gx_m, out=gh)
             del gx_m
         del hn
         gx, ggain = _rms_grads(gh, xd, gd, inv, x.requires_grad, gain.requires_grad)

@@ -91,9 +91,10 @@ class Dataset:
 
 
 def answer_start(tokens: np.ndarray) -> int:
-    """First answer position: right after the last separator token of a 1-D sequence."""
-    if np.ndim(tokens) != 1:
-        raise ValueError(f"tokens must be one 1-D sequence, got shape {np.shape(tokens)}")
+    """First answer position: right after the last separator token of a 1-D sequence, an array or a list."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 1:
+        raise ValueError(f"tokens must be one 1-D sequence, got shape {tokens.shape}")
     sep = np.flatnonzero(tokens == SEP)
     if sep.size == 0:
         raise ValueError("sequence has no separator")
@@ -243,12 +244,13 @@ def collate(
     targets = np.zeros((n, width), dtype=np.int64)
     predict = np.zeros((n, width), dtype=bool)
     for b, s in enumerate(samples):
-        ln = len(s.tokens)
+        tokens = np.asarray(s.tokens)
+        ln = len(tokens)
         if ln > width:
             raise ValueError(f"sample length {ln} exceeds pad width {width}")
-        ids[b, :ln] = s.tokens
-        start = answer_start(s.tokens)
-        targets[b, : ln - 1] = s.tokens[1:]
+        ids[b, :ln] = tokens
+        start = answer_start(tokens)
+        targets[b, : ln - 1] = tokens[1:]
         predict[b, start - 1 : ln - 1] = True
     grids = None if samples[0].grid is None else np.stack([s.grid for s in samples])
     return TokenBatch(ids, spans[0]), targets, predict, grids

@@ -158,17 +158,18 @@ def block_forward(x: Tensor, binding: BlockBinding, n_heads: int, causal: bool =
     ``span`` is the image prefix length that routed matrices serve. The
     attention half, ``rms_norm``, the q, k and v products, attention and the
     ``attn.wo`` product adding ``x``, is one ``attention`` node. The FFN half
-    is one product node over the mid-block stream: its norm, ``ffn.w1`` and
-    the GELU go in front of ``ffn.w2``, which adds the stream back: ``linear``
-    over an unrouted ``ffn.w2`` and ``routed_linear`` over a routed one.
+    is one product node over the mid-block stream ``x``: its norm, ``ffn.w1``
+    and the GELU go in front of ``ffn.w2``, and the node adds ``x`` back, as
+    the attention half does: ``linear`` over an unrouted ``ffn.w2`` and
+    ``routed_linear`` over a routed one.
     """
     q, k, v, o = (_matrix(binding, mat, span) for mat in BLOCK_MATRICES[:4])
     x = ag.attention(q, k, v, n_heads, causal=causal, x=x, gain=binding.weights["norm1.g"], wo=o)
     w, expert, adapter, routed_span = _matrix(binding, "ffn.w2", span)
     inner, gain = _matrix(binding, "ffn.w1", span), binding.weights["norm2.g"]
     if routed_span is None:
-        return ag.linear(x, w, adapter, residual=x, inner=inner, norm=gain)
-    return ag.routed_linear(x, w, expert, routed_span, adapter=adapter, residual=x, inner=inner, norm=gain)
+        return ag.linear(x, w, adapter, inner=inner, norm=gain)
+    return ag.routed_linear(x, w, expert, routed_span, adapter=adapter, inner=inner, norm=gain)
 
 
 def block_param_shapes(d: int, d_ffn: int) -> dict[str, tuple[int, ...]]:

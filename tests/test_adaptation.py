@@ -455,11 +455,11 @@ def test_adapted_block_tape_matches_replicated_block(tiny_base, rng):
         assert [n.op for n in tape.nodes] == BLOCK_OPS, i
         # an adapted matrix has the operands (w, down, up), a replicated one
         # (w): the attention node is over x, the operands of wo, wv, wk and
-        # wq, and norm1's gain; the FFN node over x, the operands of w2 and
-        # w1, norm2's gain and x again as the residual
+        # wq, and norm1's gain; the FFN node over the mid-block stream, the
+        # operands of w2 and w1, and norm2's gain, each half adding its x
         k = 1 if i in sched else 3
-        assert [len(n.inputs) for n in tape.nodes] == [4 * k + 2, 2 * k + 3], i
-        assert tape.nodes[1].inputs[0] is tape.nodes[1].inputs[-1] is tape.nodes[0].out
+        assert [len(n.inputs) for n in tape.nodes] == [4 * k + 2, 2 * k + 2], i
+        assert tape.nodes[1].inputs[0] is tape.nodes[0].out
 
 
 def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
@@ -469,10 +469,9 @@ def test_routed_block_tape_keeps_routed_kernels(tiny_base, rng):
     for i, tape in enumerate(_stage2_block_tapes(expert, rng)):
         assert [n.op for n in tape.nodes] == routed_ops, i
         # each matrix has the operands (w, expert) or (w, down, up), in the
-        # attention node between x and norm1's gain, and in the FFN node
-        # between x and norm2's gain, then x again as the residual
+        # attention node and in the FFN node between x and the norm's gain
         k = 2 if i in sched else 3
-        assert [len(n.inputs) for n in tape.nodes] == [4 * k + 2, 2 * k + 3], i
+        assert [len(n.inputs) for n in tape.nodes] == [4 * k + 2, 2 * k + 2], i
 
 
 # ----------------------------------------------------------------------------

@@ -333,7 +333,7 @@ def test_grad_attention(probe, causal):
 def test_grad_routed_linear(probe):
     c = probe((2, 4, 6))
     _check_grads(
-        lambda t: ag.sum_all(ag.mul(ag.routed_linear(t["x"], t["wb"], t["we"], 2), c)),
+        lambda t: ag.sum_all(ag.mul(ag.routed_linear(t["x"], t["wb"], t["we"], 2, inner=None, norm=None), c)),
         {"x": probe((2, 4, 5)), "wb": probe((6, 5)), "we": probe((6, 5))},
     )
 
@@ -437,21 +437,25 @@ def test_linear_adapter_rejects_mismatched_factors(rng, down_shape, up_shape):
 
 
 # ----------------------------------------------------------------------------
-# linear with a folded residual or GELU hidden layer: the bits of the unfused graph
+# linear with a folded bias, or as a block's FFN half: the bits of the unfused graph
 # ----------------------------------------------------------------------------
 
 
-def _fold_arrays(rng, adapter, residual=True, hidden=False, bias=False):
-    arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(10, 12))}
-    if residual:
-        arrays["r"] = rng.normal(size=(3, 7, 10))
-    if bias:
-        arrays["b"] = rng.normal(size=(10,))
-    if hidden:  # the weight of a GELU hidden layer in front of w
+def _fold_arrays(rng, adapter, fold):
+    """(3, 7, 12) rows ``x``, a (12, 12) ``w``, its LoRA factors with ``adapter``, and what ``fold`` adds.
+
+    The "bias" fold adds a bias; the "gelu" fold is a block's FFN half, with
+    a GELU hidden layer's weight ``wh`` and a norm ``gain``.
+    """
+    arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(12, 12))}
+    if fold == "bias":
+        arrays["b"] = rng.normal(size=(12,))
+    else:
         arrays["wh"] = rng.normal(size=(12, 12))
+        arrays["gain"] = rng.normal(1.0, 0.3, size=12)
     if adapter:
         arrays["down"] = rng.normal(size=(4, 12))
-        arrays["up"] = rng.normal(size=(10, 4))
+        arrays["up"] = rng.normal(size=(12, 4))
     return arrays
 
 
@@ -466,16 +470,14 @@ def _hidden(t):
 
 FOLDS = {
     "bias": (
-        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), bias=t["b"], residual=t["r"]),
-        lambda t: ag.add(t["r"], ag.add(ag.linear(t["x"], t["w"], _adapter_of(t)), t["b"])),
-    ),
-    "residual": (
-        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), residual=t["r"]),
-        lambda t: ag.add(t["r"], ag.linear(t["x"], t["w"], _adapter_of(t))),
+        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), bias=t["b"]),
+        lambda t: ag.add(ag.linear(t["x"], t["w"], _adapter_of(t)), t["b"]),
     ),
     "gelu": (
-        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), inner=_hidden(t)),
-        lambda t: ag.linear(ag.gelu(ag.linear(t["x"], t["wh"])), t["w"], _adapter_of(t)),
+        lambda t: ag.linear(t["x"], t["w"], _adapter_of(t), inner=_hidden(t), norm=t["gain"]),
+        lambda t: ag.add(
+            t["x"], ag.linear(ag.gelu(ag.linear(ag.rms_norm(t["x"], t["gain"]), t["wh"])), t["w"], _adapter_of(t))
+        ),
     ),
 }
 
@@ -493,8 +495,8 @@ def _fold_and_grads(build, arrays, frozen, g):
 @pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
 @pytest.mark.parametrize("fold", sorted(FOLDS))
 def test_linear_fold_bits_equal_unfused_graph(rng, fold, adapter, frozen):
-    arrays = _fold_arrays(rng, adapter, residual=fold != "gelu", hidden=fold == "gelu", bias=fold == "bias")
-    g = rng.normal(size=(3, 7, 10))
+    arrays = _fold_arrays(rng, adapter, fold)
+    g = rng.normal(size=(3, 7, 12))
     fused_build, unfused_build = FOLDS[fold]
     fused, fused_grads, fused_ops = _fold_and_grads(fused_build, arrays, frozen, g)
     unfused, unfused_grads, _ = _fold_and_grads(unfused_build, arrays, frozen, g)
@@ -509,51 +511,24 @@ def test_linear_fold_bits_equal_unfused_graph(rng, fold, adapter, frozen):
     assert fused_build(plain).data.tobytes() == unfused_build(plain).data.tobytes() == fused.tobytes()
 
 
-def test_linear_fold_records_residual_last(rng):
-    arrays = _fold_arrays(rng, adapter=True, hidden=True, bias=True)
-    t = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    with GradTape() as tape:
-        ag.linear(t["x"], t["w"], (t["down"], t["up"]), bias=t["b"], residual=t["r"], inner=_hidden(t))
-    (node,) = tape.nodes
-    assert node.op == "linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["wh"], t["b"], t["r"])
-    g = rng.normal(size=(3, 7, 10))
-    grads = node.vjp(g)
-    assert grads[-1] is g  # the residual takes the incoming gradient unchanged
-    assert grads[-2].tobytes() == g.sum(axis=(0, 1)).tobytes()  # the bias its sum over the rows
-
-
-@pytest.mark.parametrize(
-    "residual, gelu, bias",
-    [(True, False, False), (False, True, False), (True, True, False), (False, False, True)],
-    ids=["res", "gelu", "both", "bias"],
-)
+# "both" is the residual x and a GELU hidden layer, with its norm: a block's FFN half
+@pytest.mark.parametrize("ffn", [True, False], ids=["both", "bias"])
 @pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
-def test_grad_linear_fold(probe, adapter, residual, gelu, bias):
-    c = probe((2, 3, 6))
-    arrays = {"x": probe((2, 3, 5)), "w": probe((6, 5))}
+def test_grad_linear_fold(probe, adapter, ffn):
+    c = probe((2, 3, 5))
+    arrays = {"x": probe((2, 3, 5)), "w": probe((5, 5))}
     if adapter:
-        arrays.update(down=probe((2, 5)), up=probe((6, 2)))
-    if residual:
-        arrays["r"] = probe((2, 3, 6))
-    if gelu:  # a GELU hidden layer in front of w
-        arrays["wh"] = probe((5, 5))
-    if bias:
-        arrays["b"] = probe((6,))
-    _check_grads(
-        lambda t: ag.sum_all(
-            ag.mul(
-                ag.linear(t["x"], t["w"], _adapter_of(t), bias=t.get("b"), residual=t.get("r"), inner=_hidden(t)), c
-            )
-        ),
-        arrays,
-    )
+        arrays.update(down=probe((2, 5)), up=probe((5, 2)))
+    if ffn:
+        arrays.update(wh=probe((5, 5)), gain=probe(5))
+    else:
+        arrays["b"] = probe((5,))
 
+    def loss(t):
+        y = ag.linear(t["x"], t["w"], _adapter_of(t), bias=t.get("b"), inner=_hidden(t), norm=t.get("gain"))
+        return ag.sum_all(ag.mul(y, c))
 
-@pytest.mark.parametrize("shape", [(3, 7, 9), (10,), (1, 7, 10), (3, 7, 10, 1)], ids=["width", "1d", "broadcast", "4d"])
-def test_linear_rejects_residual_of_wrong_shape(rng, shape):
-    x, w = Tensor(rng.normal(size=(3, 7, 12))), Tensor(rng.normal(size=(10, 12)))
-    with pytest.raises(ShapeMismatch, match="residual"):
-        ag.linear(x, w, residual=Tensor(np.zeros(shape)))
+    _check_grads(loss, arrays)
 
 
 def _masked_nll_reference(ld, targets, weights):
@@ -592,75 +567,79 @@ def test_masked_nll_rejects_bad_targets():
 
 
 # ----------------------------------------------------------------------------
-# routed_linear with a folded adapter, GELU hidden layer and residual: one node per matrix
+# routed_linear, plain or as a block's FFN half, with a folded adapter: one node
 # ----------------------------------------------------------------------------
 
 ROUTE_SPAN = 3  # image prefix of the (3, 7, k) inputs below
 
 
 def _routed_arrays(rng, kind, up_scale=1.0, hidden=False):
-    arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(10, 12)), "r": rng.normal(size=(3, 7, 10))}
-    if hidden:  # the weight of a GELU hidden layer in front of the routed matrix
+    """``x`` and a routed ``w``; with ``hidden``, the FFN half's GELU hidden layer ``wh`` and norm ``gain``."""
+    arrays = {"x": rng.normal(size=(3, 7, 12)), "w": rng.normal(size=(12, 12))}
+    if hidden:
         arrays["wh"] = rng.normal(size=(12, 12))
+        arrays["gain"] = rng.normal(1.0, 0.3, size=12)
     if kind == "expert":
-        arrays["e"] = rng.normal(size=(10, 12))
+        arrays["e"] = rng.normal(size=(12, 12))
     else:
         arrays["down"] = rng.normal(size=(4, 12))
-        arrays["up"] = rng.normal(scale=up_scale, size=(10, 4))
+        arrays["up"] = rng.normal(scale=up_scale, size=(12, 4))
     return arrays
 
 
-def _routed(t, span, residual=True):
-    """The routed product over ``x``, behind a GELU hidden layer when ``t`` has ``wh``."""
+def _routed(t, span):
+    """The routed product over ``x``, or the FFN half around it when ``t`` has ``wh``."""
     return ag.routed_linear(
-        t["x"], t["w"], t.get("e"), span, adapter=_adapter_of(t), residual=t["r"] if residual else None,
-        inner=_hidden(t),
+        t["x"], t["w"], t.get("e"), span, adapter=_adapter_of(t), inner=_hidden(t), norm=t.get("gain")
     )
 
 
 def _unfused_routed(t, span):
     """The graph the routed path recorded before the folds: one node per step."""
-    x = t["x"] if "wh" not in t else ag.gelu(ag.linear(t["x"], t["wh"]))
+    x = t["x"] if "wh" not in t else ag.gelu(ag.linear(ag.rms_norm(t["x"], t["gain"]), t["wh"]))
     if "e" in t:
-        y = ag.routed_linear(x, t["w"], t["e"], span)
+        y = ag.routed_linear(x, t["w"], t["e"], span, inner=None, norm=None)
     else:
         y = ag.add(ag.linear(x, t["w"]), ag.routed_lora(x, t["down"], t["up"], span))
-    return ag.add(t["r"], y)
+    return y if "wh" not in t else ag.add(t["x"], y)
 
 
-@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+def _routed_probes(probe, kind, hidden):
+    """Small ``_routed_arrays`` for central differences: (2, 4, 5) rows ``x``."""
+    arrays = {"x": probe((2, 4, 5)), "w": probe((5, 5))}
+    if kind == "expert":
+        arrays["e"] = probe((5, 5))
+    else:
+        arrays.update(down=probe((2, 5)), up=probe((5, 2)))
+    if hidden:
+        arrays.update(wh=probe((5, 5)), gain=probe(5))
+    return arrays
+
+
+# each routed test runs both forms: "plain", the routed product alone, and
+# "res-gelu", the FFN half that adds x to it behind a normed GELU hidden layer
+@pytest.mark.parametrize("gelu", [False, True], ids=["plain", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_grad_routed_linear_fold(probe, kind, gelu):
-    arrays = {"x": probe((2, 4, 5)), "w": probe((6, 5)), "r": probe((2, 4, 6))}
-    if kind == "expert":
-        arrays["e"] = probe((6, 5))
-    else:
-        arrays.update(down=probe((2, 5)), up=probe((6, 2)))
-    if gelu:
-        arrays["wh"] = probe((5, 5))
-    c = probe((2, 4, 6))
+    arrays, c = _routed_probes(probe, kind, gelu), probe((2, 4, 5))
     _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, 2), c)), arrays)
 
 
 @pytest.mark.parametrize("span", [0, 4], ids=["no-row", "every-row"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_grad_routed_linear_at_span_edges(probe, kind, span):
-    arrays = {"x": probe((2, 4, 5)), "w": probe((6, 5)), "r": probe((2, 4, 6)), "wh": probe((5, 5))}
-    if kind == "expert":
-        arrays["e"] = probe((6, 5))
-    else:
-        arrays.update(down=probe((2, 5)), up=probe((6, 2)))
-    c = probe((2, 4, 6))
+    arrays, c = _routed_probes(probe, kind, True), probe((2, 4, 5))
     _check_grads(lambda t: ag.sum_all(ag.mul(_routed(t, span), c)), arrays)
 
 
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_routes_every_row_at_full_span(rng, kind):
-    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 10))
+    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 12))
     out, grads, _ = _fold_and_grads(lambda t: _routed(t, 7), arrays, None, g)
     t = {k: Tensor(v) for k, v in arrays.items()}
     wm = t["e"] if kind == "expert" else ag.lora_weight(t["w"].data, t["down"].data, t["up"].data)
-    np.testing.assert_allclose(out, ag.linear(t["x"], wm, residual=t["r"], inner=_hidden(t)).data, rtol=0, atol=1e-12)
+    want = ag.linear(t["x"], wm, inner=_hidden(t), norm=t["gain"]).data
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     if kind == "expert":  # beside an expert, w_base serves no row
         assert grads["w"].shape == arrays["w"].shape and not grads["w"].any()
     else:  # the merged weight holds w_base, so every row reaches it
@@ -673,11 +652,11 @@ def test_routed_linear_routes_every_row_at_full_span(rng, kind):
 )
 def test_routed_kernels_reject_bad_span(rng, span):
     a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
-    e = Tensor(rng.normal(size=(10, 12)))
+    e = Tensor(rng.normal(size=(12, 12)))
     with pytest.raises(ShapeMismatch, match=r"routed_linear: span must be an integer in \[0, 7\]"):
-        ag.routed_linear(a["x"], a["w"], e, span)
+        ag.routed_linear(a["x"], a["w"], e, span, inner=None, norm=None)
     with pytest.raises(ShapeMismatch, match=r"routed_linear: span must be an integer in \[0, 7\]"):
-        ag.routed_linear(a["x"], a["w"], None, span, adapter=(a["down"], a["up"]))
+        ag.routed_linear(a["x"], a["w"], None, span, adapter=(a["down"], a["up"]), inner=None, norm=None)
     with pytest.raises(ShapeMismatch, match=r"routed_lora: span must be an integer in \[0, 7\]"):
         ag.routed_lora(a["x"], a["down"], a["up"], span)
 
@@ -685,7 +664,7 @@ def test_routed_kernels_reject_bad_span(rng, span):
 @pytest.mark.parametrize("span", [0, ROUTE_SPAN, 7], ids=["no-row", "prefix", "every-row"])
 def test_routed_lora_touches_only_the_prefix(rng, span):
     a = {k: Tensor(v, requires_grad=True) for k, v in _routed_arrays(rng, "adapter").items()}
-    g = rng.normal(size=(3, 7, 10))
+    g = rng.normal(size=(3, 7, 12))
     with GradTape() as tape:
         out = ag.routed_lora(a["x"], a["down"], a["up"], span)
     gx, gdown, gup = tape.nodes[-1].vjp(g)
@@ -693,23 +672,23 @@ def test_routed_lora_touches_only_the_prefix(rng, span):
     assert not out.data[:, span:].any() and not gx[:, span:].any()
     np.testing.assert_allclose(out.data[:, :span], (xd[:, :span] @ dd.T) @ ud.T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gx[:, :span], (g[:, :span] @ ud) @ dd, rtol=0, atol=1e-12)
-    gs, xs = g[:, :span].reshape(-1, 10), xd[:, :span].reshape(-1, 12)
+    gs, xs = g[:, :span].reshape(-1, 12), xd[:, :span].reshape(-1, 12)
     np.testing.assert_allclose(gdown, (gs @ ud).T @ xs, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gup, gs.T @ (xs @ dd.T), rtol=0, atol=1e-12)
     assert gdown.shape == dd.shape and gup.shape == ud.shape
 
 
-@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+@pytest.mark.parametrize("gelu", [False, True], ids=["plain", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_unmasked_rows_equal_linear(rng, kind, gelu):
     t = {k: Tensor(v) for k, v in _routed_arrays(rng, kind, hidden=gelu).items()}
     got = _routed(t, ROUTE_SPAN).data
-    want = ag.linear(t["x"], t["w"], residual=t["r"], inner=_hidden(t)).data
+    want = ag.linear(t["x"], t["w"], inner=_hidden(t), norm=t.get("gain")).data
     assert got[:, ROUTE_SPAN:].tobytes() == want[:, ROUTE_SPAN:].tobytes()
     assert not np.array_equal(got[:, :ROUTE_SPAN], want[:, :ROUTE_SPAN])
 
 
-@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+@pytest.mark.parametrize("gelu", [False, True], ids=["plain", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng, monkeypatch, kind, gelu):
     arrays = _routed_arrays(rng, kind, hidden=gelu)
@@ -721,11 +700,11 @@ def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng,
         raise AssertionError("merged weight formed at span 0")
 
     monkeypatch.setattr(ag, "lora_weight", no_merge)
-    g = rng.normal(size=(3, 7, 10))
+    g = rng.normal(size=(3, 7, 12))
     out, grads, ops = _fold_and_grads(lambda t: _routed(t, 0), arrays, None, g)
-    plain = {k: arrays[k] for k in ("x", "w", "r", "wh") if k in arrays}
+    plain = {k: arrays[k] for k in ("x", "w", "wh", "gain") if k in arrays}
     want, want_grads, _ = _fold_and_grads(
-        lambda t: ag.linear(t["x"], t["w"], residual=t["r"], inner=_hidden(t)), plain, None, g
+        lambda t: ag.linear(t["x"], t["w"], inner=_hidden(t), norm=t.get("gain")), plain, None, g
     )
     assert ops == ["routed_linear", "mul", "sum_all"]
     assert out.tobytes() == want.tobytes()
@@ -738,7 +717,7 @@ def test_routed_linear_all_text_is_linear_and_never_reads_the_routed_weight(rng,
 @pytest.mark.parametrize("span", [0, ROUTE_SPAN], ids=["all-text", "mixed"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_never_calls_the_public_linear(rng, monkeypatch, kind, span):
-    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 10))
+    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 12))
 
     def no_linear(*args, **kwargs):
         raise AssertionError("routed_linear went through the public linear")
@@ -749,11 +728,14 @@ def test_routed_linear_never_calls_the_public_linear(rng, monkeypatch, kind, spa
     assert all(grads[name] is not None for name in arrays)
 
 
-@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
-@pytest.mark.parametrize("kind", ["expert", "adapter"])
+# the plain expert product has no unfused graph but itself, so it is not a case here
+@pytest.mark.parametrize(
+    "kind, gelu", [("expert", True), ("adapter", False), ("adapter", True)],
+    ids=["expert-res-gelu", "adapter-plain", "adapter-res-gelu"],
+)
 def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):
     # with up = 0 the merged weight is w itself; an expert never had a delta
-    arrays, g = _routed_arrays(rng, kind, up_scale=0.0, hidden=gelu), rng.normal(size=(3, 7, 10))
+    arrays, g = _routed_arrays(rng, kind, up_scale=0.0, hidden=gelu), rng.normal(size=(3, 7, 12))
     fused, fused_grads, fused_ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN), arrays, None, g)
     unfused, unfused_grads, unfused_ops = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_SPAN), arrays, None, g)
     assert fused_ops == ["routed_linear", "mul", "sum_all"] and len(unfused_ops) > len(fused_ops)
@@ -762,9 +744,9 @@ def test_routed_linear_bits_equal_unfused_graph_at_zero_up(rng, kind, gelu):
         assert fused_grads[name].tobytes() == unfused_grads[name].tobytes(), name
 
 
-@pytest.mark.parametrize("gelu", [False, True], ids=["res", "res-gelu"])
+@pytest.mark.parametrize("gelu", [False, True], ids=["plain", "res-gelu"])
 def test_routed_adapter_matches_unfused_graph(rng, gelu):
-    arrays, g = _routed_arrays(rng, "adapter", hidden=gelu), rng.normal(size=(3, 7, 10))
+    arrays, g = _routed_arrays(rng, "adapter", hidden=gelu), rng.normal(size=(3, 7, 12))
     fused, fused_grads, _ = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN), arrays, None, g)
     unfused, unfused_grads, _ = _fold_and_grads(lambda t: _unfused_routed(t, ROUTE_SPAN), arrays, None, g)
     assert fused[:, ROUTE_SPAN:].tobytes() == unfused[:, ROUTE_SPAN:].tobytes()
@@ -775,7 +757,7 @@ def test_routed_adapter_matches_unfused_graph(rng, gelu):
 
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_routed_linear_frozen_base_gets_no_gradient(rng, kind):
-    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 10))
+    arrays, g = _routed_arrays(rng, kind, hidden=True), rng.normal(size=(3, 7, 12))
     _, grads, ops = _fold_and_grads(lambda t: _routed(t, ROUTE_SPAN), arrays, "w", g)
     assert ops == ["routed_linear", "mul", "sum_all"]
     assert grads["w"] is None
@@ -787,34 +769,35 @@ def test_routed_linear_records_inputs_in_order(rng):
     with GradTape() as tape:
         _routed(t, ROUTE_SPAN)
     (node,) = tape.nodes
-    assert node.op == "routed_linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["wh"], t["r"])
-    g = rng.normal(size=(3, 7, 10))
-    assert node.vjp(g)[-1] is g  # the residual takes the incoming gradient unchanged
+    assert node.op == "routed_linear" and node.inputs == (t["x"], t["w"], t["down"], t["up"], t["wh"], t["gain"])
+    grads = node.vjp(rng.normal(size=(3, 7, 12)))
+    assert [gi.shape for gi in grads] == [i.shape for i in node.inputs]
 
 
 def test_routed_linear_takes_one_routed_weight(rng):
     a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
-    e = Tensor(rng.normal(size=(10, 12)))
+    e = Tensor(rng.normal(size=(12, 12)))
     with pytest.raises(ValueError, match="exactly one"):
-        ag.routed_linear(a["x"], a["w"], e, ROUTE_SPAN, adapter=(a["down"], a["up"]))
+        ag.routed_linear(a["x"], a["w"], e, ROUTE_SPAN, adapter=(a["down"], a["up"]), inner=None, norm=None)
     with pytest.raises(ValueError, match="exactly one"):
-        ag.routed_linear(a["x"], a["w"], None, ROUTE_SPAN)
+        ag.routed_linear(a["x"], a["w"], None, ROUTE_SPAN, inner=None, norm=None)
 
 
 @pytest.mark.parametrize("span", [ROUTE_SPAN, 0], ids=["mixed", "all-text"])
 def test_routed_linear_rejects_misshapen_factors_or_residual(rng, span):
-    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
-    for down_shape, up_shape in [((4, 11), (10, 4)), ((4, 12), (9, 4)), ((4, 12), (10, 3)), ((12,), (10, 4))]:
+    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter", hidden=True).items()}
+    for down_shape, up_shape in [((4, 11), (12, 4)), ((4, 12), (9, 4)), ((4, 12), (12, 3)), ((12,), (12, 4))]:
         adapter = (Tensor(np.zeros(down_shape)), Tensor(np.zeros(up_shape)))
         with pytest.raises(ShapeMismatch, match="down"):
-            ag.routed_linear(a["x"], a["w"], None, span, adapter=adapter)
-    for shape in [(3, 7, 9), (10,), (1, 7, 10)]:
+            ag.routed_linear(a["x"], a["w"], None, span, adapter=adapter, inner=None, norm=None)
+    for n in (10, 13):  # the FFN half's residual is x, so w must be as wide as x
+        adapter = (np.zeros((4, 12)), np.zeros((n, 4)))
         with pytest.raises(ShapeMismatch, match="residual"):
-            ag.routed_linear(a["x"], a["w"], None, span, adapter=(a["down"], a["up"]), residual=np.zeros(shape))
+            ag.routed_linear(a["x"], np.zeros((n, 12)), None, span, adapter=adapter, inner=_hidden(a), norm=a["gain"])
 
 
 # ----------------------------------------------------------------------------
-# a whole FFN as one product node: the bits of the composition of product, gelu and product
+# a whole FFN half as one product node: the bits of its flat graph
 # ----------------------------------------------------------------------------
 
 FFN_SPAN = 30  # image prefix of the (4, 80, 12) input below, whose hidden rows fill two GELU tiles
@@ -822,9 +805,9 @@ FFN_SPAN = 30  # image prefix of the (4, 80, 12) input below, whose hidden rows 
 
 def _ffn_arrays(rng):
     shapes = {
-        "x": (4, 80, 12), "r": (4, 80, 10),
+        "x": (4, 80, 12), "gain": (12,),
         "w1": (64, 12), "e1": (64, 12), "down1": (4, 12), "up1": (64, 4),
-        "w2": (10, 64), "e2": (10, 64), "down2": (4, 64), "up2": (10, 4),
+        "w2": (12, 64), "e2": (12, 64), "down2": (4, 64), "up2": (12, 4),
     }
     return {k: rng.normal(size=s) for k, s in shapes.items()}
 
@@ -840,11 +823,11 @@ def _ffn_spec(t, i, kind, span):
     }[kind]
 
 
-def _spec_product(x, spec, **kw):
+def _spec_product(x, spec, inner=None, norm=None):
     w, expert, adapter, span = spec
     if span is None:
-        return ag.linear(x, w, adapter, **kw)
-    return ag.routed_linear(x, w, expert, span, adapter=adapter, **kw)
+        return ag.linear(x, w, adapter, inner=inner, norm=norm)
+    return ag.routed_linear(x, w, expert, span, adapter=adapter, inner=inner, norm=norm)
 
 
 FFN_CASES = {  # (kind of w1, kind of w2, span)
@@ -861,10 +844,10 @@ FFN_CASES = {  # (kind of w1, kind of w2, span)
 @pytest.mark.parametrize("case", sorted(FFN_CASES))
 def test_ffn_node_bits_equal_two_node_composition(rng, case, hidden_frozen):
     kind1, kind2, span = FFN_CASES[case]
-    if hidden_frozen:  # nothing under the hidden rows trains, so only the outer matrix and r get gradients
+    if hidden_frozen:  # nothing under the hidden rows trains, the gain neither, so only w2's operands get gradients
         kind1 = "plain"
-    arrays, g = _ffn_arrays(rng), rng.normal(size=(4, 80, 10))
-    frozen = {"x", "w1"} if hidden_frozen else set()
+    arrays, g = _ffn_arrays(rng), rng.normal(size=(4, 80, 12))
+    frozen = {"x", "w1", "gain"} if hidden_frozen else set()
 
     def run(build, tape_on=True):
         t = {k: Tensor(v, requires_grad=tape_on and k not in frozen) for k, v in arrays.items()}
@@ -875,10 +858,10 @@ def test_ffn_node_bits_equal_two_node_composition(rng, case, hidden_frozen):
         return out.data, {k: grads.get(v) for k, v in t.items()}, [n.op for n in tape.nodes]
 
     def fused(t, s1, s2):
-        return _spec_product(t["x"], s2, residual=t["r"], inner=s1)
+        return _spec_product(t["x"], s2, inner=s1, norm=t["gain"])
 
     def composed(t, s1, s2):
-        return _spec_product(ag.gelu(_spec_product(t["x"], s1)), s2, residual=t["r"])
+        return ag.add(t["x"], _spec_product(ag.gelu(_spec_product(ag.rms_norm(t["x"], t["gain"]), s1)), s2))
 
     out, grads, ops = run(fused)
     ref, ref_grads, _ = run(composed)
@@ -888,20 +871,19 @@ def test_ffn_node_bits_equal_two_node_composition(rng, case, hidden_frozen):
         assert (grads[name] is None) == (ref_grads[name] is None), name
         if grads[name] is not None:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
-    assert (grads["x"] is None) == hidden_frozen and grads["w2"] is not None and grads["r"] is not None
+    assert (grads["x"] is None) == hidden_frozen and grads["w2"] is not None
     # with the tape off nothing is recorded and the output keeps its bytes
     plain, _, plain_ops = run(fused, tape_on=False)
     assert plain_ops == [] and plain.tobytes() == out.tobytes()
 
 
-def test_ffn_node_records_outer_then_inner_operands_then_residual(rng):
+def test_ffn_node_records_outer_then_inner_operands_then_gain(rng):
     t = {k: Tensor(v, requires_grad=True) for k, v in _ffn_arrays(rng).items()}
     with GradTape() as tape:
-        ag.routed_linear(
-            t["x"], t["w2"], t["e2"], FFN_SPAN, residual=t["r"], inner=(t["w1"], None, (t["down1"], t["up1"]), None)
-        )
+        inner = (t["w1"], None, (t["down1"], t["up1"]), None)
+        ag.routed_linear(t["x"], t["w2"], t["e2"], FFN_SPAN, inner=inner, norm=t["gain"])
     assert [n.op for n in tape.nodes] == ["routed_linear"]
-    names = ["x", "w2", "e2", "w1", "down1", "up1", "r"]
+    names = ["x", "w2", "e2", "w1", "down1", "up1", "gain"]
     assert [id(i) for i in tape.nodes[0].inputs] == [id(t[k]) for k in names]
 
 
@@ -915,7 +897,33 @@ def test_ffn_node_rejects_an_inner_spec_without_one_routed_weight(rng, inner):
     w, e, a, span = inner
     spec = (t[w], t[e] if e else None, (t["down1"], t["up1"]) if a else None, span)
     with pytest.raises(ValueError, match="^linear: "):
-        ag.linear(t["x"], t["w2"], inner=spec)
+        ag.linear(t["x"], t["w2"], inner=spec, norm=t["gain"])
+
+
+def _ffn_half_operands():
+    """(1, 2, 3) rows, an inner spec of a (4, 3) w1, a norm gain and a (3, 4) w2: a well-formed FFN half."""
+    return np.zeros((1, 2, 3)), (np.zeros((4, 3)), None, None, None), np.ones(3), np.zeros((3, 4))
+
+
+@pytest.mark.parametrize(
+    "op, call",
+    [
+        ("linear", lambda x, w1, gain, w2: ag.linear(x, w2, inner=w1)),
+        ("linear", lambda x, w1, gain, w2: ag.linear(x, w2, norm=gain)),
+        ("linear", lambda x, w1, gain, w2: ag.linear(x, w2, inner=w1, norm=gain, bias=np.zeros(3))),
+        ("routed_linear", lambda x, w1, gain, w2: ag.routed_linear(x, w2, w2, 1, inner=w1, norm=None)),
+        ("routed_linear", lambda x, w1, gain, w2: ag.routed_linear(x, w2, w2, 1, inner=None, norm=gain)),
+    ],
+    ids=[
+        "linear-inner-without-norm", "linear-norm-without-inner", "linear-bias-with-inner",
+        "routed_linear-inner-without-norm", "routed_linear-norm-without-inner",
+    ],
+)
+def test_ffn_node_refuses_inner_and_norm_apart_or_beside_a_bias(op, call):
+    x, w1, gain, w2 = _ffn_half_operands()
+    assert ag.linear(x, w2, inner=w1, norm=gain).shape == x.shape  # the combination alone is refused
+    with pytest.raises(ValueError, match=f"^{op}: (inner and norm come together|a bias goes on a plain product)"):
+        call(*_ffn_half_operands())
 
 
 # ----------------------------------------------------------------------------
@@ -1016,7 +1024,7 @@ def test_attention_half_bits_equal_flat_graph(rng, kind, span, causal, frozen):
         q, k, v, o = specs(t)
         h = ag.rms_norm(t["x"], t["gain"])
         a = _attention_oracle_node(*(_spec_product(h, m) for m in (q, k, v)), 2, causal)
-        return _spec_product(a, o, residual=t["x"])
+        return ag.add(_spec_product(a, o), t["x"])
 
     _check_half(fused, flat, arrays, HALF_FROZEN[frozen])
 
@@ -1030,12 +1038,12 @@ def test_ffn_half_bits_equal_flat_graph(rng, kind, span, frozen):
 
     def fused(t):
         s1, s2 = _half_spec(t, "w1", kinds[0], s), _half_spec(t, "w2", kinds[1], s)
-        return _spec_product(t["x"], s2, residual=t["x"], inner=s1, norm=t["gain"])
+        return _spec_product(t["x"], s2, inner=s1, norm=t["gain"])
 
     def flat(t):
         s1, s2 = _half_spec(t, "w1", kinds[0], s), _half_spec(t, "w2", kinds[1], s)
         h = ag.gelu(_spec_product(ag.rms_norm(t["x"], t["gain"]), s1))
-        return _spec_product(h, s2, residual=t["x"])
+        return ag.add(_spec_product(h, s2), t["x"])
 
     _check_half(fused, flat, arrays, HALF_FROZEN[frozen])
 
@@ -1152,8 +1160,8 @@ def test_attention_vjp_bits_equal_earlier_form(rng, monkeypatch, causal):
     for t, bsz, n_heads, d in [(10, 3, 4, 16)] + BLOCK_SHAPES:
         q, k, v, g = (rng.normal(size=(bsz, t, d)) for _ in range(4))
         ref_out, mx, denom = _attention_reference(q, k, v, n_heads, causal)
-        got, out = [np.empty(q.shape) for _ in "qkv"], np.empty(q.shape)
-        ag._attention_backward(g, (q, k, v), mx, denom, 1.0 / math.sqrt(d // n_heads), causal, n_heads, got, out)
+        got, out = [q.copy(), k.copy(), v.copy()], g.copy()  # written over: the gradients, then the output
+        ag._attention_backward(out, got, mx, denom, 1.0 / math.sqrt(d // n_heads), causal, n_heads)
         for name, a, b in zip("qkv", got, _attention_vjp_reference(q, k, v, g, n_heads, causal)):
             assert a.tobytes() == b.tobytes(), (name, t, bsz, n_heads, d)
         assert out.tobytes() == ref_out.tobytes(), ("output", t, bsz, n_heads, d)
@@ -1457,12 +1465,13 @@ def test_block_half_vjps_allocate_no_more_than_their_rebuilt_buffers(build, monk
         _stage2_tape(build)  # the causal masks and numpy's caches, made before tracing
         tape, loss, _ = _stage2_tape(build)
         nodes = [(node.op, node.inputs) for node in tape.nodes]
+        mids = {id(node.out) for node in tape.nodes if node.op == "attention"}  # alive as the FFN halves' inputs
         halves = 0
         for peak in vjp_peaks(tape, loss)[1]:
             op, inputs = nodes[peak.index]
             x = inputs[0]
-            if op != "attention" and not (op in ("linear", "routed_linear") and inputs[-1] is x):
-                continue  # not a block half: the FFN half is the product node with the residual x
+            if op != "attention" and not (op in ("linear", "routed_linear") and id(x) in mids):
+                continue  # not a block half: the FFN half is the product node over an attention half's output
             halves += 1
             a, (bsz, t, d) = x.data.nbytes, x.shape
             small = sum(w.data.nbytes for w in inputs if w.ndim == 2) + 4096
@@ -1597,10 +1606,20 @@ def _identity_half(x, n_heads):
 @pytest.mark.parametrize(
     "op, call",
     [
-        ("routed_linear", lambda: ag.routed_linear(np.zeros((1, 2, 3)), np.zeros((4, 3)), np.zeros((4, 3)), True)),
+        (
+            "routed_linear",
+            lambda: ag.routed_linear(
+                np.zeros((1, 2, 3)), np.zeros((4, 3)), np.zeros((4, 3)), True, inner=None, norm=None
+            ),
+        ),
         ("routed_lora", lambda: ag.routed_lora(np.zeros((1, 2, 3)), np.zeros((2, 3)), np.zeros((4, 2)), True)),
         ("linear", lambda: ag.linear(Tensor(1.0), Tensor(np.eye(2)))),
-        ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 5)), inner=(np.zeros((5, 2)), None, None, None))),
+        (
+            "linear",
+            lambda: ag.linear(
+                np.zeros((2, 3)), np.zeros((4, 5)), inner=(np.zeros((5, 2)), None, None, None), norm=np.ones(3)
+            ),
+        ),
         ("rms_norm", lambda: ag.rms_norm(Tensor(1.0), np.ones(1))),
         ("rms_norm", lambda: ag.rms_norm(np.zeros((2, 0)), np.zeros(0))),
         ("attention", lambda: _identity_half(np.zeros((1, 2, 4)), n_heads=0)),
@@ -1614,12 +1633,18 @@ def _identity_half(x, n_heads):
         ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), pos=np.zeros((2, 2, 2, 3)))),
         ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 3)), bias=np.zeros(3))),
         ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 3)), bias=np.zeros((1, 4)))),
+        (
+            "linear",
+            lambda: ag.linear(
+                np.zeros((2, 3)), np.zeros((4, 5)), inner=(np.zeros((5, 3)), None, None, None), norm=np.ones(3)
+            ),
+        ),
     ],
     ids=[
         "routed_linear-bool-span", "routed_lora-bool-span", "linear-0d", "linear-inner-width", "rms_norm-0d",
         "rms_norm-zero-width", "attention-0-heads", "attention-empty", "embed-float-ids", "embed-1d-table",
         "embed-prefix-batch", "embed-prefix-width", "embed-prefix-2d-rows", "embed-pos-not-broadcast",
-        "embed-pos-grows-output", "linear-bias-width", "linear-bias-2d",
+        "embed-pos-grows-output", "linear-bias-width", "linear-bias-2d", "linear-ffn-output-width",
     ],
 )
 def test_kernels_reject_malformed_operands(op, call):

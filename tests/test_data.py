@@ -288,3 +288,12 @@ def test_synth_dataset_rejects_bad_sizes(kwargs, message):
 def test_answer_start_refuses_tokens_that_are_not_one_sequence(tokens):
     with pytest.raises(ValueError, match="tokens must be one 1-D sequence"):
         answer_start(np.array(tokens))
+
+
+def test_answer_start_and_collate_take_tokens_as_a_list():
+    tokens = [BOS, 20, SEP, 21, EOS]
+    assert answer_start(tokens) == 3
+    batch, targets, predict, _ = collate([Sample(tokens, [False] * 5)])
+    want_batch, want_targets, want_predict, _ = collate([Sample(np.array(tokens), np.zeros(5, bool))])
+    assert batch.ids.tobytes() == want_batch.ids.tobytes() and batch.image_span == want_batch.image_span == 0
+    assert targets.tobytes() == want_targets.tobytes() and predict.tobytes() == want_predict.tobytes()
