@@ -234,6 +234,11 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """Broadcasting ``a * b``.
+
+    The package itself does not call this. It stays because
+    ``benchmarks/tracing.py`` wraps it by name, as ``routed_lora`` does.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = Tensor(a.data * b.data)
@@ -418,15 +423,15 @@ def _product(op: str, x, mat, inner=None, norm=None, bias=None) -> Tensor:
     ``w`` itself. ``W_m`` is formed only when ``span != 0``, so an all-text
     batch never reads the expert or the factors. A routed product runs
     ``x @ w.T`` over every row, then overwrites the prefix with its
-    ``x @ W_m.T`` rows.
+    ``x @ W_m.T`` rows. Only a block's FFN half routes a prefix.
 
-    A plain product may add a ``bias``, shaped ``(out,)``, last, with the
-    bits of ``add(product, bias)``. ``inner`` and ``norm``, which come
-    together and take no bias, make the node the FFN half of a pre-norm
-    block: ``x + gelu(rms_norm(x, norm) @ W_h.T) @ W.T``, ``W_h`` routed as
-    above and ``W`` as wide as ``x``. It has the bits of the flat graph of
-    ``rms_norm`` (``_rms_rows``), the inner product, ``gelu``, the outer
-    product and an ``add`` of ``x``.
+    A product of ``linear`` alone may add a ``bias``, shaped ``(out,)``,
+    last, with the bits of ``add(product, bias)``. ``inner`` and ``norm``,
+    which come together and take no bias, make the node the FFN half of a
+    pre-norm block: ``x + gelu(rms_norm(x, norm) @ W_h.T) @ W.T``, ``W_h``
+    routed as above and ``W`` as wide as ``x``. It has the bits of the flat
+    graph of ``rms_norm`` (``_rms_rows``), the inner product, ``gelu``, the
+    outer product and an ``add`` of ``x``.
 
     The node keeps only its inputs: no normed rows, no hidden rows, no GELU
     derivative and no merged weight. Its vjp forms the merged weights again
@@ -529,18 +534,20 @@ def linear(x, w, adapter=None, *, bias=None, inner=None, norm=None) -> Tensor:
 
 
 def routed_linear(x, w_base, w_expert, span: int, *, adapter=None, inner, norm) -> Tensor:
-    """Per-position ``x @ W.T``, or a block's FFN half over it: the image prefix takes a routed weight.
+    """A block's FFN half whose outer product routes the image prefix: ``x + gelu(...) @ W.T``, as in ``linear``.
 
     ``x`` is (B, T, k) and ``span`` an integer in [0, T]: rows ``[:, :span]``
     are image positions and take the expert ``w_expert``, shaped like
     ``w_base``, or the merged weight of a LoRA ``adapter=(down, up)``;
-    exactly one of the two is given. Rows from ``span`` on have the bits of
-    ``linear(x, w_base)``, and at span 0 neither the expert nor the factors
-    are read. This is ``_product`` over the spec ``(w_base, w_expert,
-    adapter, span)``, recorded as ``routed_linear`` over ``(x, w_base,
-    w_expert | down, up)``. ``inner`` and ``norm`` are required: both None
-    give the plain product, and both given the FFN half, as in ``linear``.
+    exactly one of the two is given. Rows from ``span`` on take ``w_base``
+    itself, and at span 0 neither the expert nor the factors are read.
+    ``inner`` and ``norm`` are the hidden layer's spec and the norm gain, as
+    ``linear`` takes them; without them ``ValueError``. This is ``_product``
+    over the spec ``(w_base, w_expert, adapter, span)``, recorded as
+    ``routed_linear`` over ``(x, w_base, w_expert | down, up, ...)``.
     """
+    if inner is None and norm is None:
+        raise ValueError("routed_linear: a block's FFN half only, it needs inner and norm")
     return _product("routed_linear", x, (w_base, w_expert, adapter, span), inner, norm)
 
 
@@ -743,40 +750,38 @@ def rms_norm(x, gain) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def embed(table, ids: np.ndarray, *, prefix=None, pos=None) -> Tensor:
-    """Gather rows of an embedding table; ids are a constant int array.
+def embed(table, ids: np.ndarray, *, prefix=None, pos) -> Tensor:
+    """Gather rows of an embedding table for (B, T') constant integer ids, then add positions.
 
     ``prefix``, (B, S, d) rows, goes in front of the gathered (B, T', d)
-    rows along the sequence axis, and ``pos``, which must broadcast to the
-    output without growing it, is added last. The result has the bits of
-    ``add(concat_seq(prefix, embed(table, ids)), pos)`` from one node, so
-    no concatenated rows wait on the tape for a vjp that never reads them.
+    rows along the sequence axis, and ``pos``, one sample's (S + T', d)
+    position rows, is added to every sample last. The result has the bits
+    of ``add(concat_seq(prefix, gathered rows), pos)`` from one node, so no
+    concatenated rows wait on the tape for a vjp that never reads them.
     The node keeps its inputs and the ids, and is recorded over ``(table[,
-    prefix][, pos])``. The prefix's gradient is a copy of the incoming
+    prefix], pos)``. The prefix's gradient is a copy of the incoming
     gradient's prefix rows, not a view, so that it does not keep the whole
     incoming gradient alive through the vjps of the prefix's producers.
     """
     table = _as_tensor(table)
     ids = np.asarray(ids)
-    if table.ndim != 2 or ids.dtype.kind not in "iu":  # bool ids would select rows as a mask
-        raise ShapeMismatch(f"embed: needs a 2-D table and integer ids, got table {table.shape} and ids {ids.dtype}")
+    if table.ndim != 2 or ids.ndim != 2 or ids.dtype.kind not in "iu":  # bool ids would select rows as a mask
+        raise ShapeMismatch(f"embed: needs a 2-D table and (B, T) int ids, got {table.shape}, {ids.dtype} {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValueError(f"embed: id out of range for table with {table.shape[0]} rows")
-    y = np.take(table.data, ids, axis=0)  # a new array, also for 0-d ids, since pos is added in place
+    y = np.take(table.data, ids, axis=0)  # a new array, since pos is added in place
     inputs, span = (table,), 0
     if prefix is not None:
         prefix = _as_tensor(prefix)
-        if prefix.ndim != 3 or y.ndim != 3 or prefix.shape[::2] != y.shape[::2]:
+        if prefix.ndim != 3 or prefix.shape[::2] != y.shape[::2]:
             raise ShapeMismatch(f"embed: prefix {prefix.shape} vs gathered rows {y.shape}")
         span = prefix.shape[1]
         y = np.concatenate([prefix.data, y], axis=1)
         inputs += (prefix,)
-    if pos is not None:
-        pos = _as_tensor(pos)
-        if pos.ndim > y.ndim or any(p not in (1, n) for p, n in zip(pos.shape[::-1], y.shape[::-1])):
-            raise ShapeMismatch(f"embed: pos {pos.shape} does not broadcast to the output {y.shape}")
-        y += pos.data
-        inputs += (pos,)
+    pos = _as_tensor(pos)
+    if pos.shape != y.shape[1:]:
+        raise ShapeMismatch(f"embed: pos {pos.shape} vs one sample's rows {y.shape[1:]}")
+    y += pos.data
     out = Tensor(y)
 
     def vjp(g):
@@ -787,11 +792,9 @@ def embed(table, ids: np.ndarray, *, prefix=None, pos=None) -> Tensor:
         grads = (gt,)
         if prefix is not None:
             grads += (g[:, :span].copy() if prefix.requires_grad else None,)
-        if pos is not None:
-            grads += (_unbroadcast(g, pos.shape) if pos.requires_grad else None,)
-        return grads
+        return grads + (g.sum(axis=0) if pos.requires_grad else None,)
 
-    return _maybe_record("embed", out, inputs, vjp)
+    return _maybe_record("embed", out, inputs + (pos,), vjp)
 
 
 def concat_seq(a, b) -> Tensor:
@@ -862,10 +865,10 @@ def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def _attention_scale(shape: tuple[int, ...], n_heads) -> float:
-    """The score scale ``1 / sqrt(d / H)`` for (B, T, d) streams, T > 0, checked."""
+    """The score scale ``1 / sqrt(d / H)`` for (B, T, d) streams, B > 0 and T > 0, checked."""
     bsz, t, d = shape
-    if not t:
-        raise ShapeMismatch(f"attention: empty sequence, q {shape}")
+    if not bsz or not t:
+        raise ShapeMismatch(f"attention: empty batch or sequence, q {shape}")
     if not is_int(n_heads) or n_heads <= 0:
         raise ShapeMismatch(f"attention: n_heads must be a positive integer, got {n_heads!r}")
     if d % n_heads:
@@ -982,7 +985,7 @@ def attention(q, k, v, n_heads: int, causal: bool = True, *, x, gain, wo) -> Ten
     block. ``q``, ``k``, ``v`` and ``wo`` are matrix specs ``(w, expert,
     adapter, span)``, as ``linear``'s ``inner`` takes, each routed as in
     ``_product``; the attention is multi-head scaled-dot-product attention
-    over the (B, T, d) q, k and v rows, T > 0. The result has the bits of
+    over the (B, T, d) q, k and v rows, B > 0 and T > 0. The result has the bits of
     the flat graph: ``rms_norm``, a product node per matrix (the ``wo`` one
     adding ``x``) and attention over whole (T, T) score matrices.
 
@@ -1125,6 +1128,11 @@ def masked_nll(logits, targets: np.ndarray, weights: np.ndarray) -> Tensor:
 
 
 def sum_all(x) -> Tensor:
+    """The sum of every element, a scalar.
+
+    The package itself does not call this. It stays because
+    ``benchmarks/tracing.py`` wraps it by name, as ``routed_lora`` does.
+    """
     x = _as_tensor(x)
     out = Tensor(x.data.sum())
     shape = x.shape

@@ -50,7 +50,7 @@ class TaskSpec:
 
     kind: str
     n_samples: int
-    seq_len: int = 12  # payload tokens for text tasks; grid tasks derive their own
+    seq_len: int = 12  # payload tokens for text tasks, the most caption runs for grid-caption
     seed: int = 0
 
     def __post_init__(self):
@@ -188,7 +188,8 @@ def synth_dataset(
             raise ValueError(f"grid-caption needs a grid_alphabet of at least 2 for adjacent runs, got {grid_alphabet}")
         max_runs = min(spec.seq_len, (max_seq - cells - 2) // 2, cells)
         if max_runs < 2:
-            raise ValueError(f"grid-caption needs room for 2 runs within max_seq {max_seq}")
+            limit = f"seq_len {spec.seq_len}" if spec.seq_len < 2 else f"max_seq {max_seq}"
+            raise ValueError(f"grid-caption needs room for 2 runs within {limit}")
         for _ in range(spec.n_samples):
             samples.append(_grid_caption_sample(rng, grid_side, grid_alphabet, max_runs))
     else:

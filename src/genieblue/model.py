@@ -261,7 +261,7 @@ def decode(
             raise ValueError("batch has image positions but no injected embeddings")
         if injected.shape != (bsz, span, c.d_model):
             raise ValueError(f"injected shape {injected.shape} != {(bsz, span, c.d_model)}")
-    elif injected is not None and injected.size:
+    elif injected is not None:
         raise ValueError("injected embeddings supplied for an all-text batch")
     # position table is frozen base state, so slicing the raw array is safe
     pos = lm_params["embed.pos"].data[:t]
@@ -298,10 +298,8 @@ class VisionEncoder:
         grids = np.asarray(grids)
         if not np.issubdtype(grids.dtype, np.integer):
             raise ValueError(f"grid symbols must be integers, got dtype {grids.dtype}")
-        if grids.ndim == 2:
-            grids = grids[None]
-        if grids.shape[1:] != (c.grid_side, c.grid_side):
-            raise ValueError(f"grid shape {grids.shape[1:]} != {(c.grid_side, c.grid_side)}")
+        if grids.ndim != 3 or grids.shape[1:] != (c.grid_side, c.grid_side):
+            raise ValueError(f"grids must be (B, {c.grid_side}, {c.grid_side}), got shape {grids.shape}")
         if grids.shape[0] == 0:
             raise ValueError("no grids to encode")
         if grids.min() < 0 or grids.max() >= c.grid_alphabet:

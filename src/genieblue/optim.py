@@ -30,27 +30,28 @@ def adamw_step(
     params: Mapping[str, Tensor],
     grads: Mapping[str, np.ndarray],
     state: AdamWState,
-    lr: float | Mapping[str, float],
-    weight_decay: float = 0.0,
+    lr: Mapping[str, float],
+    weight_decay: float,
 ) -> None:
     """One bias-corrected AdamW update, in place.
 
     Decoupled weight decay is applied multiplicatively (p <- p - lr*wd*p)
     before the adaptive term. Only trainable parameters may be passed;
-    ``lr`` is either a scalar or a per-name mapping covering every name.
-    Every input is checked before anything is written, so a refused step
-    leaves the parameters and the state as they were.
+    ``lr`` maps every name to its rate. Every input is checked before
+    anything is written, so a refused step leaves the parameters and the
+    state as they were.
     """
     if params.keys() != state.m.keys():
         raise ValueError("adamw_step: params do not match optimizer state")
     missing = params.keys() - grads.keys()
     if missing:
         raise ValueError(f"adamw_step: missing gradients for {sorted(missing)[:3]}")
-    missing = params.keys() - lr.keys() if isinstance(lr, Mapping) else ()
+    if not isinstance(lr, Mapping):
+        raise ValueError(f"adamw_step: lr must map each parameter name to its rate, got {lr!r}")
+    missing = params.keys() - lr.keys()
     if missing:
         raise ValueError(f"adamw_step: no learning rate for {sorted(missing)[:3]}")
-    rates = [(f"lr for '{n}'", lr[n]) for n in params] if isinstance(lr, Mapping) else [("lr", lr)]
-    for what, rate in rates + [("weight_decay", weight_decay)]:
+    for what, rate in [(f"lr for '{n}'", lr[n]) for n in params] + [("weight_decay", weight_decay)]:
         if not is_rate(rate):
             raise ValueError(f"adamw_step: {what} must be a finite number, got {rate!r}")
     for name, p in params.items():
@@ -64,16 +65,14 @@ def adamw_step(
     bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
-        step_lr = lr[name] if isinstance(lr, Mapping) else lr
-        if weight_decay:
-            p.data *= 1.0 - step_lr * weight_decay
+        p.data *= 1.0 - lr[name] * weight_decay  # exact at no decay: a product with 1.0
         m = state.m[name]
         v = state.v[name]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
-        p.data -= step_lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        p.data -= lr[name] * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     state.t = t
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against plain numpy arrays with
 per-sample / per-position loops, separate from the library's kernels, so a
-bug in the library's fused paths cannot hide in the oracle.
+bug in the library's fused paths cannot hide in the oracle. The one
+exception is ``routed_product_node``, a flat-graph piece built from the
+library's product helpers so that it keeps their bits.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 
+from genieblue import autograd as ag
 from genieblue.data import COUNT_BASE, GRID_TOKEN_BASE
 
 
@@ -46,6 +49,26 @@ def ref_rms_norm(x: np.ndarray, gain: np.ndarray | None) -> np.ndarray:
 def ref_gelu(x: np.ndarray) -> np.ndarray:
     c = math.sqrt(2.0 / math.pi)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def routed_product_node(x, spec) -> ag.Tensor:
+    """A flat graph's routed product ``x @ W.T`` as one node: the image prefix takes the routed weight.
+
+    ``spec`` is a matrix spec ``(w, expert, adapter, span)`` with an integer
+    span, for (B, T, k) rows ``x``. The library routes a prefix only inside
+    the block halves, so it has no such node; this one runs the helpers the
+    halves run, ``_pre_activation`` forward and ``_factored_grads`` back,
+    and a flat graph of a half built from it has the half's bits.
+    """
+    x = ag._as_tensor(x)
+    spec = ag._checked_spec("routed_linear", x.shape, spec, routed=True)
+    xd = x.data
+    out = ag.Tensor(ag._pre_activation(xd, spec, ag._routed_weight(spec)))
+
+    def vjp(g):
+        return ag._factored_grads(g, xd, spec, ag._routed_weight(spec), x.requires_grad)
+
+    return ag._maybe_record("routed_linear", out, (x,) + ag._operands(spec), vjp)
 
 
 def rle_caption(grid: np.ndarray) -> list[int]:

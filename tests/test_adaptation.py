@@ -72,8 +72,9 @@ def test_placement_rejects_bad_fraction():
     for fraction in (float("inf"), float("nan"), "0.25"):
         with pytest.raises(ValueError, match="fraction must be in"):
             plan_placement(8, fraction)
-    with pytest.raises(ValueError, match="mode must be one of"):
-        plan_placement(8, 0.25, 3)
+    for mode in (3, "SKIP"):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            plan_placement(8, 0.25, mode)
 
 
 @pytest.mark.parametrize("n_layers", [8.5, 8.0, "8", 0], ids=["fractional", "whole-float", "str", "zero"])

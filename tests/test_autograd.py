@@ -13,7 +13,7 @@ from genieblue.data import TaskSpec, collate, synth_dataset
 from genieblue.model import ModelConfig, build_model
 
 from memtrace import vjp_peaks
-from oracles import central_diff_grad, ref_gelu, ref_softmax
+from oracles import central_diff_grad, ref_gelu, ref_softmax, routed_product_node
 
 
 def _softmax_via_nll(x: np.ndarray) -> np.ndarray:
@@ -250,8 +250,8 @@ def test_grad_embed(probe):
     ids = np.array([[0, 2, 1], [2, 2, 0]])
     c = probe((2, 3, 4))
     _check_grads(
-        lambda t: ag.sum_all(ag.mul(ag.embed(t["tab"], ids), c)),
-        {"tab": probe((3, 4))},
+        lambda t: ag.sum_all(ag.mul(ag.embed(t["tab"], ids, pos=t["pos"]), c)),
+        {"tab": probe((3, 4)), "pos": probe((3, 4))},
     )
 
 
@@ -273,30 +273,28 @@ def test_grad_embed_with_prefix_and_positions(probe):
 
 
 @pytest.mark.parametrize("frozen", [None, "table", "prefix", "pos"])
-@pytest.mark.parametrize("pos", [None, "rows", "batch"])
-@pytest.mark.parametrize("prefix", [False, True], ids=["no-prefix", "prefix"])
-def test_embed_fold_bits_equal_unfused_graph(rng, prefix, pos, frozen):
+# the positions are always one sample's (T, d) rows, the "rows" of the ids
+@pytest.mark.parametrize("prefix", [False, True], ids=["no-prefix-rows", "prefix-rows"])
+def test_embed_fold_bits_equal_unfused_graph(rng, prefix, frozen):
     """One embed node gives the bits of embed, concat_seq and add: output and every gradient."""
     ids = rng.integers(0, 6, size=(3, 5))
     t = 5 + 2 * prefix
-    arrays = {"table": rng.normal(size=(6, 4))}
+    arrays = {"table": rng.normal(size=(6, 4)), "pos": rng.normal(size=(t, 4))}
     if prefix:
         arrays["prefix"] = rng.normal(size=(3, 2, 4))
-    if pos is not None:  # one row per position, or a whole (B, T, d) array
-        arrays["pos"] = rng.normal(size=(t, 4) if pos == "rows" else (3, t, 4))
     g = rng.normal(size=(3, t, 4))
 
     def fused(a):
-        return ag.embed(a["table"], ids, prefix=a.get("prefix"), pos=a.get("pos"))
+        return ag.embed(a["table"], ids, prefix=a.get("prefix"), pos=a["pos"])
 
     def unfused(a):
-        x = ag.embed(a["table"], ids)
+        # the gathered rows: no table entry is -0.0, so adding +0.0 keeps their bits
+        x = ag.embed(a["table"], ids, pos=np.zeros((5, 4)))
         x = ag.concat_seq(a["prefix"], x) if "prefix" in a else x
-        return ag.add(x, a["pos"]) if "pos" in a else x
+        return ag.add(x, a["pos"])
 
     (out, grads, ops), (ref, ref_grads, _) = (_fold_and_grads(f, arrays, frozen, g) for f in (fused, unfused))
-    trains = set(arrays) != {frozen}  # with nothing trainable no node is recorded
-    assert ops == (["embed", "mul", "sum_all"] if trains else [])
+    assert ops == ["embed", "mul", "sum_all"]
     assert out.tobytes() == ref.tobytes()
     for name in arrays:
         assert (grads[name] is None) == (name == frozen), name
@@ -309,13 +307,13 @@ def test_embed_fold_bits_equal_unfused_graph(rng, prefix, pos, frozen):
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_embed_rejects_ids_outside_the_table(bad):
     with pytest.raises(ValueError, match="embed: id out of range for table with 3 rows"):
-        ag.embed(np.eye(3), np.array([[0, bad]]))
+        ag.embed(np.eye(3), np.array([[0, bad]]), pos=np.zeros((2, 3)))
 
 
 def test_embed_adds_positions_to_a_copy_of_the_table_rows():
     table = Tensor(np.eye(3))
-    out = ag.embed(table, np.array(1), pos=np.ones(3))  # 0-d ids select one row
-    assert out.data.tolist() == [1.0, 2.0, 1.0] and table.data.tolist() == np.eye(3).tolist()
+    out = ag.embed(table, np.array([[1]]), pos=np.ones((1, 3)))
+    assert out.data.tolist() == [[[1.0, 2.0, 1.0]]] and table.data.tolist() == np.eye(3).tolist()
 
 
 @pytest.mark.parametrize("causal", [True, False])
@@ -331,11 +329,15 @@ def test_grad_attention(probe, causal):
 
 
 def test_grad_routed_linear(probe):
-    c = probe((2, 4, 6))
-    _check_grads(
-        lambda t: ag.sum_all(ag.mul(ag.routed_linear(t["x"], t["wb"], t["we"], 2, inner=None, norm=None), c)),
-        {"x": probe((2, 4, 5)), "wb": probe((6, 5)), "we": probe((6, 5))},
-    )
+    """The FFN half with both products routing the prefix to experts."""
+    c = probe((2, 4, 5))
+
+    def loss(t):
+        inner = (t["wh"], t["weh"], None, 2)
+        return ag.sum_all(ag.mul(ag.routed_linear(t["x"], t["wb"], t["we"], 2, inner=inner, norm=t["gain"]), c))
+
+    shapes = {"x": (2, 4, 5), "wb": (5, 6), "we": (5, 6), "wh": (6, 5), "weh": (6, 5), "gain": (5,)}
+    _check_grads(loss, {k: probe(s) for k, s in shapes.items()})
 
 
 def test_grad_masked_nll(probe, rng):
@@ -567,7 +569,7 @@ def test_masked_nll_rejects_bad_targets():
 
 
 # ----------------------------------------------------------------------------
-# routed_linear, plain or as a block's FFN half, with a folded adapter: one node
+# a routed product, alone or as routed_linear's FFN half, with a folded adapter: one node
 # ----------------------------------------------------------------------------
 
 ROUTE_SPAN = 3  # image prefix of the (3, 7, k) inputs below
@@ -588,17 +590,17 @@ def _routed_arrays(rng, kind, up_scale=1.0, hidden=False):
 
 
 def _routed(t, span):
-    """The routed product over ``x``, or the FFN half around it when ``t`` has ``wh``."""
-    return ag.routed_linear(
-        t["x"], t["w"], t.get("e"), span, adapter=_adapter_of(t), inner=_hidden(t), norm=t.get("gain")
-    )
+    """The FFN half around the routed product over ``x`` when ``t`` has ``wh``, else that product alone."""
+    if "wh" not in t:
+        return routed_product_node(t["x"], (t["w"], t.get("e"), _adapter_of(t), span))
+    return ag.routed_linear(t["x"], t["w"], t.get("e"), span, adapter=_adapter_of(t), inner=_hidden(t), norm=t["gain"])
 
 
 def _unfused_routed(t, span):
     """The graph the routed path recorded before the folds: one node per step."""
     x = t["x"] if "wh" not in t else ag.gelu(ag.linear(ag.rms_norm(t["x"], t["gain"]), t["wh"]))
     if "e" in t:
-        y = ag.routed_linear(x, t["w"], t["e"], span, inner=None, norm=None)
+        y = routed_product_node(x, (t["w"], t["e"], None, span))
     else:
         y = ag.add(ag.linear(x, t["w"]), ag.routed_lora(x, t["down"], t["up"], span))
     return y if "wh" not in t else ag.add(t["x"], y)
@@ -616,8 +618,10 @@ def _routed_probes(probe, kind, hidden):
     return arrays
 
 
-# each routed test runs both forms: "plain", the routed product alone, and
-# "res-gelu", the FFN half that adds x to it behind a normed GELU hidden layer
+# each routed test runs both forms: "plain", the routed product alone, which the
+# library runs only inside the block halves and the tests as routed_product_node,
+# and "res-gelu", routed_linear's FFN half, which adds x to it behind a normed GELU
+# hidden layer
 @pytest.mark.parametrize("gelu", [False, True], ids=["plain", "res-gelu"])
 @pytest.mark.parametrize("kind", ["expert", "adapter"])
 def test_grad_routed_linear_fold(probe, kind, gelu):
@@ -651,12 +655,12 @@ def test_routed_linear_routes_every_row_at_full_span(rng, kind):
     ids=["fractional", "whole-float", "str", "none", "mask", "negative", "past-end"],
 )
 def test_routed_kernels_reject_bad_span(rng, span):
-    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
+    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter", hidden=True).items()}
     e = Tensor(rng.normal(size=(12, 12)))
     with pytest.raises(ShapeMismatch, match=r"routed_linear: span must be an integer in \[0, 7\]"):
-        ag.routed_linear(a["x"], a["w"], e, span, inner=None, norm=None)
+        ag.routed_linear(a["x"], a["w"], e, span, inner=_hidden(a), norm=a["gain"])
     with pytest.raises(ShapeMismatch, match=r"routed_linear: span must be an integer in \[0, 7\]"):
-        ag.routed_linear(a["x"], a["w"], None, span, adapter=(a["down"], a["up"]), inner=None, norm=None)
+        ag.routed_linear(a["x"], a["w"], None, span, adapter=(a["down"], a["up"]), inner=_hidden(a), norm=a["gain"])
     with pytest.raises(ShapeMismatch, match=r"routed_lora: span must be an integer in \[0, 7\]"):
         ag.routed_lora(a["x"], a["down"], a["up"], span)
 
@@ -775,12 +779,12 @@ def test_routed_linear_records_inputs_in_order(rng):
 
 
 def test_routed_linear_takes_one_routed_weight(rng):
-    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter").items()}
-    e = Tensor(rng.normal(size=(12, 12)))
+    a = {k: Tensor(v) for k, v in _routed_arrays(rng, "adapter", hidden=True).items()}
+    e, inner = Tensor(rng.normal(size=(12, 12))), _hidden(a)
     with pytest.raises(ValueError, match="exactly one"):
-        ag.routed_linear(a["x"], a["w"], e, ROUTE_SPAN, adapter=(a["down"], a["up"]), inner=None, norm=None)
+        ag.routed_linear(a["x"], a["w"], e, ROUTE_SPAN, adapter=(a["down"], a["up"]), inner=inner, norm=a["gain"])
     with pytest.raises(ValueError, match="exactly one"):
-        ag.routed_linear(a["x"], a["w"], None, ROUTE_SPAN, inner=None, norm=None)
+        ag.routed_linear(a["x"], a["w"], None, ROUTE_SPAN, inner=inner, norm=a["gain"])
 
 
 @pytest.mark.parametrize("span", [ROUTE_SPAN, 0], ids=["mixed", "all-text"])
@@ -789,7 +793,7 @@ def test_routed_linear_rejects_misshapen_factors_or_residual(rng, span):
     for down_shape, up_shape in [((4, 11), (12, 4)), ((4, 12), (9, 4)), ((4, 12), (12, 3)), ((12,), (12, 4))]:
         adapter = (Tensor(np.zeros(down_shape)), Tensor(np.zeros(up_shape)))
         with pytest.raises(ShapeMismatch, match="down"):
-            ag.routed_linear(a["x"], a["w"], None, span, adapter=adapter, inner=None, norm=None)
+            ag.routed_linear(a["x"], a["w"], None, span, adapter=adapter, inner=_hidden(a), norm=a["gain"])
     for n in (10, 13):  # the FFN half's residual is x, so w must be as wide as x
         adapter = (np.zeros((4, 12)), np.zeros((n, 4)))
         with pytest.raises(ShapeMismatch, match="residual"):
@@ -824,9 +828,16 @@ def _ffn_spec(t, i, kind, span):
 
 
 def _spec_product(x, spec, inner=None, norm=None):
+    """The product of a matrix spec over ``x``, or the FFN half around it with ``inner`` and ``norm``.
+
+    An unrouted spec goes to ``linear``. A routed one goes to
+    ``routed_linear``'s FFN half, or alone to ``routed_product_node``.
+    """
     w, expert, adapter, span = spec
     if span is None:
         return ag.linear(x, w, adapter, inner=inner, norm=norm)
+    if inner is None:
+        return routed_product_node(x, spec)
     return ag.routed_linear(x, w, expert, span, adapter=adapter, inner=inner, norm=norm)
 
 
@@ -913,16 +924,18 @@ def _ffn_half_operands():
         ("linear", lambda x, w1, gain, w2: ag.linear(x, w2, inner=w1, norm=gain, bias=np.zeros(3))),
         ("routed_linear", lambda x, w1, gain, w2: ag.routed_linear(x, w2, w2, 1, inner=w1, norm=None)),
         ("routed_linear", lambda x, w1, gain, w2: ag.routed_linear(x, w2, w2, 1, inner=None, norm=gain)),
+        ("routed_linear", lambda x, w1, gain, w2: ag.routed_linear(x, w2, w2, 1, inner=None, norm=None)),
     ],
     ids=[
         "linear-inner-without-norm", "linear-norm-without-inner", "linear-bias-with-inner",
-        "routed_linear-inner-without-norm", "routed_linear-norm-without-inner",
+        "routed_linear-inner-without-norm", "routed_linear-norm-without-inner", "routed_linear-plain",
     ],
 )
 def test_ffn_node_refuses_inner_and_norm_apart_or_beside_a_bias(op, call):
     x, w1, gain, w2 = _ffn_half_operands()
     assert ag.linear(x, w2, inner=w1, norm=gain).shape == x.shape  # the combination alone is refused
-    with pytest.raises(ValueError, match=f"^{op}: (inner and norm come together|a bias goes on a plain product)"):
+    refusals = "inner and norm come together|a bias goes on a plain product|a block's FFN half only"
+    with pytest.raises(ValueError, match=f"^{op}: ({refusals})"):
         call(*_ffn_half_operands())
 
 
@@ -1609,7 +1622,8 @@ def _identity_half(x, n_heads):
         (
             "routed_linear",
             lambda: ag.routed_linear(
-                np.zeros((1, 2, 3)), np.zeros((4, 3)), np.zeros((4, 3)), True, inner=None, norm=None
+                np.zeros((1, 2, 3)), np.zeros((3, 4)), np.zeros((3, 4)), True,
+                inner=(np.zeros((4, 3)), None, None, None), norm=np.ones(3),
             ),
         ),
         ("routed_lora", lambda: ag.routed_lora(np.zeros((1, 2, 3)), np.zeros((2, 3)), np.zeros((4, 2)), True)),
@@ -1624,13 +1638,17 @@ def _identity_half(x, n_heads):
         ("rms_norm", lambda: ag.rms_norm(np.zeros((2, 0)), np.zeros(0))),
         ("attention", lambda: _identity_half(np.zeros((1, 2, 4)), n_heads=0)),
         ("attention", lambda: _identity_half(np.zeros((1, 0, 4)), n_heads=2)),
-        ("embed", lambda: ag.embed(np.eye(3), np.array([0.5]))),
-        ("embed", lambda: ag.embed(np.ones(3), np.zeros((2, 2), int))),
-        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((3, 1, 3)))),
-        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((2, 1, 4)))),
-        ("embed", lambda: ag.embed(np.eye(3), np.zeros(2, int), prefix=np.zeros((2, 1, 3)))),
+        ("attention", lambda: _identity_half(np.zeros((0, 2, 4)), n_heads=2)),
+        ("embed", lambda: ag.embed(np.eye(3), np.array([[0.5]]), pos=np.zeros((1, 3)))),
+        ("embed", lambda: ag.embed(np.ones(3), np.zeros((2, 2), int), pos=np.zeros((2, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((3, 1, 3)), pos=np.zeros((3, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), prefix=np.zeros((2, 1, 4)), pos=np.zeros((3, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros(2, int), prefix=np.zeros((2, 1, 3)), pos=np.zeros((3, 3)))),
         ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), pos=np.zeros((3, 3)))),
         ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), pos=np.zeros((2, 2, 2, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), pos=None)),
+        ("embed", lambda: ag.embed(np.eye(3), np.zeros((2, 2), int), pos=np.zeros((2, 2, 3)))),
+        ("embed", lambda: ag.embed(np.eye(3), np.array(1), pos=np.zeros(3))),
         ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 3)), bias=np.zeros(3))),
         ("linear", lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 3)), bias=np.zeros((1, 4)))),
         (
@@ -1642,9 +1660,10 @@ def _identity_half(x, n_heads):
     ],
     ids=[
         "routed_linear-bool-span", "routed_lora-bool-span", "linear-0d", "linear-inner-width", "rms_norm-0d",
-        "rms_norm-zero-width", "attention-0-heads", "attention-empty", "embed-float-ids", "embed-1d-table",
-        "embed-prefix-batch", "embed-prefix-width", "embed-prefix-2d-rows", "embed-pos-not-broadcast",
-        "embed-pos-grows-output", "linear-bias-width", "linear-bias-2d", "linear-ffn-output-width",
+        "rms_norm-zero-width", "attention-0-heads", "attention-empty", "attention-empty-batch", "embed-float-ids",
+        "embed-1d-table", "embed-prefix-batch", "embed-prefix-width", "embed-prefix-2d-rows", "embed-pos-not-broadcast",
+        "embed-pos-grows-output", "embed-no-pos", "embed-pos-per-sample", "embed-0d-ids", "linear-bias-width",
+        "linear-bias-2d", "linear-ffn-output-width",
     ],
 )
 def test_kernels_reject_malformed_operands(op, call):

@@ -268,6 +268,7 @@ def test_synth_dataset_rejects_bool_sizes(size):
         ({"grid_side": 2.5}, "grid_side must be a positive integer"),
         ({"grid_side": 10, "max_seq": 256}, "past the 256-id token space"),
         ({"max_seq": -1}, "max_seq must be a positive integer"),
+        ({"seq_len": 1}, "room for 2 runs within seq_len 1"),
     ],
     ids=[
         "one-symbol",
@@ -277,11 +278,14 @@ def test_synth_dataset_rejects_bool_sizes(size):
         "fractional-side",
         "side-past-count-tokens",
         "negative-seq",
+        "one-run-seq-len",
     ],
 )
 def test_synth_dataset_rejects_bad_sizes(kwargs, message):
+    sizes = dict(kwargs)
+    spec = TaskSpec("grid-caption", 2, seq_len=sizes.pop("seq_len", 12))
     with pytest.raises(ValueError, match=message):
-        synth_dataset(TaskSpec("grid-caption", 2), **kwargs)
+        synth_dataset(spec, **sizes)
 
 
 @pytest.mark.parametrize("tokens", [[[1, SEP, 3], [1, SEP, 3]], SEP], ids=["2d", "0d"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genieblue.autograd import Tensor
+from genieblue.autograd import ShapeMismatch, Tensor
 from genieblue.model import ModelConfig, TokenBatch, build_model, decode
 
 from oracles import count_params_by_walk, expected_parameter_count, layers_from_bindings, ref_decode
@@ -156,14 +156,6 @@ def test_causality_suffix_perturbation(tiny_base, rng):
     assert not np.array_equal(logits_a[:, cut + 1 :], logits_b[:, cut + 1 :])
 
 
-def test_all_text_batch_ignores_empty_injection(tiny_base, rng):
-    batch = _text_batch(rng, tiny_base.config, bsz=2, t=8)
-    plain = tiny_base.lm.forward(batch).data
-    empty = Tensor(np.zeros((2, 0, tiny_base.config.d_model)))
-    with_empty = decode(tiny_base.config, tiny_base.lm.params, tiny_base.bindings(), batch, empty).data
-    assert plain.tobytes() == with_empty.tobytes()
-
-
 def test_image_positions_require_injection(tiny_base, rng):
     batch, _ = _mixed_batch(rng, tiny_base.config)
     with pytest.raises(ValueError, match="injected"):
@@ -174,6 +166,9 @@ def test_all_text_batch_refuses_grids(tiny_base, rng):
     batch, grids = _mixed_batch(rng, tiny_base.config, span=0)
     with pytest.raises(ValueError, match="grids supplied for an all-text batch"):
         tiny_base.forward(batch, grids)
+    empty = Tensor(np.zeros((2, 0, tiny_base.config.d_model)))  # an empty injection too
+    with pytest.raises(ValueError, match="injected embeddings supplied for an all-text batch"):
+        decode(tiny_base.config, tiny_base.lm.params, tiny_base.bindings(), batch, empty)
 
 
 def test_rejects_overlong_sequence(tiny_base, rng):
@@ -188,6 +183,8 @@ def test_rejects_empty_sequence(tiny_base):
     batch = TokenBatch(np.zeros((1, 0), np.int64))
     with pytest.raises(ValueError, match="empty sequence"):
         tiny_base.lm.forward(batch)
+    with pytest.raises(ShapeMismatch, match="^attention: empty batch"):
+        tiny_base.lm.forward(TokenBatch(np.zeros((0, 5), np.int64)))
 
 
 def test_rejects_out_of_vocab_ids(tiny_base):
@@ -302,8 +299,9 @@ def test_encode_rejects_out_of_alphabet(tiny_base):
     [
         (np.zeros((1, 3, 3)), "must be integers"),
         (np.zeros((0, 3, 3), dtype=np.int64), "no grids"),
+        (np.zeros((3, 3), dtype=np.int64), r"grids must be \(B, 3, 3\), got shape \(3, 3\)"),
     ],
-    ids=["float-symbols", "empty-batch"],
+    ids=["float-symbols", "empty-batch", "single-grid"],
 )
 def test_encode_rejects_malformed_grids(tiny_base, grids, message):
     with pytest.raises(ValueError, match=message):

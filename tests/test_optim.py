@@ -12,14 +12,14 @@ def _single_param(value=1.0):
 
 def test_zero_grad_zero_decay_is_identity():
     params, state = _single_param(1.234)
-    adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1)
+    adamw_step(params, {"w": np.zeros(1)}, state, {"w": 0.1}, 0.0)
     assert params["w"].data[0] == 1.234
     assert state.t == 1
 
 
 def test_decay_only_update():
     params, state = _single_param(1.0)
-    adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1, weight_decay=0.05)
+    adamw_step(params, {"w": np.zeros(1)}, state, {"w": 0.1}, 0.05)
     assert params["w"].data[0] == pytest.approx(0.995, abs=0)
 
 
@@ -27,7 +27,7 @@ def test_single_step_hand_evaluation():
     # p=1, g=1, lr=0.1, beta1=0.9, beta2=0.98, eps=1e-6, wd=0:
     # m=0.1, v=0.02, bias-corrected both to 1.0 -> p = 1 - 0.1/(1+1e-6)
     params, state = _single_param(1.0)
-    adamw_step(params, {"w": np.ones(1)}, state, lr=0.1)
+    adamw_step(params, {"w": np.ones(1)}, state, {"w": 0.1}, 0.0)
     assert params["w"].data[0] == pytest.approx(0.9000001, abs=1e-9)
     assert state.t == 1
 
@@ -35,26 +35,26 @@ def test_single_step_hand_evaluation():
 def test_step_count_increments_by_one():
     params, state = _single_param()
     for expected in (1, 2, 3):
-        adamw_step(params, {"w": np.ones(1)}, state, lr=0.01)
+        adamw_step(params, {"w": np.ones(1)}, state, {"w": 0.01}, 0.0)
         assert state.t == expected
 
 
 def test_rejects_non_finite_gradient():
     params, state = _single_param()
     with pytest.raises(NonFiniteError, match="w"):
-        adamw_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
+        adamw_step(params, {"w": np.array([np.nan])}, state, {"w": 0.1}, 0.0)
 
 
 def test_rejects_shape_mismatch():
     params, state = _single_param()
     with pytest.raises(ValueError, match="shape"):
-        adamw_step(params, {"w": np.zeros(2)}, state, lr=0.1)
+        adamw_step(params, {"w": np.zeros(2)}, state, {"w": 0.1}, 0.0)
 
 
 def test_rejects_missing_grad():
     params, state = _single_param()
     with pytest.raises(ValueError, match="missing"):
-        adamw_step(params, {}, state, lr=0.1)
+        adamw_step(params, {}, state, {"w": 0.1}, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -63,21 +63,22 @@ def test_rejects_missing_grad():
         ({"grads": {"b": np.array([np.inf, 0.0])}}, NonFiniteError, "non-finite gradient for 'b'"),
         ({"grads": {"b": np.zeros(3)}}, ValueError, r"shape .*\(b\)"),
         ({"lr": {"a": 0.1}}, ValueError, r"no learning rate for \['b'\]"),
-        ({"lr": float("nan")}, ValueError, "lr must be a finite number, got nan"),
-        ({"lr": True}, ValueError, "lr must be a finite number, got True"),
+        ({"lr": {"a": 0.1, "b": float("nan")}}, ValueError, "lr for 'b' must be a finite number, got nan"),
+        ({"lr": {"a": True, "b": 0.2}}, ValueError, "lr for 'a' must be a finite number, got True"),
         ({"lr": {"a": 0.1, "b": "x"}}, ValueError, "lr for 'b' must be a finite number, got 'x'"),
         ({"weight_decay": float("inf")}, ValueError, "weight_decay must be a finite number, got inf"),
+        ({"lr": 0.1}, ValueError, "adamw_step: lr must map each parameter name to its rate, got 0.1"),
     ],
     ids=[
         "non-finite-later-grad", "later-grad-misshapen", "lr-map-lacks-a-name", "nan-lr", "bool-lr",
-        "lr-map-names-a-string", "inf-decay",
+        "lr-map-names-a-string", "inf-decay", "scalar-lr",
     ],
 )
 def test_refused_step_writes_nothing(bad, error, message):
     params = {"a": Tensor(np.array([1.0, -2.0])), "b": Tensor(np.array([0.5, 3.0]))}
     state = AdamWState(params)
     good = {"a": np.array([0.3, -0.1]), "b": np.array([0.2, 0.4])}
-    adamw_step(params, good, state, lr=0.1, weight_decay=0.1)  # nonzero moments to compare against
+    adamw_step(params, good, state, {"a": 0.1, "b": 0.1}, 0.1)  # nonzero moments to compare against
     before = [p.data.copy() for p in params.values()] + [a.copy() for a in (*state.m.values(), *state.v.values())]
     grads, lr = {**good, **bad.get("grads", {})}, bad.get("lr", {"a": 0.1, "b": 0.2})
     with pytest.raises(error, match=message):
@@ -189,6 +190,6 @@ def test_schedule_rejects_bool_step_counts(field):
 def test_integer_lr_matches_float_lr():
     ints, floats = _single_param(0.5), _single_param(0.5)
     for _ in range(3):
-        adamw_step(ints[0], {"w": np.array([0.3])}, ints[1], lr=1, weight_decay=0.05)
-        adamw_step(floats[0], {"w": np.array([0.3])}, floats[1], lr=1.0, weight_decay=0.05)
+        adamw_step(ints[0], {"w": np.array([0.3])}, ints[1], {"w": 1}, 0.05)
+        adamw_step(floats[0], {"w": np.array([0.3])}, floats[1], {"w": 1.0}, 0.05)
     assert ints[0]["w"].data.tobytes() == floats[0]["w"].data.tobytes()

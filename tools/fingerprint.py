@@ -6,15 +6,22 @@ an initial-parameter digest, a trainable count, a loss trajectory (float hex)
 or a trainable/frozen digest after training, for the three builders and the
 plain base; then the benchmark's train setup for both adapted builders and
 the sha256 of 300 served responses per serve kind. It only prints, and
-it imports the benchmark's setup code without changing it.
+it imports the benchmark's setup code without changing it. It pins BLAS to
+one thread, as ``benchmarks/run.py`` does, since products summed over other
+thread counts round differently.
 """
 
 import hashlib
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from genieblue import (
+# set before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from genieblue import (  # noqa: E402
     StageConfig,
     TaskSpec,
     build_cogvlm,
@@ -26,8 +33,8 @@ from genieblue import (
     run_stage,
     synth_dataset,
 )
-from genieblue.model import ModelConfig, build_model
-from genieblue.util import digest_tensors
+from genieblue.model import ModelConfig, build_model  # noqa: E402
+from genieblue.util import digest_tensors  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import workloads  # noqa: E402
